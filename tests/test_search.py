@@ -41,6 +41,30 @@ class TestFamilyMoves:
 
 
 class TestExactWorstCase:
+    @pytest.mark.parametrize(
+        "spec, objective, value, states, hits",
+        [
+            (ModelSpec(Model.TREES, 4), Objective.broadcast(), 4, 2044, 10141),
+            (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2), 2, 805, 228),
+            (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2), 3, 1595, 24865),
+        ],
+        ids=["trees-broadcast", "forests-cover", "rooted-kbroadcast"],
+    )
+    def test_pinned_counts(self, spec, objective, value, states, hits):
+        # the counts depend only on the reachable state space and the
+        # deduplicated successor sets, not on how the engine stores them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = exact_worst_case(spec, objective)
+            replay = run(res.optimal_sequence, objective)
+        assert (res.value, res.states_visited, res.memo_hits) == (value, states, hits)
+        assert replay.time == value
+
+    def test_single_node_needs_no_round(self):
+        res = exact_worst_case(ModelSpec(Model.TREES, 1), Objective.broadcast())
+        assert (res.value, res.states_visited) == (0, 1)
+        assert res.optimal_sequence.rounds == []
+
     def test_trees_n2_is_one(self):
         res = exact_worst_case(ModelSpec(Model.TREES, 2), Objective.broadcast())
         assert res.value == 1
