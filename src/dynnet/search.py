@@ -120,65 +120,152 @@ def _move_table(moves: list[Graph], n: int) -> np.ndarray:
     return table
 
 
+def _drop_bit(row, x: int):
+    """Row ``row`` without bit ``x``; higher bits move down by one."""
+    return (row & ((1 << x) - 1)) | ((row >> (x + 1)) << x)
+
+
+def _insert_bit(row, x: int):
+    """Inverse of ``_drop_bit``, with bit ``x`` set."""
+    return (row & ((1 << x) - 1)) | ((row >> x) << (x + 1)) | (1 << x)
+
+
+def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
+    """succ[x, c, j] = row x of the child under move j when row x of the
+    state is ``c``, both without the diagonal, shifted to its key position."""
+    table = _move_table(moves, n)
+    width = n - 1
+    compressed = np.arange(1 << width, dtype=np.uint64)
+    succ = np.empty((n, 1 << width, len(moves)), dtype=np.int64)
+    for x in range(n):
+        child_rows = table[:, _insert_bit(compressed, x)].T
+        succ[x] = _drop_bit(child_rows, x) << (x * width)
+    return succ
+
+
 class _Search:
-    """States are product graphs packed into one int: row x occupies bits
-    [x*n, (x+1)*n). Packing keeps the memo key hashing cheap; n <= 6 fits
-    into a word with room to spare."""
+    """A state is the product graph G(t) with self-loops, so its diagonal is
+    always set. The key drops it: row x without bit x occupies key bits
+    [x*(n-1), (x+1)*(n-1)), so a state takes n(n-1) bits (20 at n=5, 30 at
+    n=6).
+
+    Values live in a dense uint8 table indexed by key that holds the value
+    plus 1; 0 means not solved yet. A state's children under every move are
+    the sum of n rows gathered from ``_successor_tables``. With more than
+    one thread, ``memo_hits`` and the state budget count are updated without
+    a lock and are approximate; the table itself stays exact."""
 
     def __init__(self, spec: ModelSpec, objective: Objective, mem_cap_bytes: int):
-        self.n = spec.n
+        n = spec.n
+        table_bytes = 1 << (n * (n - 1))
+        if table_bytes > mem_cap_bytes:
+            raise MemoryBudgetExceeded(
+                f"value table needs {table_bytes} bytes, over the budget of {mem_cap_bytes}"
+            )
+        self.n = n
+        self.width = n - 1
+        self.row_mask = full_mask(n - 1)
         self.objective = objective
+        # broadcast and k-broadcast are decided on whole arrays of keys
+        self.full_rows_needed = None if objective.kind == "cover" else objective.k
         self.moves = family_moves(spec)
-        self.table = _move_table(self.moves, spec.n)
-        self.row_shift = np.uint64(spec.n)
-        self.weights = (np.uint64(1) << (np.arange(spec.n, dtype=np.uint64) * self.row_shift))
-        self.memo: dict[int, int] = {}
+        self.succ = _successor_tables(self.moves, n).reshape(n << self.width, -1)
+        # (full row x for every compressed row, key shift of row x)
+        self.row_lookup = [
+            ([_insert_bit(c, x) for c in range(1 << self.width)], x * self.width)
+            for x in range(n)
+        ]
+        self.full_rows = np.array([self.row_mask << (x * self.width) for x in range(n)])
+        self.values = np.zeros(table_bytes, dtype=np.uint8)
         self.memo_hits = 0
-        # ~100 bytes per entry: two boxed ints plus the dict slot
+        self.stored = 0  # states stored, for the state budget
+        # state budget: at most one stored state per 100 bytes of the cap
         self.max_entries = max(1, mem_cap_bytes // 100)
 
     def pack(self, rows: tuple[int, ...]) -> int:
         key = 0
-        for i, r in enumerate(rows):
-            key |= r << (i * self.n)
+        for x, r in enumerate(rows):
+            key |= _drop_bit(r, x) << (x * self.width)
         return key
 
     def unpack(self, key: int) -> list[int]:
-        fm = full_mask(self.n)
-        return [(key >> (i * self.n)) & fm for i in range(self.n)]
+        mask = self.row_mask
+        return [rows[(key >> shift) & mask] for rows, shift in self.row_lookup]
 
-    def children(self, key: int) -> set[int]:
-        succ = self.table[:, self.unpack(key)]
-        packed = (succ * self.weights).sum(axis=1, dtype=np.uint64)
-        return set(packed.tolist())
+    @property
+    def memo(self) -> dict[int, int]:
+        """Snapshot of the solved states, key -> value."""
+        keys = np.flatnonzero(self.values)
+        return dict(zip(keys.tolist(), (self.values[keys] - 1).tolist()))
+
+    def successors(self, key: int) -> np.ndarray:
+        """The child key under each move, in move order."""
+        w, mask = self.width, self.row_mask
+        picks = [(x << w) | ((key >> (x * w)) & mask) for x in range(self.n)]
+        return np.add.reduce(self.succ.take(picks, axis=0), axis=0)
+
+    def children(self, key: int) -> np.ndarray:
+        """The distinct child keys, sorted."""
+        kids = self.successors(key)
+        kids.sort()
+        distinct = np.empty(kids.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(kids[1:], kids[:-1], out=distinct[1:])
+        return kids[distinct]
+
+    def _terminal(self, keys: np.ndarray) -> np.ndarray:
+        full = (keys[:, None] & self.full_rows) == self.full_rows
+        return full.sum(axis=1) >= self.full_rows_needed
 
     def value(self, key: int) -> int:
-        cached = self.memo.get(key)
-        if cached is not None:
+        entry = int(self.values[key])
+        if entry:
             self.memo_hits += 1
-            return cached
+            return entry - 1
+        return self._solve(key) - 1
+
+    def _solve(self, key: int) -> int:
+        """Table entry of an unsolved state, tested against the objective."""
         if _objective_holds(tuple(self.unpack(key)), self.n, self.objective):
-            self.memo[key] = 0
-            return 0
-        best = 0
-        memo_get = self.memo.get
-        for child in self.children(key):
-            if child == key:
-                raise RuntimeError(
-                    "adversary move without progress; family is not rooted enough"
-                )
-            v = memo_get(child)
-            if v is None:
-                v = self.value(child)
-            else:
+            self.values[key] = 1
+            self.stored += 1
+            return 1
+        return self._expand(key)
+
+    def _expand(self, key: int) -> int:
+        """Table entry of an unsolved state the objective does not hold on."""
+        kids = self.children(key)
+        # children are supersets of the state, so the state sorts first
+        if kids[0] == key:
+            raise RuntimeError(
+                "adversary move without progress; family is not rooted enough"
+            )
+        entries = self.values[kids]
+        fresh = kids[entries == 0]
+        self.memo_hits += kids.size - fresh.size
+        best = int(entries.max())
+        if fresh.size and self.full_rows_needed is not None:
+            done = self._terminal(fresh)
+            if done.any():
+                self.values[fresh[done]] = 1
+                self.stored += int(np.count_nonzero(done))
+                best = max(best, 1)
+                fresh = fresh[~done]
+        descend = self._solve if self.full_rows_needed is None else self._expand
+        for child in fresh.tolist():
+            entry = int(self.values[child])
+            if entry:
                 self.memo_hits += 1
-            if v > best:
-                best = v
-        if len(self.memo) >= self.max_entries:
+            else:
+                entry = descend(child)
+            if entry > best:
+                best = entry
+        if self.stored >= self.max_entries:
             raise MemoryBudgetExceeded(
                 f"memo exceeded the configured budget ({self.max_entries} states)"
             )
-        self.memo[key] = best + 1
+        self.values[key] = best + 1
+        self.stored += 1
         return best + 1
 
 
@@ -196,6 +283,12 @@ def exact_worst_case(
     1 + max over family members H of f(G o H). Memoized on the product
     adjacency; terminates because every move adds at least one product edge
     while the objective is unmet.
+
+    Raises MemoryBudgetExceeded, before enumerating any move, when the dense
+    value table (2^(n(n-1)) bytes) exceeds ``mem_cap_bytes``, and during the
+    search when it stores more than ``mem_cap_bytes // 100`` states.
+    ``states_visited`` counts the solved states and is exact with any number
+    of threads; ``memo_hits`` is exact only with ``threads=1``.
     """
     guard = TREE_SEARCH_GUARD if spec.model is Model.TREES else OTHER_SEARCH_GUARD
     if spec.n > guard and not allow_large:
@@ -210,12 +303,13 @@ def exact_worst_case(
 
     if threads > 1 and not _objective_holds(identity(spec.n).out_rows, spec.n, objective):
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(search.value, sorted(search.children(start))))
+            list(pool.map(search.value, search.children(start).tolist()))
     value = search.value(start)
 
     seq_rounds = _reconstruct(search, start)
     seq = RoundSequence(spec, seq_rounds)
-    return SearchResult(value, seq, len(search.memo), search.memo_hits)
+    states = int(np.count_nonzero(search.values))
+    return SearchResult(value, seq, states, search.memo_hits)
 
 
 def _reconstruct(search: _Search, start: int) -> list[Graph]:
@@ -223,20 +317,17 @@ def _reconstruct(search: _Search, start: int) -> list[Graph]:
     serialized) move whose child still needs value-1 rounds."""
     out: list[Graph] = []
     key = start
-    remaining = search.memo[key]
+    remaining = int(search.values[key]) - 1
     while remaining > 0:
-        masks = search.unpack(key)
-        for j, mv in enumerate(search.moves):
-            child = 0
-            for i, m in enumerate(masks):
-                child |= int(search.table[j, m]) << (i * search.n)
-            if search.memo.get(child) == remaining - 1:
-                out.append(mv)
-                key = child
-                remaining -= 1
-                break
-        else:  # pragma: no cover
+        succ = search.successors(key)
+        # a child that needs remaining-1 rounds has table entry remaining
+        best = np.flatnonzero(search.values[succ] == remaining)
+        if best.size == 0:  # pragma: no cover
             raise AssertionError("memoized values are inconsistent")
+        j = int(best[0])
+        out.append(search.moves[j])
+        key = int(succ[j])
+        remaining -= 1
     return out
 
 

@@ -1,8 +1,10 @@
 import random
+import sys
 import warnings
 
 import pytest
 
+from dynnet import search as search_module
 from dynnet.analysis import bounds_for
 from dynnet.dissemination import Objective, run
 from dynnet.families import Model, ModelSpec, validate_member
@@ -131,18 +133,44 @@ class TestExactWorstCase:
         with pytest.raises(ValueError):
             exact_worst_case(ModelSpec(Model.TREES, 7), Objective.broadcast())
 
+    def test_broadcast_against_forests_stalls(self):
+        # a 2-forest whose trees are already saturated adds no product edge
+        with pytest.raises(RuntimeError, match="without progress"):
+            exact_worst_case(ModelSpec(Model.K_FORESTS, 3, 2), Objective.broadcast())
+
     def test_memory_cap(self):
         with pytest.raises(MemoryBudgetExceeded):
             exact_worst_case(
                 ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=5_000
             )
 
+    def test_value_table_over_budget_raises_before_enumerating(self, monkeypatch):
+        # trees at n=7 would need a 2^42-byte value table
+        def enumerate_moves(spec):
+            pytest.fail("moves enumerated before the budget check")
+
+        monkeypatch.setattr(search_module, "family_moves", enumerate_moves)
+        with pytest.raises(MemoryBudgetExceeded):
+            exact_worst_case(
+                ModelSpec(Model.TREES, 7), Objective.broadcast(), allow_large=True
+            )
+
     def test_threads_agree(self):
+        # memo_hits is counted without a lock; everything else must match
         spec = ModelSpec(Model.TREES, 4)
-        assert (
-            exact_worst_case(spec, Objective.broadcast(), threads=4).value
-            == exact_worst_case(spec, Objective.broadcast()).value
-        )
+        single = exact_worst_case(spec, Objective.broadcast())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (2, 4):
+                res = exact_worst_case(spec, Objective.broadcast(), threads=threads)
+                assert (res.value, res.states_visited) == (single.value, single.states_visited)
+                assert [g.out_rows for g in res.optimal_sequence.rounds] == [
+                    g.out_rows for g in single.optimal_sequence.rounds
+                ]
+                assert run(res.optimal_sequence, Objective.broadcast()).time == res.value
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_optimal_sequence_validates(self):
         res = exact_worst_case(ModelSpec(Model.TREES, 3), Objective.broadcast())
