@@ -12,7 +12,7 @@ from typing import Iterator, Optional
 from mpmath import iv
 
 from .families import Model, ModelSpec, forest_roots, roots_reaching_all
-from .graphs import Graph, ProductTrace, bits, full_mask
+from .graphs import ProductTrace, bits, full_mask, row_image
 
 iv.dps = 60
 
@@ -209,7 +209,7 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
         roots.append(min(candidates))
     process_edges = []
     for t in range(1, round_count + 1):
-        heard = trace.prefix_products[t - 1].in_rows[roots[t - 1]]
+        heard = trace.prefix_in_rows[t - 1][roots[t - 1]]
         for p in bits(heard):
             if p not in avoid:
                 process_edges.append((p, t))
@@ -217,7 +217,7 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
     for t in range(1, min(threshold, round_count + 1)):
         rt = roots[t - 1]
         for t2 in range(t + 1, round_count + 1):
-            if trace.prefix_products[t2 - 1].in_rows[roots[t2 - 1]] >> rt & 1:
+            if trace.prefix_in_rows[t2 - 1][roots[t2 - 1]] >> rt & 1:
                 round_edges.append((t, t2))
     return RoundsGraph(
         n, frozenset(avoid), round_count, threshold, tuple(roots),
@@ -276,16 +276,6 @@ class StrictSetsTrace:
         }
 
 
-def _expand_in(mask: int, g: Graph) -> int:
-    rows = g.in_rows
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc |= rows[low.bit_length() - 1]
-        mask ^= low
-    return acc
-
-
 def build_strict_sets(trace: ProductTrace, k: int, t_prime: int) -> StrictSetsTrace:
     """Run the backward construction on a k-forest trace.
 
@@ -322,8 +312,8 @@ def build_strict_sets(trace: ProductTrace, k: int, t_prime: int) -> StrictSetsTr
                 break
             t -= 1
             if t >= 1:
-                g = trace.rounds[t - 1]
-                masks = [_expand_in(m, g) for m in masks]
+                rows = trace.rounds[t - 1].in_rows
+                masks = [row_image(rows, m) for m in masks]
         if found is None:
             complete = False
             break

@@ -26,14 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import bounds_for
+from .analysis import _ceil_div, bounds_for
 from .dissemination import RoundSequence
 from .families import Model, ModelSpec
 from .graphs import Graph, make_graph
-
-
-def _ceil_div(num: int, den: int) -> int:
-    return -(-num // den)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .graphs import MAX_NODES, Graph, full_mask, graph_from_rows, make_graph
+from .graphs import MAX_NODES, Graph, full_mask, graph_from_rows, make_graph, row_image
 
 ENUM_GUARD = 8  # rooted-tree enumeration is n^(n-1); keep it desk-scale
 
@@ -87,37 +87,38 @@ def is_k_forest(g: Graph, k: int) -> tuple[bool, Optional[list[int]]]:
 
 def reach_mask(g: Graph, x: int) -> int:
     """Bitmask of nodes reachable from x (including x), self-loops ignored."""
-    seen = 1 << x
-    frontier = seen
+    seen = frontier = 1 << x
     rows = g.out_rows
     while frontier:
-        new = 0
-        m = frontier
-        while m:
-            low = m & -m
-            new |= rows[low.bit_length() - 1]
-            m ^= low
-        frontier = new & ~seen
-        seen |= new
+        frontier = row_image(rows, frontier) & ~seen
+        seen |= frontier
     return seen
+
+
+def _roots(g: Graph) -> Iterator[int]:
+    """Nodes that reach every node, ascending, searched lazily. A node that
+    a non-root reaches cannot be a root (it reaches no more than the
+    non-root does), so it is ruled out without a search of its own."""
+    fm = full_mask(g.n)
+    ruled_out = 0
+    for x in range(g.n):
+        if ruled_out >> x & 1:
+            continue
+        reach = reach_mask(g, x)
+        if reach == fm:
+            yield x
+        else:
+            ruled_out |= reach
 
 
 def roots_reaching_all(g: Graph) -> set[int]:
     """Nodes whose forward-reachable set is all of [n]."""
-    fm = full_mask(g.n)
-    return {x for x in range(g.n) if reach_mask(g, x) == fm}
+    return set(_roots(g))
 
 
 def is_k_rooted(g: Graph, k: int) -> bool:
     """At least k nodes reach every node. Counts lazily and stops at k."""
-    fm = full_mask(g.n)
-    found = 0
-    for x in range(g.n):
-        if reach_mask(g, x) == fm:
-            found += 1
-            if found >= k:
-                return True
-    return False
+    return len(list(itertools.islice(_roots(g), k))) == k
 
 
 def validate_member(spec: ModelSpec, g: Graph) -> bool:

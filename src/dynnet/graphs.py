@@ -2,13 +2,15 @@
 
 A node set is a single machine word (Python int used as a 64-bit mask), so
 relational composition of two graphs is a word-parallel OR loop. All values
-are immutable after construction and safe to share across threads.
+are immutable after construction and safe to share across threads (a
+graph's transpose is derived on first read; a race only derives it twice).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 MAX_NODES = 64
 
@@ -32,19 +34,34 @@ def mask_of(nodes: Iterable[int]) -> int:
     return m
 
 
+def row_image(rows: Sequence[int], mask: int) -> int:
+    """OR of ``rows[i]`` over the set bits ``i`` of ``mask``: the image of
+    the node set ``mask`` under the relation whose rows are ``rows``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable digraph: ``out_rows[x]`` is the bitmask of out-neighbors of x.
 
-    ``in_rows`` is the exact transpose, kept so in-neighborhood queries are
-    O(1) row lookups. Construct via :func:`make_graph` or
-    :func:`graph_from_rows`; both guarantee the transpose invariant and that
-    no bit at index >= n is set.
+    ``in_rows`` is the exact transpose, computed on first read and cached;
+    equality and hashing see ``n`` and ``out_rows`` only. Construct via
+    :func:`make_graph` or :func:`graph_from_rows`; both guarantee that no
+    bit at index >= n is set.
     """
 
     n: int
     out_rows: tuple[int, ...]
-    in_rows: tuple[int, ...]
+
+    @cached_property
+    def in_rows(self) -> tuple[int, ...]:
+        """``in_rows[y]`` is the bitmask of in-neighbors of y."""
+        return _transpose(self.n, self.out_rows)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.out_rows[u] >> v & 1)
@@ -81,7 +98,7 @@ def _transpose(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def graph_from_rows(n: int, out_rows: Iterable[int]) -> Graph:
-    """Build a Graph from out-adjacency masks, deriving the in-rows."""
+    """Build a Graph from out-adjacency masks."""
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
     rows = tuple(out_rows)
@@ -91,7 +108,7 @@ def graph_from_rows(n: int, out_rows: Iterable[int]) -> Graph:
     for x, row in enumerate(rows):
         if row & ~fm:
             raise ValueError(f"row {x} has bits beyond node {n - 1}")
-    return Graph(n, rows, _transpose(n, rows))
+    return Graph(n, rows)
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -123,43 +140,31 @@ def product(a: Graph, b: Graph) -> Graph:
     if a.n != b.n:
         raise ValueError(f"node count mismatch: {a.n} != {b.n}")
     brows = b.out_rows
-    out = []
-    for x in range(a.n):
-        acc = 0
-        m = a.out_rows[x]
-        while m:
-            low = m & -m
-            acc |= brows[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return graph_from_rows(a.n, out)
+    return graph_from_rows(a.n, [row_image(brows, m) for m in a.out_rows])
 
 
 def compose_rows(rows: tuple[int, ...], b: Graph) -> tuple[int, ...]:
     """Out-rows of (rows graph) o b, without building a Graph. Hot path of
     the simulator and the state-space search."""
     brows = b.out_rows
-    out = []
-    for m in rows:
-        acc = 0
-        while m:
-            low = m & -m
-            acc |= brows[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return tuple(out)
+    return tuple([row_image(brows, m) for m in rows])
 
 
 class ProductTrace:
     """A round sequence together with its cumulative products.
 
     ``rounds[t-1]`` is the round-t communication graph with self-loops
-    already added (rounds are 1-based throughout). ``prefix_products[t]`` is
-    the product of rounds 1..t; index 0 is the identity (every process knows
-    only itself before round 1).
+    already added (rounds are 1-based throughout). ``prefix_in_rows[t]``
+    holds the in-rows of the product of rounds 1..t: entry y is the set of
+    processes whose id y has heard after round t. Index 0 is the identity
+    (every process knows only itself before round 1). Each prefix is
+    composed from the last one through the sparse round,
+    in_{P o G}(y) = union of in_P(z) over z in in_G(y), which costs one OR
+    per edge of the round. :meth:`product_at` builds the prefix as a Graph
+    on demand.
     """
 
-    __slots__ = ("n", "rounds", "prefix_products")
+    __slots__ = ("n", "rounds", "prefix_in_rows")
 
     def __init__(self, n: int, rounds: list[Graph]):
         for g in rounds:
@@ -169,10 +174,12 @@ class ProductTrace:
                 raise ValueError("trace rounds must carry all self-loops")
         self.n = n
         self.rounds = list(rounds)
-        prefixes = [identity(n)]
-        for g in rounds:
-            prefixes.append(product(prefixes[-1], g))
-        self.prefix_products = prefixes
+        cols = identity(n).out_rows
+        prefixes = [cols]
+        for g in self.rounds:
+            cols = tuple([row_image(cols, m) for m in g.in_rows])
+            prefixes.append(cols)
+        self.prefix_in_rows = prefixes
 
     @classmethod
     def from_raw_rounds(cls, n: int, raw_rounds: Iterable[Graph]) -> "ProductTrace":
@@ -184,7 +191,7 @@ class ProductTrace:
 
     def product_at(self, t: int) -> Graph:
         """Cumulative product after round t (t=0 gives the identity)."""
-        return self.prefix_products[t]
+        return graph_from_rows(self.n, _transpose(self.n, self.prefix_in_rows[t]))
 
     def _check_query(self, t: int, t2: int, x: int) -> None:
         if not 0 <= x < self.n:
@@ -207,13 +214,7 @@ class ProductTrace:
         # identity prepended, which changes nothing.
         m = 1 << x
         for tau in range(t2, max(t, 1) - 1, -1):
-            rows = self.rounds[tau - 1].in_rows
-            acc = 0
-            while m:
-                low = m & -m
-                acc |= rows[low.bit_length() - 1]
-                m ^= low
-            m = acc
+            m = row_image(self.rounds[tau - 1].in_rows, m)
         return m
 
     def out_mask(self, t: int, t2: int, x: int) -> int:
@@ -225,13 +226,7 @@ class ProductTrace:
             return 1 << x
         m = 1 << x
         for tau in range(max(t, 1), t2 + 1):
-            rows = self.rounds[tau - 1].out_rows
-            acc = 0
-            while m:
-                low = m & -m
-                acc |= rows[low.bit_length() - 1]
-                m ^= low
-            m = acc
+            m = row_image(self.rounds[tau - 1].out_rows, m)
         return m
 
 

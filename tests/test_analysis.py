@@ -21,8 +21,9 @@ from dynnet.analysis import (
     verify_littledeltas_bound,
     verify_strict_inequalities,
 )
-from dynnet.families import Model, ModelSpec, random_graph
-from dynnet.graphs import ProductTrace, full_mask, make_graph
+from dynnet.constructions import build
+from dynnet.families import Model, ModelSpec, random_graph, reach_mask
+from dynnet.graphs import ProductTrace, full_mask, identity, make_graph, product
 
 
 def tree_trace(n, length, seed):
@@ -170,6 +171,44 @@ class TestRoundsGraph:
         trace = tree_trace(n, ceil_one_plus_sqrt2(n), seed=2)
         text = build_rounds_graph(trace).to_dot()
         assert text.startswith("digraph") and "p0" in text
+
+
+def reference_rounds_graph(trace, avoid):
+    """The rounds graph's roots and edges, recomputed from the plain
+    ``product`` chain and read through out-rows."""
+    n = trace.n
+    round_count = ceil_one_plus_sqrt2(n) + len(avoid)
+    threshold = ceil_sqrt2(n) + len(avoid)
+    chain = [identity(n)]
+    for g in trace.rounds[:round_count]:
+        chain.append(product(chain[-1], g))
+    roots = [
+        min(x for x in range(n) if x not in avoid and reach_mask(g, x) == full_mask(n))
+        for g in trace.rounds[:round_count]
+    ]
+    process_edges = [
+        (p, t)
+        for t in range(1, round_count + 1)
+        for p in range(n)
+        if p not in avoid and chain[t - 1].has_edge(p, roots[t - 1])
+    ]
+    round_edges = [
+        (t, t2)
+        for t in range(1, min(threshold, round_count + 1))
+        for t2 in range(t + 1, round_count + 1)
+        if chain[t2 - 1].has_edge(roots[t - 1], roots[t2 - 1])
+    ]
+    return tuple(roots), tuple(process_edges), tuple(round_edges)
+
+
+@pytest.mark.parametrize("model,k,avoid", [
+    (Model.TREES, 1, frozenset()),
+    (Model.K_ROOTED, 2, frozenset({5})),
+])
+def test_rounds_graph_matches_product_chain(model, k, avoid):
+    trace = build(model, 16, k).seq.trace()
+    rg = build_rounds_graph(trace, avoid)
+    assert (rg.roots, rg.process_edges, rg.round_edges) == reference_rounds_graph(trace, avoid)
 
 
 class TestStrictSets:

@@ -13,6 +13,7 @@ from dynnet.families import (
     is_k_rooted,
     is_rooted_tree,
     random_graph,
+    reach_mask,
     roots_reaching_all,
     validate_member,
 )
@@ -89,6 +90,30 @@ class TestRootsReachingAll:
             ok, root = is_rooted_tree(g)
             assert ok
             assert roots_reaching_all(g) == {root}
+
+    def test_matches_search_from_every_node(self):
+        rnd = random.Random(11)
+        nonempty = 0
+        for _ in range(400):
+            n = rnd.randint(1, 12)
+            density = rnd.choice((0.05, 0.15, 0.3, 0.6))
+            g = make_graph(n, [(u, v) for u in range(n) for v in range(n) if rnd.random() < density])
+            if rnd.random() < 0.5:
+                g = add_self_loops(g)
+            expected = {x for x in range(n) if reach_mask(g, x) == (1 << n) - 1}
+            assert roots_reaching_all(g) == expected
+            for k in range(1, n + 1):
+                assert is_k_rooted(g, k) == (len(expected) >= k)
+            nonempty += bool(expected)
+        assert 50 < nonempty < 350
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_k_rooted_members_at_scale(self, k):
+        for seed in range(5):
+            g = random_graph(ModelSpec(Model.K_ROOTED, 64, k), seed)
+            expected = {x for x in range(64) if reach_mask(g, x) == (1 << 64) - 1}
+            assert len(expected) >= k
+            assert roots_reaching_all(g) == expected
 
 
 class TestEnumeration:

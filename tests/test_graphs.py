@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynnet.families import Model, ModelSpec, random_graph
 from dynnet.graphs import (
     Graph,
     ProductTrace,
     add_self_loops,
     bits,
     full_mask,
+    graph_from_rows,
     identity,
     in_set,
     make_graph,
@@ -68,6 +70,15 @@ class TestMakeGraph:
                 for v in range(6):
                     assert g.has_edge(u, v) == (g.in_rows[v] >> u & 1)
 
+    def test_equality_and_hash_ignore_read_transpose(self):
+        g = make_graph(5, [(0, 1), (1, 2), (4, 0), (3, 3)])
+        assert g.in_rows == (1 << 4, 1 << 0, 1 << 1, 1 << 3, 0)
+        fresh = graph_from_rows(5, g.out_rows)
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        assert len({g, fresh}) == 1
+        assert g != make_graph(5, [(0, 1)])
+
 
 class TestSelfLoops:
     def test_empty_becomes_identity(self):
@@ -119,8 +130,6 @@ class TestProduct:
 
 
 def random_tree_trace(n: int, length: int, seed: int) -> ProductTrace:
-    from dynnet.families import Model, ModelSpec, random_graph
-
     spec = ModelSpec(Model.TREES, n)
     return ProductTrace.from_raw_rounds(
         n, [random_graph(spec, seed * 977 + t) for t in range(length)]
@@ -157,6 +166,46 @@ class TestProductTrace:
     def test_rejects_missing_loops(self):
         with pytest.raises(ValueError):
             ProductTrace(3, [make_graph(3, [(0, 1)])])
+
+    def test_rejects_node_count_mismatch(self):
+        with pytest.raises(ValueError):
+            ProductTrace(3, [identity(4)])
+
+
+def product_chain(trace: ProductTrace) -> list[Graph]:
+    """Reference prefixes: the plain ``product`` fold over the rounds."""
+    chain = [identity(trace.n)]
+    for g in trace.rounds:
+        chain.append(product(chain[-1], g))
+    return chain
+
+
+FAMILY_SIZES = [
+    (model, k, n)
+    for model, k in ((Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_ROOTED, 3))
+    for n in (1, 2, 5, 16, 64)
+    if k <= n
+]
+
+
+class TestPrefixDifferential:
+    """The column-wise prefixes agree with the plain ``product`` chain."""
+
+    @pytest.mark.parametrize("model,k,n", FAMILY_SIZES)
+    @pytest.mark.parametrize("length", [0, 1, "long"])
+    def test_prefixes_match_product_chain(self, model, k, n, length):
+        spec = ModelSpec(model, n, k)
+        if length == "long":
+            length = 2 * n + 3
+        seed = 1000 * n + 10 * k + length
+        trace = ProductTrace.from_raw_rounds(
+            n, [random_graph(spec, seed + t) for t in range(length)]
+        )
+        chain = product_chain(trace)
+        assert len(trace.prefix_in_rows) == len(chain) == length + 1
+        for t, ref in enumerate(chain):
+            assert trace.product_at(t) == ref
+            assert trace.prefix_in_rows[t] == ref.in_rows
 
 
 class TestIntervalNeighborhoods:
