@@ -12,10 +12,9 @@ import os
 import random
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, constructions, seqfile
-from .dissemination import Objective, ObjectiveNotReached, RoundSequence, run
+from .dissemination import _CANONICAL, Objective, ObjectiveNotReached, RoundSequence, run
 from .families import Model, ModelSpec, random_graph
 from .graphs import ProductTrace, to_dot
 from .search import (
@@ -77,7 +76,6 @@ def cmd_search(args: argparse.Namespace) -> int:
             spec,
             objective,
             mem_cap_bytes=args.mem_cap,
-            threads=args.threads,
             allow_large=args.allow_large,
         )
     except ValueError as exc:
@@ -173,7 +171,7 @@ def _parse_grid(text: str) -> tuple[range, range]:
     return spans["n"], spans.get("k", range(1, 4))
 
 
-def _verify_rows(ns: range, ks: range, samples: int, seed: int, threads: int = 1):
+def _verify_rows(ns: range, ks: range, samples: int, seed: int):
     """Yield (name, ok, detail) rows for the whole invariant grid."""
     bad_bounds = []
     for model in Model:
@@ -186,50 +184,29 @@ def _verify_rows(ns: range, ks: range, samples: int, seed: int, threads: int = 1
                     bad_bounds.append((model.value, n, k))
     yield ("bounds-sandwich", not bad_bounds, f"violations={bad_bounds[:5]}")
 
-    def adherence_cell(model: Model, n: int, k: int, cell: int) -> int:
-        spec = ModelSpec(model, n, k)
-        if model is Model.TREES:
-            objective = Objective.broadcast()
-            horizon = analysis.ceil_one_plus_sqrt2(n)
-        elif model is Model.K_FORESTS:
-            objective = Objective.cover(k)
-            horizon = analysis.ceil_beta(n) + 1
-        else:
-            objective = Objective.k_broadcast(k)
-            horizon = analysis.ceil_one_plus_sqrt2(n) + k - 1
-        misses = 0
-        for i in range(samples):
-            rounds = [
-                random_graph(spec, seed + 7919 * (cell * samples + i) + 13 * t)
-                for t in range(horizon)
-            ]
-            seq = RoundSequence(spec, rounds, validate=False)
-            try:
-                if run(seq, objective).time > horizon:
-                    misses += 1
-            except ObjectiveNotReached:
-                misses += 1
-        return misses
-
     for model in Model:
         cells = [
-            (model, n, k)
+            (n, k)
             for n in ns
             for k in (ks if model is not Model.TREES else [1])
             if k <= n
         ]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                miss_counts = list(pool.map(
-                    lambda args: adherence_cell(*args[1], cell=args[0]),
-                    enumerate(cells),
-                ))
-        else:
-            miss_counts = [
-                adherence_cell(m, n, k, cell=i)
-                for i, (m, n, k) in enumerate(cells)
-            ]
-        misses = sum(miss_counts)
+        misses = 0
+        for cell, (n, k) in enumerate(cells):
+            spec = ModelSpec(model, n, k)
+            objective = Objective(_CANONICAL[model], k)
+            horizon = analysis.bounds_values(model, n, k).upper_int
+            for i in range(samples):
+                rounds = [
+                    random_graph(spec, seed + 7919 * (cell * samples + i) + 13 * t)
+                    for t in range(horizon)
+                ]
+                seq = RoundSequence(spec, rounds, validate=False)
+                try:
+                    if run(seq, objective).time > horizon:
+                        misses += 1
+                except ObjectiveNotReached:
+                    misses += 1
         yield (
             f"upper-bound-adherence[{model.value}]",
             misses == 0,
@@ -272,8 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok_all = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name, ok, detail in _verify_rows(ns, ks, args.samples, args.seed,
-                                              args.threads):
+        for name, ok, detail in _verify_rows(ns, ks, args.samples, args.seed):
             rows.append((name, ok, detail))
             ok_all &= ok
             print(f"{'pass' if ok else 'FAIL'}  {name}  {detail}")
@@ -349,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--objective", required=True,
                    choices=["broadcast", "cover", "kbroadcast"])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--mem-cap", type=int,
                    default=int(os.environ.get("DYNNET_MEM_CAP", DEFAULT_MEM_CAP)))
     p.add_argument("--allow-large", action="store_true")
@@ -364,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant grid")
     p.add_argument("--grid", default="n=3..20,k=1..3")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .families import Model, ModelSpec, validate_member
 from .graphs import Graph, ProductTrace, add_self_loops, bits, compose_rows, full_mask, graph_from_rows, identity
@@ -35,6 +35,23 @@ class Objective:
             raise ValueError("objective k must be >= 1")
         if self.kind == "broadcast" and self.k != 1:
             raise ValueError("broadcast has no k parameter")
+
+    def witness(self, rows: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """The objective's witness on the product with out-rows ``rows``, or
+        None when it does not hold: the k smallest broadcasters (k = 1 for
+        broadcast), or the cover ``cover_achieved`` reports."""
+        n = len(rows)
+        if self.kind == "cover":
+            w = cover_achieved(graph_from_rows(n, rows), self.k)
+            return tuple(w) if w is not None else None
+        fm = full_mask(n)
+        found = []
+        for x, r in enumerate(rows):
+            if r == fm:
+                found.append(x)
+                if len(found) == self.k:
+                    return tuple(found)
+        return None
 
 
 class ObjectiveNotReached(Exception):
@@ -135,17 +152,9 @@ def cover_achieved(g: Graph, k: int) -> Optional[list[int]]:
 
 def k_broadcast_achieved(g: Graph, k: int) -> Optional[list[int]]:
     """The k smallest broadcaster ids if at least k nodes have full
-    out-rows; None otherwise."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    fm = full_mask(g.n)
-    out = []
-    for x in range(g.n):
-        if g.out_rows[x] == fm:
-            out.append(x)
-            if len(out) == k:
-                return out
-    return None
+    out-rows; None otherwise. Raises ValueError when k < 1."""
+    w = Objective.k_broadcast(k).witness(g.out_rows)
+    return list(w) if w is not None else None
 
 
 class RoundSequence:
@@ -197,21 +206,6 @@ _CANONICAL = {
 }
 
 
-def _check_objective(rows: tuple[int, ...], n: int, objective: Objective) -> Optional[tuple[int, ...]]:
-    fm = full_mask(n)
-    if objective.kind in ("broadcast", "kbroadcast"):
-        need = 1 if objective.kind == "broadcast" else objective.k
-        found = []
-        for x in range(n):
-            if rows[x] == fm:
-                found.append(x)
-                if len(found) == need:
-                    return tuple(found)
-        return None
-    w = cover_achieved(graph_from_rows(n, rows), objective.k)
-    return tuple(w) if w is not None else None
-
-
 def run(seq: RoundSequence, objective: Objective) -> RunResult:
     """Smallest t at which the objective holds on the cumulative product
     G(t); t = 0 is legal (e.g. a cover of size n holds before any round).
@@ -234,12 +228,12 @@ def run(seq: RoundSequence, objective: Objective) -> RunResult:
             stacklevel=2,
         )
     rows = identity(n).out_rows
-    witness = _check_objective(rows, n, objective)
+    witness = objective.witness(rows)
     t = 0
     if witness is None:
         for t, raw in enumerate(seq.rounds, start=1):
             rows = compose_rows(rows, add_self_loops(raw))
-            witness = _check_objective(rows, n, objective)
+            witness = objective.witness(rows)
             if witness is not None:
                 break
         else:

@@ -1,9 +1,9 @@
-"""Directed graphs on up to 64 labeled nodes, stored as bitset adjacency rows.
+"""Directed graphs on up to 64 labeled nodes, kept as bitset adjacency rows.
 
 A node set is a single machine word (Python int used as a 64-bit mask), so
 relational composition of two graphs is a word-parallel OR loop. All values
-are immutable after construction and safe to share across threads (a
-graph's transpose is derived on first read; a race only derives it twice).
+are immutable after construction (a graph's transpose is derived on first
+read).
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@ monotone product-graph state space, plus greedy adversary heuristics."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -101,15 +100,6 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
     return moves
 
 
-def _objective_holds(rows: tuple[int, ...], n: int, objective: Objective) -> bool:
-    fm = full_mask(n)
-    if objective.kind == "broadcast":
-        return any(r == fm for r in rows)
-    if objective.kind == "kbroadcast":
-        return sum(r == fm for r in rows) >= objective.k
-    return cover_achieved(graph_from_rows(n, rows), objective.k) is not None
-
-
 def _move_table(moves: list[Graph], n: int) -> np.ndarray:
     """table[j, mask] = OR of move j's loop-added out-rows over ``mask``."""
     rows = np.array(
@@ -154,24 +144,30 @@ class _Search:
 
     Values live in a dense uint8 table indexed by key that holds the value
     plus 1; 0 means not solved yet. A state's children under every move are
-    the sum of n rows gathered from ``_successor_tables``. With more than
-    one thread, ``memo_hits`` and the state budget count are updated without
-    a lock and are approximate; the table itself stays exact."""
+    the sum of n rows gathered from ``_successor_tables``. Fresh children
+    are decided against the objective when their parent first sees them
+    (``_terminal``), so only states the objective does not hold on are
+    expanded.
+
+    Before anything is allocated, the tables are charged against
+    ``mem_cap_bytes``: the value table before any move is enumerated, then
+    the value table plus the successor and move tables (8 bytes per entry)
+    before those are built."""
 
     def __init__(self, spec: ModelSpec, objective: Objective, mem_cap_bytes: int):
         n = spec.n
         table_bytes = 1 << (n * (n - 1))
-        if table_bytes > mem_cap_bytes:
-            raise MemoryBudgetExceeded(
-                f"value table needs {table_bytes} bytes, over the budget of {mem_cap_bytes}"
-            )
+        _charge("value table", table_bytes, mem_cap_bytes)
         self.n = n
         self.width = n - 1
         self.row_mask = full_mask(n - 1)
         self.objective = objective
-        # broadcast and k-broadcast are decided on whole arrays of keys
-        self.full_rows_needed = None if objective.kind == "cover" else objective.k
         self.moves = family_moves(spec)
+        _charge(
+            "value, successor and move tables",
+            table_bytes + len(self.moves) * (n * (1 << self.width) + (1 << n)) * 8,
+            mem_cap_bytes,
+        )
         self.succ = _successor_tables(self.moves, n).reshape(n << self.width, -1)
         # (full row x for every compressed row, key shift of row x)
         self.row_lookup = [
@@ -181,9 +177,6 @@ class _Search:
         self.full_rows = np.array([self.row_mask << (x * self.width) for x in range(n)])
         self.values = np.zeros(table_bytes, dtype=np.uint8)
         self.memo_hits = 0
-        self.stored = 0  # states stored, for the state budget
-        # state budget: at most one stored state per 100 bytes of the cap
-        self.max_entries = max(1, mem_cap_bytes // 100)
 
     def pack(self, rows: tuple[int, ...]) -> int:
         key = 0
@@ -217,23 +210,28 @@ class _Search:
         return kids[distinct]
 
     def _terminal(self, keys: np.ndarray) -> np.ndarray:
+        """Whether the objective holds on each state in ``keys``."""
+        k = self.objective.k
+        if self.objective.kind == "cover":
+            n = self.n
+            return np.array(
+                [cover_achieved(graph_from_rows(n, self.unpack(key)), k) is not None
+                 for key in keys.tolist()],
+                dtype=bool,
+            )
+        # broadcast and k-broadcast: at least k full rows
         full = (keys[:, None] & self.full_rows) == self.full_rows
-        return full.sum(axis=1) >= self.full_rows_needed
+        return full.sum(axis=1) >= k
 
     def value(self, key: int) -> int:
         entry = int(self.values[key])
         if entry:
             self.memo_hits += 1
             return entry - 1
-        return self._solve(key) - 1
-
-    def _solve(self, key: int) -> int:
-        """Table entry of an unsolved state, tested against the objective."""
-        if _objective_holds(tuple(self.unpack(key)), self.n, self.objective):
+        if self._terminal(np.array([key]))[0]:
             self.values[key] = 1
-            self.stored += 1
-            return 1
-        return self._expand(key)
+            return 0
+        return self._expand(key) - 1
 
     def _expand(self, key: int) -> int:
         """Table entry of an unsolved state the objective does not hold on."""
@@ -247,29 +245,29 @@ class _Search:
         fresh = kids[entries == 0]
         self.memo_hits += kids.size - fresh.size
         best = int(entries.max())
-        if fresh.size and self.full_rows_needed is not None:
+        if fresh.size:
             done = self._terminal(fresh)
             if done.any():
                 self.values[fresh[done]] = 1
-                self.stored += int(np.count_nonzero(done))
                 best = max(best, 1)
                 fresh = fresh[~done]
-        descend = self._solve if self.full_rows_needed is None else self._expand
         for child in fresh.tolist():
             entry = int(self.values[child])
             if entry:
                 self.memo_hits += 1
             else:
-                entry = descend(child)
+                entry = self._expand(child)
             if entry > best:
                 best = entry
-        if self.stored >= self.max_entries:
-            raise MemoryBudgetExceeded(
-                f"memo exceeded the configured budget ({self.max_entries} states)"
-            )
         self.values[key] = best + 1
-        self.stored += 1
         return best + 1
+
+
+def _charge(what: str, nbytes: int, mem_cap_bytes: int) -> None:
+    if nbytes > mem_cap_bytes:
+        raise MemoryBudgetExceeded(
+            f"{what}: {nbytes} bytes needed, over the budget of {mem_cap_bytes}"
+        )
 
 
 def exact_worst_case(
@@ -288,11 +286,15 @@ def exact_worst_case(
     while the objective is unmet.
 
     Raises MemoryBudgetExceeded, before enumerating any move, when the dense
-    value table (2^(n(n-1)) bytes) exceeds ``mem_cap_bytes``, and during the
-    search when it stores more than ``mem_cap_bytes // 100`` states.
-    ``states_visited`` counts the solved states and is exact with any number
-    of threads; ``memo_hits`` is exact only with ``threads=1``.
+    value table (2^(n(n-1)) bytes) exceeds ``mem_cap_bytes``, and before
+    building the successor tables when the value table plus the successor
+    and move tables (``len(moves) * (n * 2^(n-1) + 2^n) * 8`` bytes) do.
+    ``states_visited`` counts the solved states. The search runs on one
+    thread; ``threads`` is accepted for callers that pass 1, and any other
+    value raises ValueError.
     """
+    if threads != 1:
+        raise ValueError(f"exact search runs on one thread, got threads={threads}")
     guard = TREE_SEARCH_GUARD if spec.model is Model.TREES else OTHER_SEARCH_GUARD
     if spec.n > guard and not allow_large:
         raise ValueError(
@@ -303,10 +305,6 @@ def exact_worst_case(
         raise ValueError("objective k exceeds n")
     search = _Search(spec, objective, mem_cap_bytes)
     start = search.pack(identity(spec.n).out_rows)
-
-    if threads > 1 and not _objective_holds(identity(spec.n).out_rows, spec.n, objective):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(search.value, search.children(start).tolist()))
     value = search.value(start)
 
     seq_rounds = _reconstruct(search, start)
@@ -341,7 +339,7 @@ def worst_case_reference(spec: ModelSpec, objective: Objective) -> int:
     moves = [add_self_loops(g) for g in family_moves(spec)]
 
     def f(rows: tuple[int, ...]) -> int:
-        if _objective_holds(rows, spec.n, objective):
+        if objective.witness(rows) is not None:
             return 0
         best = 0
         for mv in moves:

@@ -126,6 +126,19 @@ class TestCliExitCodes:
         assert main(["search", "--model", "tree", "--n", "4",
                      "--objective", "broadcast", "--mem-cap", "5000"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--model", "tree", "--n", "3", "--objective", "broadcast"],
+            ["verify", "--grid", "n=3..4"],
+        ],
+        ids=["search", "verify"],
+    )
+    def test_threads_option_removed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
+        assert exc.value.code == 2
+
     def test_search_forest_small_value(self, capsys):
         assert main(["search", "--model", "forest", "--n", "4", "--k", "2",
                      "--objective", "cover"]) == 0

@@ -1,7 +1,7 @@
 import random
-import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from dynnet import search as search_module
@@ -155,22 +155,26 @@ class TestExactWorstCase:
                 ModelSpec(Model.TREES, 7), Objective.broadcast(), allow_large=True
             )
 
-    def test_threads_agree(self):
-        # memo_hits is counted without a lock; everything else must match
-        spec = ModelSpec(Model.TREES, 4)
-        single = exact_worst_case(spec, Objective.broadcast())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for threads in (2, 4):
-                res = exact_worst_case(spec, Objective.broadcast(), threads=threads)
-                assert (res.value, res.states_visited) == (single.value, single.states_visited)
-                assert [g.out_rows for g in res.optimal_sequence.rounds] == [
-                    g.out_rows for g in single.optimal_sequence.rounds
-                ]
-                assert run(res.optimal_sequence, Objective.broadcast()).time == res.value
-        finally:
-            sys.setswitchinterval(interval)
+    def test_charge_covers_successor_and_move_tables(self):
+        # trees at n=4: 4,096 table bytes + 64 moves * (4 * 2^3 + 2^4) * 8
+        res = exact_worst_case(
+            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=28_672
+        )
+        assert (res.value, res.states_visited) == (4, 2044)
+
+    def test_successor_tables_over_budget_raise_before_building(self, monkeypatch):
+        def build_tables(moves, n):
+            pytest.fail("successor tables built before the budget check")
+
+        monkeypatch.setattr(search_module, "_successor_tables", build_tables)
+        with pytest.raises(MemoryBudgetExceeded):
+            exact_worst_case(
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=28_671
+            )
+
+    def test_more_than_one_thread_rejected(self):
+        with pytest.raises(ValueError, match="one thread"):
+            exact_worst_case(ModelSpec(Model.TREES, 3), Objective.broadcast(), threads=2)
 
     def test_optimal_sequence_validates(self):
         res = exact_worst_case(ModelSpec(Model.TREES, 3), Objective.broadcast())
@@ -209,6 +213,33 @@ class TestSupergraphDominance:
                 base_child = search.pack(compose_rows(state, mv))
                 sup_child = search.pack(compose_rows(state, superset))
                 assert search.value(sup_child) <= search.value(base_child)
+
+
+class TestTerminalMatchesWitness:
+    OBJECTIVES = (
+        [Objective.broadcast()]
+        + [Objective.cover(k) for k in range(1, 5)]
+        + [Objective.k_broadcast(k) for k in range(1, 5)]
+    )
+
+    @pytest.mark.parametrize(
+        "spec, objective",
+        [
+            (ModelSpec(Model.TREES, 4), Objective.broadcast()),
+            (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2)),
+        ],
+        ids=["trees-broadcast", "forests-cover"],
+    )
+    def test_every_solved_state(self, spec, objective):
+        # the search's array decision agrees with the row-level witness on
+        # every state the n=4 searches solve, for every objective
+        solved = search_module._Search(spec, objective, 2 << 30)
+        solved.value(solved.pack(identity(4).out_rows))
+        keys = np.array(sorted(solved.memo), dtype=np.int64)
+        for other in self.OBJECTIVES:
+            decided = search_module._Search(spec, other, 2 << 30)._terminal(keys).tolist()
+            expected = [other.witness(solved.unpack(key)) is not None for key in keys.tolist()]
+            assert decided == expected, other
 
 
 class TestGreedyAdversary:
