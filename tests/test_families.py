@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -18,6 +19,14 @@ from dynnet.families import (
     validate_member,
 )
 from dynnet.graphs import add_self_loops, make_graph
+from dynnet.search import family_moves
+
+# the sizes of the ``sample`` benchmark workload
+SAMPLE_SIZES = tuple(range(3, 17)) + (20, 24, 32, 48, 64)
+
+
+def _digest(graphs) -> str:
+    return hashlib.sha256(repr([g.out_rows for g in graphs]).encode()).hexdigest()
 
 
 class TestRootedTreeValidator:
@@ -184,6 +193,54 @@ class TestRandomGraph:
         counts = Counter(random_graph(spec, seed).out_rows for seed in range(600))
         assert len(counts) == 6
         assert min(counts.values()) > 50
+
+
+class TestPinnedOutputs:
+    """Digests of the enumerated move lists and of seeded draws; a change
+    to how a family is enumerated or sampled must leave them as they are."""
+
+    @pytest.mark.parametrize("model,k,expected", [
+        (Model.TREES, 1, "92c97b4a5f004feea34e883701c25e97eda435717335bf8ba89b9c21e2bbdd74"),
+        (Model.K_FORESTS, 2, "1f45974f64be2c2560e900a8e901b59f63ca9ef9f071e682db45214d76f563e6"),
+    ])
+    def test_family_moves_n5(self, model, k, expected):
+        assert _digest(family_moves(ModelSpec(model, 5, k))) == expected
+
+    @pytest.mark.parametrize("model,k,expected", [
+        (Model.TREES, 1, "c3b19a1effd8d7e66e9289d090685bba3b168488abd207c6239fc56f4e4d052d"),
+        (Model.K_FORESTS, 1, "c3b19a1effd8d7e66e9289d090685bba3b168488abd207c6239fc56f4e4d052d"),
+        (Model.K_FORESTS, 2, "cee02d888fd528b525a28fbeb2852cbc7beb3e5c163591326fb70e490836d77e"),
+        (Model.K_FORESTS, 3, "69b5925d2c6106590185e5777d9df22e2aa55b52e07e1aa17db6b76996c891d3"),
+        (Model.K_ROOTED, 1, "bb484e75986f631bf6a1900269d38caae4a6c243f5066ad86c29fcc9a3547c99"),
+        (Model.K_ROOTED, 2, "f5b8633e2dc2ecbb2923f3195466a62c957f607cf5bb7bb8c6ab1279a2883108"),
+        (Model.K_ROOTED, 3, "e62074fe2de30580e34d76f9cfc399fbf20597cb2f8b5fc2fe51b928d4e78fd2"),
+    ])
+    def test_random_graph_sample_sizes(self, model, k, expected):
+        draws = [random_graph(ModelSpec(model, n, k), s) for n in SAMPLE_SIZES for s in range(20)]
+        assert _digest(draws) == expected
+
+
+class TestSamplerWithinEnumeration:
+    """The sampler and the exact search's move list describe one family."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_trees_and_forests_are_moves(self, n):
+        for model, ks in ((Model.TREES, [1]), (Model.K_FORESTS, range(1, n + 1))):
+            for k in ks:
+                spec = ModelSpec(model, n, k)
+                moves = {g.out_rows for g in family_moves(spec)}
+                for seed in range(30):
+                    assert random_graph(spec, seed).out_rows in moves, (spec, seed)
+
+    # n=5 stops at k=2: k >= 3 means 10 x 125^3 unions of trees to enumerate
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(1, n + 1)]
+                             + [(5, 1), (5, 2)])
+    def test_k_rooted_draws_contain_a_move(self, n, k):
+        spec = ModelSpec(Model.K_ROOTED, n, k)
+        moves = [g.out_rows for g in family_moves(spec)]
+        for seed in range(30):
+            rows = random_graph(spec, seed).out_rows
+            assert any(all(m & ~r == 0 for m, r in zip(move, rows)) for move in moves), seed
 
 
 class TestModelSpec:
