@@ -195,6 +195,9 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
     must be at least ceil((1+sqrt2) n) + |avoid| rounds long. The chosen
     root of each round is the smallest root outside the avoided set."""
     n = trace.n
+    outside = sorted(v for v in avoid if not 0 <= v < n)
+    if outside:
+        raise ValueError(f"avoided ids {outside} outside [0, {n})")
     round_count = ceil_one_plus_sqrt2(n) + len(avoid)
     threshold = ceil_sqrt2(n) + len(avoid)
     if len(trace) < round_count:

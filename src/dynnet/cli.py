@@ -1,7 +1,7 @@
 """Command-line front end: simulate, search, construct, verify, analyze.
 
 Exit codes: 0 success / objective reached, 2 validation or usage error,
-3 objective not reached, 1 verification failures.
+3 objective not reached, 1 verification failures or memory budget exceeded.
 """
 
 from __future__ import annotations
@@ -46,19 +46,11 @@ def _print_json(doc: dict) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        seq = seqfile.load(args.seq)
-        objective = _objective_from_args(args.objective, args.k)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run(seq, objective)
-    except ObjectiveNotReached as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_REACHED
+    seq = seqfile.load(args.seq)
+    objective = _objective_from_args(args.objective, args.k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run(seq, objective)
     if args.table:
         print(f"objective  {result.objective.kind} (k={result.objective.k})")
         print(f"time       {result.time}")
@@ -69,21 +61,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        spec = ModelSpec(Model(args.model), args.n, args.k or 1)
-        objective = _objective_from_args(args.objective, args.k or 1)
-        res = exact_worst_case(
-            spec,
-            objective,
-            mem_cap_bytes=args.mem_cap,
-            allow_large=args.allow_large,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    spec = ModelSpec(Model(args.model), args.n, args.k or 1)
+    objective = _objective_from_args(args.objective, args.k or 1)
+    res = exact_worst_case(
+        spec,
+        objective,
+        mem_cap_bytes=args.mem_cap,
+        allow_large=args.allow_large,
+    )
     doc = {
         "value": res.value,
         "states_visited": res.states_visited,
@@ -95,11 +80,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        out = constructions.build(Model(args.model), args.n, args.k or 1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    out = constructions.build(Model(args.model), args.n, args.k or 1)
     seqfile.save(args.out, out.seq)
     _print_json({
         "out": args.out,
@@ -111,19 +92,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        seq = seqfile.load(args.seq)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    seq = seqfile.load(args.seq)
     trace = seq.trace()
     if args.certificate == "rounds-graph":
         avoid = frozenset(int(x) for x in args.avoid.split(",") if x) if args.avoid else frozenset()
-        try:
-            rg = analysis.build_rounds_graph(trace, avoid)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        rg = analysis.build_rounds_graph(trace, avoid)
         wit = analysis.max_out_degree_witness(rg)
         doc = {
             "certificate": "rounds-graph",
@@ -140,11 +113,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK if wit.degree >= trace.n else EXIT_FAIL
     k = args.k if args.k is not None else seq.spec.k
     t_prime = args.tprime if args.tprime is not None else len(seq)
-    try:
-        tr = analysis.build_strict_sets(trace, k, t_prime)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    tr = analysis.build_strict_sets(trace, k, t_prime)
     report = analysis.verify_strict_inequalities(tr)
     if args.dot and tr.complete:
         with open(args.dot, "w") as fh:
@@ -240,11 +209,7 @@ def _verify_rows(ns: range, ks: range, samples: int, seed: int):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        ns, ks = _parse_grid(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    ns, ks = _parse_grid(args.grid)
     rows = []
     ok_all = True
     with warnings.catch_warnings():
@@ -263,16 +228,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_greedy(args: argparse.Namespace) -> int:
-    try:
-        spec = ModelSpec(Model(args.model), args.n, args.k or 1)
-        objective = _objective_from_args(args.objective, args.k or 1)
-        res = greedy_adversary(
-            spec, objective, args.horizon, Policy(args.policy),
-            samples=args.samples, seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = ModelSpec(Model(args.model), args.n, args.k or 1)
+    objective = _objective_from_args(args.objective, args.k or 1)
+    res = greedy_adversary(
+        spec, objective, args.horizon, Policy(args.policy),
+        samples=args.samples, seed=args.seed,
+    )
     if args.out:
         seqfile.save(args.out, res.sequence, seed=args.seed)
     doc = {
@@ -291,11 +252,9 @@ def cmd_greedy(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    try:
-        seq = seqfile.load(args.seq)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    seq = seqfile.load(args.seq)
+    if not 1 <= args.round <= len(seq):
+        raise ValueError(f"--round must be in 1..{len(seq)}, got {args.round}")
     g = seq.rounds[args.round - 1]
     print(to_dot(g, name=f"round_{args.round}", include_self_loops=args.self_loops))
     return EXIT_OK
@@ -377,9 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ObjectiveNotReached as exc:
+        return _error(exc, EXIT_NOT_REACHED)
+    except MemoryBudgetExceeded as exc:
+        return _error(exc, EXIT_FAIL)
+    except (ValueError, OSError) as exc:
+        return _error(exc, EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

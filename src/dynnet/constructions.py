@@ -42,13 +42,13 @@ class ConstructionOutput:
     claimed_time_main: int
 
 
-def _tree_phase_graphs(n: int) -> tuple[list[Graph], list[int]]:
-    """The distinct phase graphs and their repeat counts for the rooted-tree
-    schedule on n >= 3 nodes."""
+def _tree_phase_graphs(n: int) -> list[tuple[Graph, int]]:
+    """The phase graphs and their repeat counts for the rooted-tree schedule
+    on n >= 3 nodes."""
     path = make_graph(n, [(i, i + 1) for i in range(n - 1)])
     if n == 3:
         # Degenerate: the plain path already meets ceil((3n-1)/2) - 2 = n - 1.
-        return [path], [n - 1]
+        return [(path, n - 1)]
     q = (n - 2) // 2
     p = n - 2 - q
     pocket = n - 1 - q
@@ -57,25 +57,25 @@ def _tree_phase_graphs(n: int) -> tuple[list[Graph], list[int]]:
     regroup = make_graph(n, parking + chain)
     order = [pocket] + list(range(pocket + 1, n)) + list(range(pocket))
     final = make_graph(n, list(zip(order, order[1:])))
-    return [path, regroup, final], [p, q, n - p - 1]
+    return [(path, p), (regroup, q), (final, n - p - 1)]
+
+
+def _schedule(spec: ModelSpec, phases: list[tuple[Graph, int]]) -> RoundSequence:
+    """Each phase graph repeated its count of times, then the last one
+    repeated up to the family's guaranteed horizon."""
+    rounds = [g for g, reps in phases for _ in range(reps)]
+    rounds += [phases[-1][0]] * (bounds_for(spec).upper_int - len(rounds))
+    return RoundSequence(spec, rounds)
 
 
 def trees_lower_bound(n: int) -> ConstructionOutput:
     """Rooted-tree schedule with broadcast time >= ceil((3n-1)/2 - 2)."""
     if n < 3:
         raise ValueError("tree lower-bound schedule needs n >= 3")
-    spec = ModelSpec(Model.TREES, n)
-    graphs, reps = _tree_phase_graphs(n)
-    rounds: list[Graph] = []
-    for g, r in zip(graphs, reps):
-        rounds.extend([g] * r)
-    # pad with the final phase up to the broadcast guarantee
-    horizon = bounds_for(spec).upper_int
-    while len(rounds) < horizon:
-        rounds.append(graphs[-1])
+    seq = _schedule(ModelSpec(Model.TREES, n), _tree_phase_graphs(n))
     claimed = _ceil_div(3 * n - 1 - 4, 2)          # ceil((3n-1)/2 - 2)
     claimed_main = _ceil_div(3 * n - 1, 2) - 2     # ceil((3n-1)/2) - 2
-    return ConstructionOutput(RoundSequence(spec, rounds), claimed, claimed_main)
+    return ConstructionOutput(seq, claimed, claimed_main)
 
 
 def cover_lower_bound(n: int, k: int) -> ConstructionOutput:
@@ -85,23 +85,11 @@ def cover_lower_bound(n: int, k: int) -> ConstructionOutput:
         raise ValueError("k must be >= 1")
     if n < k + 2:
         raise ValueError("k-forest lower-bound schedule needs n >= k + 2")
-    i = n - k + 1
-    inner = trees_lower_bound(i)
-    spec = ModelSpec(Model.K_FORESTS, n, k)
-    horizon = bounds_for(spec).upper_int
-    rebuilt: dict[int, Graph] = {}
-
-    def widen(g: Graph) -> Graph:
-        if id(g) not in rebuilt:
-            rebuilt[id(g)] = make_graph(n, list(g.edges()))
-        return rebuilt[id(g)]
-
-    rounds = [widen(g) for g in inner.seq.rounds]
-    while len(rounds) < horizon:
-        rounds.append(rounds[-1])
+    phases = [(make_graph(n, g.edges()), reps) for g, reps in _tree_phase_graphs(n - k + 1)]
+    seq = _schedule(ModelSpec(Model.K_FORESTS, n, k), phases)
     claimed = _ceil_div(3 * n - 3 * k - 2, 2)          # ceil((3n-3k)/2 - 1)
     claimed_main = _ceil_div(3 * (n - k), 2) - 1
-    return ConstructionOutput(RoundSequence(spec, rounds), claimed, claimed_main)
+    return ConstructionOutput(seq, claimed, claimed_main)
 
 
 def kroot_lower_bound(n: int, k: int) -> ConstructionOutput:
@@ -126,31 +114,18 @@ def kroot_lower_bound(n: int, k: int) -> ConstructionOutput:
         group.append(list(range(next_id, next_id + size)))
         next_id += size
     assert next_id == n
-
-    inner = trees_lower_bound(i)
-    spec = ModelSpec(Model.K_ROOTED, n, k)
-    horizon = bounds_for(spec).upper_int
-    rebuilt: dict[int, Graph] = {}
+    cliques = [(x, y) for v in expanded for x in group[v] for y in group[v] if x != y]
 
     def expand(g: Graph) -> Graph:
-        if id(g) in rebuilt:
-            return rebuilt[id(g)]
-        edges = []
-        for v in expanded:
-            edges.extend(
-                (x, y) for x in group[v] for y in group[v] if x != y
-            )
-        for a, b in g.edges():
-            edges.extend((x, y) for x in group[a] for y in group[b])
-        rebuilt[id(g)] = make_graph(n, edges)
-        return rebuilt[id(g)]
+        return make_graph(
+            n, cliques + [(x, y) for a, b in g.edges() for x in group[a] for y in group[b]]
+        )
 
-    rounds = [expand(g) for g in inner.seq.rounds]
-    while len(rounds) < horizon:
-        rounds.append(rounds[-1])
+    phases = [(expand(g), reps) for g, reps in _tree_phase_graphs(i)]
+    seq = _schedule(ModelSpec(Model.K_ROOTED, n, k), phases)
     claimed = _ceil_div(3 * n - 9 * k + 4, 2)          # ceil((3n-9k)/2 + 2)
     claimed_main = _ceil_div(3 * (n - 3 * k), 2) + 2
-    return ConstructionOutput(RoundSequence(spec, rounds), claimed, claimed_main)
+    return ConstructionOutput(seq, claimed, claimed_main)
 
 
 def build(model: Model, n: int, k: int = 1) -> ConstructionOutput:

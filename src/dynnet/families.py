@@ -8,11 +8,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import MAX_NODES, Graph, full_mask, graph_from_rows, make_graph, row_image
 
 ENUM_GUARD = 8  # rooted-tree enumeration is n^(n-1); keep it desk-scale
+EXTRA_EDGE_DENSITY = 0.1  # chance of each extra edge in a random k-rooted graph
 
 
 class Model(Enum):
@@ -160,7 +161,9 @@ def _prufer_decode(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
     return edges
 
 
-def _orient_from_root(n: int, und_edges: list[tuple[int, int]], root: int) -> Graph:
+def _orient_from_root(n: int, und_edges: list[tuple[int, int]], root: int) -> list[int]:
+    """Out-rows of the undirected tree ``und_edges`` on [n], every edge
+    directed away from ``root``."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in und_edges:
         adj[u].append(v)
@@ -176,15 +179,23 @@ def _orient_from_root(n: int, und_edges: list[tuple[int, int]], root: int) -> Gr
                 seen[v] = True
                 rows[u] |= 1 << v
                 stack.append(v)
-    return graph_from_rows(n, rows)
+    return rows
+
+
+def _forest_from_code(n: int, code: tuple[int, ...]) -> Graph:
+    """The rooted forest on [n] cut from the tree on n+1 labels with code
+    ``code`` (length n-1): the tree is rooted at label 0, which is then
+    dropped, so its neighbors become the forest's roots and label v+1 is
+    node v. Label 0 has degree ``code.count(0) + 1``, the number of trees."""
+    rows = _orient_from_root(n + 1, _prufer_decode(n + 1, code), 0)
+    return graph_from_rows(n, [r >> 1 for r in rows[1:]])
 
 
 def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph]:
     """All labeled rooted trees on [n], edges directed away from the root.
 
     Yields each of the n^(n-1) trees exactly once (n^(n-2) codes times n
-    roots). Pass ``root`` to restrict to one root id, e.g. to split an
-    enumeration across workers.
+    roots). Pass ``root`` to restrict to the trees rooted at that node.
     """
     if not 1 <= n <= ENUM_GUARD:
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}, got {n}")
@@ -196,74 +207,68 @@ def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph
     for seq in itertools.product(range(n), repeat=n - 2):
         und = _prufer_decode(n, seq)
         for r in roots:
-            yield _orient_from_root(n, und, r)
+            yield graph_from_rows(n, _orient_from_root(n, und, r))
+
+
+def enumerate_k_forests(n: int, k: int) -> Iterator[Graph]:
+    """All forests of k rooted trees spanning [n], each exactly once.
+
+    These are the codes on n+1 labels that hold label 0 exactly k-1 times,
+    C(n-1, k-1) * n^(n-k) of them. A rooted tree is the k = 1 case.
+    """
+    if not 1 <= n <= ENUM_GUARD:
+        raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, n], got k={k}, n={n}")
+    for code in itertools.product(range(n + 1), repeat=n - 1):
+        if code.count(0) == k - 1:
+            yield _forest_from_code(n, code)
+
+
+def union_rows(n: int, graphs: Iterable[Graph]) -> list[int]:
+    """Out-rows of the union of ``graphs``, all on [n]."""
+    rows = [0] * n
+    for g in graphs:
+        for x in range(n):
+            rows[x] |= g.out_rows[x]
+    return rows
 
 
 def _random_rooted_tree(n: int, root: int, rnd: random.Random) -> Graph:
     if n == 1:
         return make_graph(1, [])
     seq = tuple(rnd.randrange(n) for _ in range(n - 2))
-    return _orient_from_root(n, _prufer_decode(n, seq), root)
+    return graph_from_rows(n, _orient_from_root(n, _prufer_decode(n, seq), root))
 
 
 def _random_k_forest(n: int, k: int, rnd: random.Random) -> Graph:
-    """Uniform forest of k rooted trees, via the code of a tree on n+1 nodes
-    in which a virtual node has degree exactly k."""
-    if k == n:
-        return make_graph(n, [])
-    # Tree on {0..n} where node 0 is virtual: its code has length n-1 and
-    # contains 0 exactly k-1 times; the k neighbors of 0 become the roots.
+    """Uniform forest of k rooted trees: a uniform code on n+1 labels that
+    holds label 0 exactly k-1 times."""
     positions = set(rnd.sample(range(n - 1), k - 1))
-    seq = tuple(
+    code = tuple(
         0 if i in positions else rnd.randrange(1, n + 1) for i in range(n - 1)
     )
-    und = _prufer_decode(n + 1, seq)
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in und:
-        adj[u].append(v)
-        adj[v].append(u)
-    rows = [0] * n
-    seen = [False] * (n + 1)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if u != 0:
-                    rows[u - 1] |= 1 << (v - 1)
-                stack.append(v)
-    return graph_from_rows(n, rows)
+    return _forest_from_code(n, code)
 
 
-def random_graph(
-    spec: ModelSpec, seed: int, extra_edge_density: float = 0.1
-) -> Graph:
+def random_graph(spec: ModelSpec, seed: int) -> Graph:
     """Deterministic-per-seed random family member.
 
-    Trees and k-forests are uniform over their families. K-rooted graphs are
-    built as k overlaid random spanning trees from k distinct roots plus
-    extra edges at ``extra_edge_density``; membership is guaranteed, the
-    distribution is not uniform.
+    Trees and k-forests are uniform over their families; a tree is drawn as
+    a 1-forest. K-rooted graphs are built as k overlaid random spanning
+    trees from k distinct roots plus extra edges at ``EXTRA_EDGE_DENSITY``;
+    membership is guaranteed, the distribution is not uniform.
     """
     rnd = random.Random(seed)
     n, k = spec.n, spec.k
-    if spec.model is Model.TREES:
-        return _random_rooted_tree(n, rnd.randrange(n), rnd)
-    if spec.model is Model.K_FORESTS:
+    if spec.model is not Model.K_ROOTED:
         return _random_k_forest(n, k, rnd)
     roots = rnd.sample(range(n), k)
-    rows = [0] * n
-    for r in roots:
-        t = _random_rooted_tree(n, r, rnd)
-        for x in range(n):
-            rows[x] |= t.out_rows[x]
-    if extra_edge_density > 0:
-        for u in range(n):
-            for v in range(n):
-                if u != v and rnd.random() < extra_edge_density:
-                    rows[u] |= 1 << v
+    rows = union_rows(n, (_random_rooted_tree(n, r, rnd) for r in roots))
+    for u in range(n):
+        for v in range(n):
+            if u != v and rnd.random() < EXTRA_EDGE_DENSITY:
+                rows[u] |= 1 << v
     return graph_from_rows(n, rows)
 
 

@@ -27,13 +27,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(nodes: Iterable[int]) -> int:
-    m = 0
-    for v in nodes:
-        m |= 1 << v
-    return m
-
-
 def row_image(rows: Sequence[int], mask: int) -> int:
     """OR of ``rows[i]`` over the set bits ``i`` of ``mask``: the image of
     the node set ``mask`` under the relation whose rows are ``rows``."""

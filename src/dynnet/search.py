@@ -7,13 +7,13 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from itertools import product as iproduct
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .dissemination import Objective, RoundSequence, cover_achieved
-from .families import Model, ModelSpec, enumerate_rooted_trees, random_graph
-from .graphs import Graph, add_self_loops, compose_rows, full_mask, graph_from_rows, identity, make_graph
+from .families import Model, ModelSpec, enumerate_k_forests, enumerate_rooted_trees, random_graph, union_rows
+from .graphs import Graph, add_self_loops, compose_rows, full_mask, graph_from_rows, identity
 
 TREE_SEARCH_GUARD = 6
 OTHER_SEARCH_GUARD = 5
@@ -32,40 +32,12 @@ class SearchResult:
     memo_hits: int
 
 
-def _set_partitions(items: list[int], k: int) -> Iterator[list[list[int]]]:
-    """All partitions of items into exactly k nonempty blocks."""
-    if k == 1:
-        yield [list(items)]
-        return
-    if len(items) == k:
-        yield [[x] for x in items]
-        return
-    if len(items) < k:
-        return
-    first, rest = items[0], items[1:]
-    # first joins an existing block of a (k)-partition of the rest
-    for part in _set_partitions(rest, k):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-    # or forms its own block
-    for part in _set_partitions(rest, k - 1):
-        yield [[first]] + part
-
-
-def _relabeled_trees(block: list[int]) -> list[Graph]:
-    """Rooted trees on the node set ``block`` as edge lists over [n] labels."""
-    m = len(block)
-    out = []
-    for t in enumerate_rooted_trees(m):
-        out.append([(block[u], block[v]) for u, v in t.edges()])
-    return out
-
-
 def family_moves(spec: ModelSpec) -> list[Graph]:
     """Every adversary move considered by the exact search, sorted by
-    serialized adjacency so tie-breaking is stable.
+    out-rows so tie-breaking is stable.
 
-    Trees and k-forests are enumerated exhaustively. For k-rooted networks
+    Trees and k-forests are every member of the family, from
+    ``enumerate_k_forests`` (a tree is a 1-forest). For k-rooted networks
     the moves are every distinct union of k spanning trees with distinct
     roots. Every k-rooted graph contains such a union, and extra edges only
     help dissemination, so restricting the adversary to them does not lower
@@ -74,28 +46,18 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
     are 54,244 moves, of which 944 are minimal).
     """
     n, k = spec.n, spec.k
-    if spec.model is Model.TREES:
-        moves = list(enumerate_rooted_trees(n))
-    elif spec.model is Model.K_FORESTS:
-        moves = []
-        for part in _set_partitions(list(range(n)), k):
-            per_block = [_relabeled_trees(block) for block in part]
-            for combo in iproduct(*per_block):
-                moves.append(make_graph(n, [e for tree in combo for e in tree]))
+    if spec.model is not Model.K_ROOTED:
+        moves = list(enumerate_k_forests(n, k))
     else:
         seen: set[tuple[int, ...]] = set()
         moves = []
         trees_by_root = [list(enumerate_rooted_trees(n, root=r)) for r in range(n)]
         for roots in combinations(range(n), k):
             for combo in iproduct(*(trees_by_root[r] for r in roots)):
-                rows = [0] * n
-                for t in combo:
-                    for x in range(n):
-                        rows[x] |= t.out_rows[x]
-                key = tuple(rows)
+                key = tuple(union_rows(n, combo))
                 if key not in seen:
                     seen.add(key)
-                    moves.append(graph_from_rows(n, rows))
+                    moves.append(graph_from_rows(n, key))
     moves.sort(key=lambda g: g.out_rows)
     return moves
 

@@ -79,24 +79,28 @@ def save(path: str, seq: RoundSequence, seed: Optional[int] = None) -> None:
 
 
 def from_json_dict(doc: dict) -> RoundSequence:
+    """Parse a decoded sequence file; any malformed document raises
+    ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("sequence file must hold a JSON object")
     unknown = set(doc) - FORMAT_KEYS
     if unknown:
         raise ValueError(f"unknown sequence-file keys: {sorted(unknown)}")
     try:
         n = int(doc["n"])
         model = Model(doc["model"])
-        records = doc["rounds"]
+        spec = ModelSpec(model, n, int(doc.get("k", 1)))
+        rounds = [_record_to_round(model, n, rec) for rec in doc["rounds"]]
+        repeat = doc.get("repeat")
+        if repeat is not None:
+            lo, hi, times = int(repeat["from"]), int(repeat["to"]), int(repeat["times"])
+            if not (0 <= lo <= hi < len(rounds)) or times < 1:
+                raise ValueError(f"bad repeat block {repeat}")
+            rounds = rounds[:lo] + rounds[lo : hi + 1] * times + rounds[hi + 1 :]
     except KeyError as exc:
         raise ValueError(f"sequence file missing key {exc}") from exc
-    k = int(doc.get("k", 1))
-    spec = ModelSpec(model, n, k)
-    rounds = [_record_to_round(model, n, rec) for rec in records]
-    repeat = doc.get("repeat")
-    if repeat is not None:
-        lo, hi, times = int(repeat["from"]), int(repeat["to"]), int(repeat["times"])
-        if not (0 <= lo <= hi < len(rounds)) or times < 1:
-            raise ValueError(f"bad repeat block {repeat}")
-        rounds = rounds[:lo] + rounds[lo : hi + 1] * times + rounds[hi + 1 :]
+    except TypeError as exc:
+        raise ValueError(f"malformed sequence file: {exc}") from exc
     return RoundSequence(spec, rounds)
 
 

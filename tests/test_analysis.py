@@ -166,6 +166,13 @@ class TestRoundsGraph:
         with pytest.raises(ValueError):
             build_rounds_graph(trace)
 
+    @pytest.mark.parametrize("avoid", [{-1}, {6}, {2, 99}])
+    def test_avoided_ids_outside_the_nodes_rejected(self, avoid):
+        # a long enough trace, so only the ids can be at fault
+        trace = tree_trace(6, ceil_one_plus_sqrt2(6) + 10, seed=3)
+        with pytest.raises(ValueError, match="outside"):
+            build_rounds_graph(trace, frozenset(avoid))
+
     def test_dot_export(self):
         n = 4
         trace = tree_trace(n, ceil_one_plus_sqrt2(n), seed=2)

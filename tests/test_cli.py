@@ -63,6 +63,20 @@ class TestSequenceFiles:
         with pytest.raises(ValueError):
             seqfile.from_json_dict(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "repeat": {"from": 0, "times": 2}},
+        {"n": 3, "model": "tree", "rounds": 5},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "repeat": 7},
+        {"n": None, "model": "tree", "rounds": []},
+        {"n": 3, "model": "digraph", "k": 1, "rounds": [[5]]},
+        [],
+        None,
+    ], ids=["repeat-without-to", "rounds-not-a-list", "repeat-not-an-object",
+            "n-null", "edge-not-a-pair", "list", "null"])
+    def test_malformed_document_is_a_value_error(self, doc):
+        with pytest.raises(ValueError):
+            seqfile.from_json_dict(doc)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             seqfile.from_json_dict({"n": 2, "model": "tree", "rounds": [], "zz": 1})
@@ -203,6 +217,37 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "all passed" in out
         assert csv.read_text().startswith("check,passed,detail")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seq", "{tree}", "--objective", "cover", "--k", "9"],
+        ["analyze", "--seq", "{tree}", "--certificate", "rounds-graph", "--avoid", "x"],
+        ["analyze", "--seq", "{tree}", "--certificate", "rounds-graph", "--avoid", "99"],
+        ["export-dot", "--seq", "{tree}", "--round", "999"],
+        ["export-dot", "--seq", "{tree}", "--round", "0"],
+        ["simulate", "--seq", "{missing}", "--objective", "broadcast"],
+    ] + [
+        argv + [f"{{{bad}}}"]
+        for bad in ("no_to", "int_rounds")
+        for argv in (
+            ["simulate", "--objective", "broadcast", "--seq"],
+            ["analyze", "--certificate", "strict-sets", "--seq"],
+            ["export-dot", "--seq"],
+        )
+    ])
+    def test_bad_input_exits_2_without_traceback(self, argv, tree_file, tmp_path, capsys):
+        bad_docs = {
+            "no_to": {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]],
+                      "repeat": {"from": 0, "times": 2}},
+            "int_rounds": {"n": 3, "model": "tree", "rounds": 5},
+        }
+        paths = {"tree": tree_file[0], "missing": str(tmp_path / "none.json")}
+        for name, doc in bad_docs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(doc, fh)
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_export_dot(self, tree_file, capsys):
         path, _ = tree_file

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ from dynnet.families import (
     ENUM_GUARD,
     Model,
     ModelSpec,
+    enumerate_k_forests,
     enumerate_rooted_trees,
     forest_roots,
     is_k_forest,
@@ -145,9 +147,26 @@ class TestEnumeration:
             split |= part
         assert split == full
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_k_forest_counts(self, n):
+        for k in range(1, n + 1):
+            forests = list(enumerate_k_forests(n, k))
+            assert len({g.out_rows for g in forests}) == len(forests)
+            assert len(forests) == math.comb(n - 1, k - 1) * n ** (n - k)
+            assert all(is_k_forest(g, k)[0] for g in forests)
+
+    def test_one_forests_are_the_rooted_trees(self):
+        for n in (1, 2, 3, 4, 5):
+            assert ({g.out_rows for g in enumerate_k_forests(n, 1)}
+                    == {g.out_rows for g in enumerate_rooted_trees(n)})
+
     def test_guard(self):
         with pytest.raises(ValueError):
             list(enumerate_rooted_trees(ENUM_GUARD + 1))
+        with pytest.raises(ValueError):
+            list(enumerate_k_forests(ENUM_GUARD + 1, 1))
+        with pytest.raises(ValueError):
+            list(enumerate_k_forests(4, 5))
 
 
 def is_rooted_tree_root(rows: tuple[int, ...]) -> int:
