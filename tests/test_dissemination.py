@@ -4,6 +4,8 @@ import warnings
 
 import pytest
 
+from dynnet import search as search_module
+from dynnet.analysis import bounds_for
 from dynnet.dissemination import (
     Objective,
     ObjectiveNotReached,
@@ -91,6 +93,34 @@ class TestCoverAchieved:
         g = identity(n)
         assert cover_achieved(g, n - 1) is None
         assert cover_achieved(g, n) == list(range(n))
+
+    def test_every_state_of_the_forest_cover_search(self):
+        # the products the exact search decides: every state solved by the
+        # 2-forest cover search at n=4, for every cover size
+        spec = ModelSpec(Model.K_FORESTS, 4, 2)
+        solved = search_module._Search(spec, Objective.cover(2), 2 << 30)
+        solved.value(solved.pack(identity(4).out_rows))
+        assert len(solved.memo) == 805
+        for key in sorted(solved.memo):
+            g = graph_from_rows(4, solved.unpack(key))
+            for k in range(1, 5):
+                assert cover_achieved(g, k) == brute_force_cover(g, k), (g, k)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_late_rounds_of_sampled_forests(self, n, k):
+        # the last products before a sampled sequence reaches its cover are
+        # large and mostly infeasible: the cases where the decision branches
+        spec = ModelSpec(Model.K_FORESTS, n, k)
+        horizon = bounds_for(spec).upper_int
+        for seed in range(3):
+            seq = RoundSequence(spec, [random_graph(spec, seed * 1000 + t) for t in range(horizon)])
+            reached = run(seq, Objective.cover(k)).time
+            trace = seq.trace()
+            for t in range(max(0, reached - 3), reached + 1):
+                g = trace.product_at(t)
+                for size in range(1, 4):
+                    assert cover_achieved(g, size) == brute_force_cover(g, size), (seed, t, size)
 
 
 class TestKBroadcastAchieved:

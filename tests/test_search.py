@@ -48,9 +48,10 @@ class TestExactWorstCase:
         [
             (ModelSpec(Model.TREES, 4), Objective.broadcast(), 4, 2044, 10141),
             (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2), 2, 805, 228),
+            (ModelSpec(Model.K_FORESTS, 5, 2), Objective.cover(2), 4, 558_511, 1_660_730),
             (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2), 3, 1595, 24865),
         ],
-        ids=["trees-broadcast", "forests-cover", "rooted-kbroadcast"],
+        ids=["trees-broadcast", "forests-cover", "forests-cover-n5", "rooted-kbroadcast"],
     )
     def test_pinned_counts(self, spec, objective, value, states, hits):
         # the counts depend only on the reachable state space and the
