@@ -76,78 +76,86 @@ def broadcast_achieved(g: Graph) -> set[int]:
 def _cover_exists(rows: list[int], uncovered: int, budget: int) -> bool:
     """Exact decision: can ``uncovered`` be covered by <= budget of rows.
 
-    Branches on the uncovered element with the fewest candidate rows, which
-    makes infeasibility proofs cheap; rows are pre-reduced by the caller.
+    Budget 1 is a scan for a row that contains everything uncovered. Above
+    that, it branches on the uncovered element with the fewest candidate
+    rows, which makes infeasibility proofs cheap. A chosen row is disjoint
+    from what it leaves uncovered, so it is never a candidate again and
+    the rows pass down unchanged. Rows are dominance-reduced by the caller.
     """
     if uncovered == 0:
         return True
-    if budget <= 0:
-        return False
+    if budget == 1:
+        return any(r & uncovered == uncovered for r in rows)
     best = max(rows, key=lambda r: (r & uncovered).bit_count(), default=0)
     if (best & uncovered).bit_count() * budget < uncovered.bit_count():
         return False  # even perfectly disjoint best rows fall short
     # rarest uncovered element
-    pick, pick_cands = -1, None
+    pick_cands = None
     for e in bits(uncovered):
         cands = [r for r in rows if r >> e & 1]
         if pick_cands is None or len(cands) < len(pick_cands):
-            pick, pick_cands = e, cands
+            pick_cands = cands
             if len(cands) <= 1:
                 break
     if not pick_cands:
         return False
     for r in sorted(pick_cands, key=lambda r: -(r & uncovered).bit_count()):
-        if _cover_exists([q for q in rows if q != r], uncovered & ~r, budget - 1):
+        if _cover_exists(rows, uncovered & ~r, budget - 1):
             return True
     return False
 
 
 def _reduced_rows(rows: tuple[int, ...]) -> list[int]:
     """Drop dominated rows (contained in another); keep one copy of equals."""
-    distinct = sorted(set(rows), key=lambda r: -r.bit_count())
     kept: list[int] = []
-    for r in distinct:
-        if not any(r | q == q for q in kept):
+    for r in sorted(set(rows), key=int.bit_count, reverse=True):
+        # a plain loop: any() over a generator takes twice as long here
+        for q in kept:
+            if r | q == q:
+                break
+        else:
             kept.append(r)
     return kept
 
 
+def _first_cover(rows: Sequence[int], uncovered: int, budget: int, lo: int) -> Optional[list[int]]:
+    """The lexicographically smallest ascending list of ``budget`` indices
+    >= lo whose rows cover ``uncovered``, or None. The caller has proven
+    that no smaller budget covers it, so each chosen row adds something
+    still uncovered. Above budget 2 a row is chosen only once the later
+    rows are decided to complete it, so no dead end is searched through."""
+    if budget == 1:
+        return next(([i] for i in range(lo, len(rows)) if rows[i] & uncovered == uncovered), None)
+    for i in range(lo, len(rows) - budget + 1):
+        rest = uncovered & ~rows[i]
+        if rest == uncovered:
+            continue
+        if budget > 2 and not _cover_exists(_reduced_rows(rows[i + 1:]), rest, budget - 1):
+            continue
+        found = _first_cover(rows, rest, budget - 1, i + 1)
+        if found is not None:
+            return [i] + found
+    return None
+
+
 def cover_achieved(g: Graph, k: int) -> Optional[list[int]]:
     """A set I of at most k nodes whose out-rows jointly cover [n], if one
-    exists; None otherwise. The decision is exact (branch and bound over
-    dominance-reduced rows); the reported witness is the lexicographically
-    smallest minimum-size cover of the original rows."""
+    exists; None otherwise. The rows are dominance-reduced once and each
+    size 1..k is decided exactly by branch and bound on them; the witness
+    is the lexicographically smallest cover of the minimum size, found by
+    one ordered depth-first search over the original rows."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = g.n
     fm = full_mask(n)
     rows = g.out_rows
-    if max(r.bit_count() for r in rows) * k < n:
+    if max(map(int.bit_count, rows)) * k < n:
         return None  # k rows cannot reach n elements yet
     reduced = _reduced_rows(rows)
-    size = None
-    for budget in range(1, min(k, n) + 1):
-        if _cover_exists(reduced, fm, budget):
-            size = budget
-            break
-    if size is None:
-        return None
-    # lex-smallest witness of minimum size, over the original rows
-    witness: list[int] = []
-    uncovered = fm
-    lo = 0
-    while len(witness) < size:
-        for i in range(lo, n):
-            rest = [rows[j] for j in range(i + 1, n)]
-            if _cover_exists(_reduced_rows(tuple(rest)), uncovered & ~rows[i],
-                             size - len(witness) - 1):
-                witness.append(i)
-                uncovered &= ~rows[i]
-                lo = i + 1
-                break
-        else:  # pragma: no cover - size was proven feasible
-            raise AssertionError("witness reconstruction failed")
-    return witness
+    for size in range(1, min(k, n) + 1):
+        if _cover_exists(reduced, fm, size):
+            return _first_cover(rows, fm, size, 0)
+    return None
 
 
 def k_broadcast_achieved(g: Graph, k: int) -> Optional[list[int]]:

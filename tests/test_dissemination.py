@@ -94,6 +94,17 @@ class TestCoverAchieved:
         assert cover_achieved(g, n - 1) is None
         assert cover_achieved(g, n) == list(range(n))
 
+    def test_witness_search_skips_dead_ends(self):
+        # 55 decoy rows each hold half of a 32-element block plus one more of
+        # its elements, so any choice of them leaves something for the next;
+        # no cover uses a decoy, and the only cover of size 9 is the blocks
+        n = 64
+        blocks = [(1 << 32) - 1] + [0b1111 << (32 + 4 * j) for j in range(8)]
+        decoys = [0xFFFF | 1 << (16 + d % 16) for d in range(n - len(blocks))]
+        g = graph_from_rows(n, decoys + blocks)
+        assert cover_achieved(g, 8) is None
+        assert cover_achieved(g, 9) == list(range(55, 64))
+
     def test_every_state_of_the_forest_cover_search(self):
         # the products the exact search decides: every state solved by the
         # 2-forest cover search at n=4, for every cover size
