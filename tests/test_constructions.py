@@ -1,11 +1,13 @@
+import hashlib
 import warnings
 
 import pytest
 
+from dynnet import seqfile
 from dynnet.analysis import bounds_for
-from dynnet.constructions import cover_lower_bound, kroot_lower_bound, trees_lower_bound
+from dynnet.constructions import build, cover_lower_bound, kroot_lower_bound, trees_lower_bound
 from dynnet.dissemination import Objective, run
-from dynnet.families import is_k_forest, is_k_rooted, is_rooted_tree, roots_reaching_all
+from dynnet.families import Model, is_k_forest, is_k_rooted, is_rooted_tree, roots_reaching_all
 
 
 class TestTreesLowerBound:
@@ -111,3 +113,25 @@ class TestSandwich:
             warnings.simplefilter("ignore")
             t = run(out.seq, Objective.k_broadcast(k)).time
         assert out.claimed_time <= t <= bounds_for(out.seq.spec).upper_int
+
+
+class TestPinnedFiles:
+    """The sequence-file text of every construction is byte-stable."""
+
+    @pytest.mark.parametrize("model,cells,expected", [
+        (Model.TREES, 7, "085bd5eadc39f27ce462d0a320545a5f92b0054543973c68c8a14d333b79705d"),
+        (Model.K_FORESTS, 118, "ab832889467e471cf9e19929716eca25c3680182bf214a4480eeab68b0d1c0a8"),
+        (Model.K_ROOTED, 34, "6809c7c46645301967fd23d671029c5bdc92a8a7ac1c8a88adcce1c32bacfd29"),
+    ])
+    def test_construction_files(self, model, cells, expected):
+        digest = hashlib.sha256()
+        built = 0
+        for n in (3, 4, 5, 8, 16, 32, 64):
+            for k in [1] if model is Model.TREES else range(1, n + 1):
+                try:
+                    out = build(model, n, k)
+                except ValueError:  # no schedule for this (n, k)
+                    continue
+                digest.update(seqfile.dumps(out.seq).encode())
+                built += 1
+        assert (built, digest.hexdigest()) == (cells, expected)

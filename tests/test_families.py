@@ -20,7 +20,9 @@ from dynnet.families import (
     roots_reaching_all,
     validate_member,
 )
-from dynnet.graphs import add_self_loops, make_graph
+from dynnet import seqfile
+from dynnet.dissemination import RoundSequence
+from dynnet.graphs import _transpose, add_self_loops, make_graph
 from dynnet.search import family_moves
 
 # the sizes of the ``sample`` benchmark workload
@@ -237,6 +239,49 @@ class TestPinnedOutputs:
     def test_random_graph_sample_sizes(self, model, k, expected):
         draws = [random_graph(ModelSpec(model, n, k), s) for n in SAMPLE_SIZES for s in range(20)]
         assert _digest(draws) == expected
+
+
+def _parents_by_scan(g) -> list[int]:
+    """Parent array of a forest read edge by edge from its out-rows."""
+    parents = [-1] * g.n
+    for u, v in g.edges():
+        parents[v] = u
+    return parents
+
+
+def _forest_members_and_draws():
+    """Every k-forest for n <= 5, then seeded tree, forest and k-rooted
+    draws up to n = 64, each with its spec."""
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            spec = ModelSpec(Model.K_FORESTS, n, k)
+            for g in enumerate_k_forests(n, k):
+                yield spec, g
+    for model in Model:
+        for n in (1, 2, 3, 7, 16, 64):
+            for k in [1] if model is Model.TREES else range(1, min(n, 3) + 1):
+                spec = ModelSpec(model, n, k)
+                for seed in range(5):
+                    yield spec, random_graph(spec, seed)
+
+
+class TestParentArrays:
+    """A forest and its parent array describe one graph, whichever way it
+    was built."""
+
+    def test_in_rows_are_the_transpose(self):
+        for spec, g in _forest_members_and_draws():
+            assert g.in_rows == _transpose(g.n, g.out_rows), (spec, g)
+
+    def test_forests_round_trip_through_parent_arrays(self):
+        by_spec: dict = {}
+        for spec, g in _forest_members_and_draws():
+            if spec.model is not Model.K_ROOTED:
+                by_spec.setdefault(spec, []).append(g)
+        for spec, rounds in by_spec.items():
+            doc = seqfile.sequence_to_json_dict(RoundSequence(spec, rounds))
+            assert doc["rounds"] == [_parents_by_scan(g) for g in rounds], spec
+            assert seqfile.from_json_dict(doc).rounds == rounds, spec
 
 
 class TestSamplerWithinEnumeration:
