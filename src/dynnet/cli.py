@@ -284,8 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--objective", required=True,
                    choices=["broadcast", "cover", "kbroadcast"])
+    # argparse converts a string default with ``type`` only when the search
+    # command runs, so a malformed DYNNET_MEM_CAP is a usage error there alone
     p.add_argument("--mem-cap", type=int,
-                   default=int(os.environ.get("DYNNET_MEM_CAP", DEFAULT_MEM_CAP)))
+                   default=os.environ.get("DYNNET_MEM_CAP", DEFAULT_MEM_CAP))
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_search)
 

@@ -8,9 +8,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import MAX_NODES, Graph, full_mask, graph_from_rows, make_graph, row_image
+from .graphs import (MAX_NODES, Graph, full_mask, graph_from_parents, graph_from_rows,
+                     make_graph, row_image)
 
 ENUM_GUARD = 8  # rooted-tree enumeration is n^(n-1); keep it desk-scale
 EXTRA_EDGE_DENSITY = 0.1  # chance of each extra edge in a random k-rooted graph
@@ -37,53 +38,44 @@ class ModelSpec:
             raise ValueError("tree model has no k parameter (k must be 1)")
 
 
-def _forest_shape(g: Graph) -> Optional[list[int]]:
-    """Roots of g if every node has in-degree <= 1, there are no cycles and
-    no self-loops; None otherwise. A tree is the 1-root case."""
-    n = g.n
-    parents = [-1] * n
-    for v in range(n):
-        row = g.in_rows[v]
-        if row >> v & 1:
-            return None  # self-loop
-        deg = row.bit_count()
-        if deg > 1:
-            return None
-        if deg == 1:
-            parents[v] = row.bit_length() - 1
-    # climb parent chains; any cycle revisits a node before reaching a root
-    state = [0] * n  # 0 unseen, 1 on current path, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
+def forest_parents(g: Graph) -> Optional[list[int]]:
+    """Parent array of g, -1 at each root, if every node has in-degree <= 1
+    and there are no cycles and no self-loops; None otherwise. A tree is the
+    forest with one root."""
+    parents = []
+    for v, row in enumerate(g.in_rows):
+        if row & (row - 1) or row >> v & 1:
+            return None  # two parents or a self-loop
+        parents.append(row.bit_length() - 1)
+    # climb parent chains, marking each node with the start of the climb
+    # that reached it; a chain that meets its own mark has closed a cycle,
+    # and one that meets an older mark has joined a chain ending at a root
+    mark = [-1] * g.n
+    for start in range(g.n):
         v = start
-        while v != -1 and state[v] == 0:
-            state[v] = 1
-            path.append(v)
+        while v != -1 and mark[v] == -1:
+            mark[v] = start
             v = parents[v]
-        if v != -1 and state[v] == 1:
+        if v != -1 and mark[v] == start:
             return None  # cycle
-        for u in path:
-            state[u] = 2
-    return [v for v in range(n) if parents[v] == -1]
+    return parents
 
 
 def is_rooted_tree(g: Graph) -> tuple[bool, Optional[int]]:
     """True plus the root if g is a tree directed away from a single root."""
-    roots = _forest_shape(g)
-    if roots is None or len(roots) != 1:
+    parents = forest_parents(g)
+    if parents is None or parents.count(-1) != 1:
         return (False, None)
-    return (True, roots[0])
+    return (True, parents.index(-1))
 
 
 def is_k_forest(g: Graph, k: int) -> tuple[bool, Optional[list[int]]]:
     """True plus the sorted tree roots if g is exactly k node-disjoint
     rooted trees spanning all nodes."""
-    roots = _forest_shape(g)
-    if roots is None or len(roots) != k:
+    parents = forest_parents(g)
+    if parents is None or parents.count(-1) != k:
         return (False, None)
-    return (True, roots)
+    return (True, [v for v, p in enumerate(parents) if p == -1])
 
 
 def reach_mask(g: Graph, x: int) -> int:
@@ -125,28 +117,29 @@ def is_k_rooted(g: Graph, k: int) -> bool:
 def validate_member(spec: ModelSpec, g: Graph) -> bool:
     if g.n != spec.n:
         return False
-    if spec.model is Model.TREES:
-        return is_rooted_tree(g)[0]
-    if spec.model is Model.K_FORESTS:
-        return is_k_forest(g, spec.k)[0]
-    return is_k_rooted(g, spec.k)
+    if spec.model is Model.K_ROOTED:
+        return is_k_rooted(g, spec.k)
+    parents = forest_parents(g)
+    return parents is not None and parents.count(-1) == spec.k
 
 
-def _prufer_decode(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Undirected labeled tree on [n] from its length n-2 code."""
+def _prufer_parents(n: int, code: Sequence[int]) -> list[int]:
+    """Parent array of the labeled tree on [n] with the length n-2 ``code``,
+    rooted at label n-1: smallest-leaf elimination hangs each leaf below the
+    label that removes it."""
     degree = [1] * n
-    for v in seq:
+    for v in code:
         degree[v] += 1
-    edges = []
+    parents = [-1] * n
     # smallest-leaf elimination, done with a pointer + "back edges" trick
     ptr = 0
     leaf = -1
-    for v in seq:
+    for v in code:
         if leaf < 0:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-        edges.append((leaf, v))
+        parents[leaf] = v
         degree[leaf] -= 1
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
@@ -157,38 +150,28 @@ def _prufer_decode(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
         while degree[ptr] != 1:
             ptr += 1
         leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
+    parents[leaf] = n - 1
+    return parents
 
 
-def _orient_from_root(n: int, und_edges: list[tuple[int, int]], root: int) -> list[int]:
-    """Out-rows of the undirected tree ``und_edges`` on [n], every edge
-    directed away from ``root``."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in und_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    rows = [0] * n
-    seen = [False] * n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                rows[u] |= 1 << v
-                stack.append(v)
-    return rows
-
-
-def _forest_from_code(n: int, code: tuple[int, ...]) -> Graph:
+def _forest_from_code(n: int, code: Sequence[int]) -> Graph:
     """The rooted forest on [n] cut from the tree on n+1 labels with code
     ``code`` (length n-1): the tree is rooted at label 0, which is then
     dropped, so its neighbors become the forest's roots and label v+1 is
     node v. Label 0 has degree ``code.count(0) + 1``, the number of trees."""
-    rows = _orient_from_root(n + 1, _prufer_decode(n + 1, code), 0)
-    return graph_from_rows(n, [r >> 1 for r in rows[1:]])
+    parents = _prufer_parents(n + 1, code)
+    # re-root from label n at label 0 by reversing the path between them
+    prev, v = -1, 0
+    while v != -1:
+        parents[v], prev, v = prev, v, parents[v]
+    return graph_from_parents(n, [p - 1 for p in parents[1:]])
+
+
+def _rooted_tree(n: int, root: int, code: Sequence[int]) -> Graph:
+    """The tree on n >= 2 nodes with the n-label ``code``, rooted at ``root``.
+    Its forest code puts label 0 as a leaf below label root+1; that leaf is
+    removed first, and the rest decodes as ``code`` shifted by one."""
+    return _forest_from_code(n, (root + 1,) + tuple(v + 1 for v in code))
 
 
 def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph]:
@@ -205,9 +188,8 @@ def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph
             yield make_graph(1, [])
         return
     for seq in itertools.product(range(n), repeat=n - 2):
-        und = _prufer_decode(n, seq)
         for r in roots:
-            yield graph_from_rows(n, _orient_from_root(n, und, r))
+            yield _rooted_tree(n, r, seq)
 
 
 def enumerate_k_forests(n: int, k: int) -> Iterator[Graph]:
@@ -237,8 +219,7 @@ def union_rows(n: int, graphs: Iterable[Graph]) -> list[int]:
 def _random_rooted_tree(n: int, root: int, rnd: random.Random) -> Graph:
     if n == 1:
         return make_graph(1, [])
-    seq = tuple(rnd.randrange(n) for _ in range(n - 2))
-    return graph_from_rows(n, _orient_from_root(n, _prufer_decode(n, seq), root))
+    return _rooted_tree(n, root, [rnd.randrange(n) for _ in range(n - 2)])
 
 
 def _random_k_forest(n: int, k: int, rnd: random.Random) -> Graph:

@@ -3,7 +3,7 @@
 A node set is a single machine word (Python int used as a 64-bit mask), so
 relational composition of two graphs is a word-parallel OR loop. All values
 are immutable after construction (a graph's transpose is derived on first
-read).
+read, except a forest's, which is its parent array and is stored at once).
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ def row_image(rows: Sequence[int], mask: int) -> int:
 class Graph:
     """Immutable digraph: ``out_rows[x]`` is the bitmask of out-neighbors of x.
 
-    ``in_rows`` is the exact transpose, computed on first read and cached;
-    equality and hashing see ``n`` and ``out_rows`` only. Construct via
-    :func:`make_graph` or :func:`graph_from_rows`; both guarantee that no
-    bit at index >= n is set.
+    ``in_rows`` is the exact transpose, computed on first read and cached
+    (:func:`graph_from_parents` stores it at once); equality and hashing see ``n`` and ``out_rows`` only. Construct via
+    :func:`make_graph`, :func:`graph_from_rows` or :func:`graph_from_parents`;
+    each guarantees that no bit at index >= n is set.
     """
 
     n: int
@@ -102,6 +102,25 @@ def graph_from_rows(n: int, out_rows: Iterable[int]) -> Graph:
         if row & ~fm:
             raise ValueError(f"row {x} has bits beyond node {n - 1}")
     return Graph(n, rows)
+
+
+def graph_from_parents(n: int, parents: Sequence[int]) -> Graph:
+    """The forest on [n] in which node v hangs below ``parents[v]``, or is a
+    root where that is -1. A forest's in-rows are its parent array, so they
+    are stored with the graph instead of derived from the out-rows."""
+    if len(parents) != n:
+        raise ValueError(f"parent array has length {len(parents)}, expected {n}")
+    rows = [0] * n
+    cols = [0] * n
+    for v, p in enumerate(parents):
+        if p != -1:
+            if not 0 <= p < n or p == v:
+                raise ValueError(f"node {v} has parent {p}, not -1 or another node's id")
+            rows[p] |= 1 << v
+            cols[v] = 1 << p
+    g = graph_from_rows(n, rows)
+    g.__dict__["in_rows"] = tuple(cols)  # the slot ``in_rows`` fills on first read
+    return g
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -1,7 +1,12 @@
 """Round-sequence files: canonical JSON with parent-array rounds for trees
 and forests (family validity is then near-syntactic) and edge lists for
 k-rooted rounds. An optional repeat block encodes phase schedules without
-spelling every round out."""
+spelling every round out.
+
+A forest round is written as ``families.forest_parents`` of its graph and
+read back through ``graphs.graph_from_parents``. Every number in a file is
+a JSON integer: floats, numeric strings and booleans are rejected, never
+truncated."""
 
 from __future__ import annotations
 
@@ -9,47 +14,33 @@ import json
 from typing import Optional
 
 from .dissemination import RoundSequence
-from .families import Model, ModelSpec
-from .graphs import Graph, make_graph
+from .families import Model, ModelSpec, forest_parents
+from .graphs import Graph, graph_from_parents, make_graph
 
 FORMAT_KEYS = {"n", "model", "k", "rounds", "repeat", "seed"}
 
 
-def _parents_to_graph(n: int, parents: list[int]) -> Graph:
-    if len(parents) != n:
-        raise ValueError(f"parent array has length {len(parents)}, expected {n}")
-    edges = []
-    for child, par in enumerate(parents):
-        if par == -1:
-            continue
-        if not 0 <= par < n:
-            raise ValueError(f"parent id {par} out of range")
-        if par == child:
-            raise ValueError(f"node {child} is its own parent")
-        edges.append((par, child))
-    return make_graph(n, edges)
-
-
-def _graph_to_parents(g: Graph) -> list[int]:
-    parents = []
-    for v in range(g.n):
-        row = g.in_rows[v] & ~(1 << v)
-        if row.bit_count() > 1:
-            raise ValueError("graph is not a forest; cannot emit parent array")
-        parents.append(row.bit_length() - 1 if row else -1)
-    return parents
+def _int(value) -> int:
+    """``value`` if it is a JSON integer; a float, string or boolean is
+    refused rather than cast."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _round_to_record(model: Model, g: Graph):
     if model is Model.K_ROOTED:
         return [[u, v] for u, v in g.edges()]
-    return _graph_to_parents(g)
+    parents = forest_parents(g)
+    if parents is None:
+        raise ValueError("graph is not a forest; cannot emit parent array")
+    return parents
 
 
 def _record_to_round(model: Model, n: int, record) -> Graph:
     if model is Model.K_ROOTED:
-        return make_graph(n, [(int(u), int(v)) for u, v in record])
-    return _parents_to_graph(n, [int(p) for p in record])
+        return make_graph(n, [(_int(u), _int(v)) for u, v in record])
+    return graph_from_parents(n, [_int(p) for p in record])
 
 
 def sequence_to_json_dict(seq: RoundSequence, seed: Optional[int] = None) -> dict:
@@ -87,13 +78,13 @@ def from_json_dict(doc: dict) -> RoundSequence:
     if unknown:
         raise ValueError(f"unknown sequence-file keys: {sorted(unknown)}")
     try:
-        n = int(doc["n"])
+        n = _int(doc["n"])
         model = Model(doc["model"])
-        spec = ModelSpec(model, n, int(doc.get("k", 1)))
+        spec = ModelSpec(model, n, _int(doc.get("k", 1)))
         rounds = [_record_to_round(model, n, rec) for rec in doc["rounds"]]
         repeat = doc.get("repeat")
         if repeat is not None:
-            lo, hi, times = int(repeat["from"]), int(repeat["to"]), int(repeat["times"])
+            lo, hi, times = _int(repeat["from"]), _int(repeat["to"]), _int(repeat["times"])
             if not (0 <= lo <= hi < len(rounds)) or times < 1:
                 raise ValueError(f"bad repeat block {repeat}")
             rounds = rounds[:lo] + rounds[lo : hi + 1] * times + rounds[hi + 1 :]

@@ -71,8 +71,31 @@ class TestSequenceFiles:
         {"n": 3, "model": "digraph", "k": 1, "rounds": [[5]]},
         [],
         None,
+        {"n": 3, "model": "tree", "rounds": [[-1, 1, 1]]},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 3]]},
+        {"n": 3, "model": "tree", "rounds": [[-2, 0, 1]]},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0]]},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1, 2]]},
+        {"n": 3.9, "k": 1.7, "model": "tree", "rounds": [[-1, 0.6, 1.2]]},
+        {"n": 3.0, "model": "tree", "rounds": [[-1, 0, 1]]},
+        {"n": "3", "model": "tree", "rounds": [[-1, 0, 1]]},
+        {"n": 3, "k": True, "model": "tree", "rounds": [[-1, 0, 1]]},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0.0, 1]]},
+        {"n": 3, "model": "tree", "rounds": [[-1, "0", 1]]},
+        {"n": 3, "model": "tree", "rounds": [[-1, False, 1]]},
+        {"n": 3, "model": "digraph", "k": 1, "rounds": [[[0, 1.0], [1, 2]]]},
+        {"n": 3, "model": "digraph", "k": 1, "rounds": [[[0, 1], ["1", 2]]]},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]],
+         "repeat": {"from": 0, "to": 0.5, "times": 2}},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]],
+         "repeat": {"from": 0, "to": 0, "times": "2"}},
     ], ids=["repeat-without-to", "rounds-not-a-list", "repeat-not-an-object",
-            "n-null", "edge-not-a-pair", "list", "null"])
+            "n-null", "edge-not-a-pair", "list", "null",
+            "self-parent", "parent-out-of-range", "parent-minus-two",
+            "parents-too-short", "parents-too-long",
+            "truncatable-floats", "integral-float-n", "string-n", "bool-k",
+            "float-parent", "string-parent", "bool-parent", "float-endpoint",
+            "string-endpoint", "float-repeat", "string-repeat"])
     def test_malformed_document_is_a_value_error(self, doc):
         with pytest.raises(ValueError):
             seqfile.from_json_dict(doc)
@@ -139,6 +162,19 @@ class TestCliExitCodes:
     def test_search_mem_cap_exit(self, capsys):
         assert main(["search", "--model", "tree", "--n", "4",
                      "--objective", "broadcast", "--mem-cap", "5000"]) == 1
+
+    def test_mem_cap_from_environment(self, tmp_path, monkeypatch, capsys):
+        search = ["search", "--model", "tree", "--n", "3", "--objective", "broadcast"]
+        monkeypatch.setenv("DYNNET_MEM_CAP", "1e9")
+        assert main(["construct", "--model", "tree", "--n", "5",
+                     "--out", str(tmp_path / "t.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(search)
+        assert exc.value.code == 2
+        assert "--mem-cap" in capsys.readouterr().err
+        assert main(search + ["--mem-cap", "100000"]) == 0
+        monkeypatch.setenv("DYNNET_MEM_CAP", "1000")
+        assert main(search) == 1
 
     @pytest.mark.parametrize(
         "argv",

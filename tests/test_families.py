@@ -11,6 +11,7 @@ from dynnet.families import (
     ModelSpec,
     enumerate_k_forests,
     enumerate_rooted_trees,
+    forest_parents,
     forest_roots,
     is_k_forest,
     is_k_rooted,
@@ -22,7 +23,7 @@ from dynnet.families import (
 )
 from dynnet import seqfile
 from dynnet.dissemination import RoundSequence
-from dynnet.graphs import _transpose, add_self_loops, make_graph
+from dynnet.graphs import _transpose, add_self_loops, graph_from_parents, make_graph
 from dynnet.search import family_moves
 
 # the sizes of the ``sample`` benchmark workload
@@ -41,6 +42,12 @@ class TestRootedTreeValidator:
     def test_cycle_rejected(self):
         ok, root = is_rooted_tree(make_graph(3, [(0, 1), (1, 2), (2, 0)]))
         assert not ok and root is None
+
+    def test_cycle_beside_a_root_rejected(self):
+        # every in-degree is at most 1 and node 0 is the one root
+        g = make_graph(3, [(1, 2), (2, 1)])
+        assert forest_parents(g) is None
+        assert not is_rooted_tree(g)[0]
 
     def test_disconnected_rejected(self):
         assert not is_rooted_tree(make_graph(4, [(0, 1), (2, 3)]))[0]
@@ -276,8 +283,13 @@ class TestParentArrays:
     def test_forests_round_trip_through_parent_arrays(self):
         by_spec: dict = {}
         for spec, g in _forest_members_and_draws():
-            if spec.model is not Model.K_ROOTED:
-                by_spec.setdefault(spec, []).append(g)
+            if spec.model is Model.K_ROOTED:
+                continue
+            p = forest_parents(g)
+            assert p == _parents_by_scan(g), (spec, g)
+            assert forest_parents(graph_from_parents(g.n, p)) == p
+            assert graph_from_parents(g.n, p) == g
+            by_spec.setdefault(spec, []).append(g)
         for spec, rounds in by_spec.items():
             doc = seqfile.sequence_to_json_dict(RoundSequence(spec, rounds))
             assert doc["rounds"] == [_parents_by_scan(g) for g in rounds], spec
