@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from dynnet import seqfile
 from dynnet.families import (
     ENUM_GUARD,
     Model,
@@ -21,7 +22,6 @@ from dynnet.families import (
     roots_reaching_all,
     validate_member,
 )
-from dynnet import seqfile
 from dynnet.dissemination import RoundSequence
 from dynnet.graphs import _transpose, add_self_loops, graph_from_parents, make_graph
 from dynnet.search import family_moves
