@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from itertools import product as iproduct
+from math import comb
 from typing import Iterable, Optional
 
 import numpy as np
@@ -85,17 +86,38 @@ def _insert_bit(row, x: int):
     return (row & ((1 << x) - 1)) | ((row >> x) << (x + 1)) | (1 << x)
 
 
+def _key_dtype(n: int) -> type:
+    """The smallest signed integer type holding every key of ``n`` nodes."""
+    return np.int32 if n * (n - 1) <= 30 else np.int64
+
+
 def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
     """succ[x, c, j] = row x of the child under move j when row x of the
     state is ``c``, both without the diagonal, shifted to its key position."""
     table = _move_table(moves, n)
     width = n - 1
     compressed = np.arange(1 << width, dtype=np.uint64)
-    succ = np.empty((n, 1 << width, len(moves)), dtype=np.int64)
+    succ = np.empty((n, 1 << width, len(moves)), dtype=_key_dtype(n))
     for x in range(n):
         child_rows = table[:, _insert_bit(compressed, x)].T
         succ[x] = _drop_bit(child_rows, x) << (x * width)
     return succ
+
+
+def _popcounts(bits: int) -> np.ndarray:
+    """Set-bit count of every integer below ``2**bits``."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        counts = np.concatenate([counts, counts + 1])
+    return counts
+
+
+# a table entry holds the value plus 1; 0 is unsolved, PENDING reached but
+# not yet valued
+PENDING = 255
+# bytes of one batch's child keys; bounds the batch buffers
+BATCH_BYTES = 1 << 17
+SLICE_BITS = 16
 
 
 class _Search:
@@ -105,38 +127,70 @@ class _Search:
     n=6).
 
     Values live in a dense uint8 table indexed by key that holds the value
-    plus 1; 0 means not solved yet. A state's children under every move are
-    the sum of n rows gathered from ``_successor_tables``. Fresh children
-    are decided against the objective when their parent first sees them
-    (``_terminal``), so only states the objective does not hold on are
-    expanded.
+    plus 1; 0 means not solved yet. The children of a batch of states under
+    every move are gathered at once: row x of each state picks a row of
+    ``_successor_tables``, and the child key is the sum of the n picks.
+
+    A child is a strict superset of its parent, so it has a larger key and
+    more set bits. The table is cut into slices of 2^16 consecutive keys,
+    and inside a slice the keys are grouped by bit count; walking slices by
+    ascending key and, inside each, groups by ascending bit count visits
+    every parent before its children. ``_solve`` makes two sweeps in that
+    order:
+
+    - ascending: each group's PENDING states are expanded in batches. Their
+      fresh children are deduplicated and decided once each against the
+      objective (``_terminal``): a terminal child gets entry 1, any other
+      child PENDING, to be expanded when the sweep reaches its group;
+    - descending: the same groups in reverse order, each PENDING state
+      gets 1 + the largest entry among its children, which are all valued
+      by then.
+
+    ``memo_hits`` counts each distinct child of an expanded state that was
+    already solved or reached, which is the sum over expanded states of
+    their distinct children minus the states reached for the first time.
 
     Before anything is allocated, the tables are charged against
     ``mem_cap_bytes``: the value table before any move is enumerated, then
-    the value table plus the successor and move tables (8 bytes per entry)
-    before those are built."""
+    the value table plus the move table, the successor tables and the
+    batch buffers before those are built."""
 
     def __init__(self, spec: ModelSpec, objective: Objective, mem_cap_bytes: int):
         n = spec.n
-        table_bytes = 1 << (n * (n - 1))
+        key_bits = n * (n - 1)
+        table_bytes = 1 << key_bits
         _charge("value table", table_bytes, mem_cap_bytes)
         self.n = n
         self.width = n - 1
         self.row_mask = full_mask(n - 1)
         self.objective = objective
         self.moves = family_moves(spec)
+        dtype = _key_dtype(n)
+        itemsize = np.dtype(dtype).itemsize
+        moves = len(self.moves)
+        self.slice_bits = min(SLICE_BITS, key_bits)
+        # a batch comes from one bit-count group, and the middle one is largest
+        largest_group = comb(self.slice_bits, self.slice_bits // 2)
+        self.batch = max(1, min(BATCH_BYTES // (moves * itemsize), largest_group))
         _charge(
-            "value, successor and move tables",
-            table_bytes + len(self.moves) * (n * (1 << self.width) + (1 << n)) * 8,
+            "value, move and successor tables and batch buffers",
+            table_bytes
+            + moves * (1 << n) * 8
+            + n * (1 << self.width) * moves * itemsize
+            # two key buffers and at most four key-sized temporaries per entry
+            + self.batch * moves * 6 * itemsize,
             mem_cap_bytes,
         )
         self.succ = _successor_tables(self.moves, n).reshape(n << self.width, -1)
+        self.kids = np.empty((self.batch, moves), dtype=dtype)
+        self.gathered = np.empty((self.batch, moves), dtype=dtype)
         # (full row x for every compressed row, key shift of row x)
         self.row_lookup = [
             ([_insert_bit(c, x) for c in range(1 << self.width)], x * self.width)
             for x in range(n)
         ]
-        self.full_rows = np.array([self.row_mask << (x * self.width) for x in range(n)])
+        self.full_rows = [self.row_mask << (x * self.width) for x in range(n)]
+        self.set_bits = _popcounts(self.slice_bits)
         self.values = np.zeros(table_bytes, dtype=np.uint8)
         self.memo_hits = 0
 
@@ -162,14 +216,15 @@ class _Search:
         picks = [(x << w) | ((key >> (x * w)) & mask) for x in range(self.n)]
         return np.add.reduce(self.succ.take(picks, axis=0), axis=0)
 
-    def children(self, key: int) -> np.ndarray:
-        """The distinct child keys, sorted."""
-        kids = self.successors(key)
-        kids.sort()
-        distinct = np.empty(kids.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(kids[1:], kids[:-1], out=distinct[1:])
-        return kids[distinct]
+    def _gather(self, keys: np.ndarray) -> np.ndarray:
+        """out[i, j] = the child of keys[i] under move j, in the batch buffer."""
+        w, mask = self.width, self.row_mask
+        out, row = self.kids[: keys.size], self.gathered[: keys.size]
+        np.take(self.succ, keys & mask, axis=0, out=out)
+        for x in range(1, self.n):
+            np.take(self.succ, (x << w) | ((keys >> (x * w)) & mask), axis=0, out=row)
+            out += row
+        return out
 
     def _terminal(self, keys: np.ndarray) -> np.ndarray:
         """Whether the objective holds on each state in ``keys``."""
@@ -182,8 +237,10 @@ class _Search:
                 dtype=bool,
             )
         # broadcast and k-broadcast: at least k full rows
-        full = (keys[:, None] & self.full_rows) == self.full_rows
-        return full.sum(axis=1) >= k
+        full = np.zeros(keys.size, dtype=np.uint8)
+        for row in self.full_rows:
+            full += (keys & row) == row
+        return full >= k
 
     def value(self, key: int) -> int:
         entry = int(self.values[key])
@@ -193,36 +250,65 @@ class _Search:
         if self._terminal(np.array([key]))[0]:
             self.values[key] = 1
             return 0
-        return self._expand(key) - 1
+        self._solve(key)
+        return int(self.values[key]) - 1
 
-    def _expand(self, key: int) -> int:
-        """Table entry of an unsolved state the objective does not hold on."""
-        kids = self.children(key)
+    def _group(self, base: int, c: int) -> np.ndarray:
+        """The PENDING keys with ``c`` set bits in the slice at ``base``."""
+        offsets = np.flatnonzero(self.values[base : base + self.set_bits.size] == PENDING)
+        offsets = offsets[self.set_bits[offsets] == c]
+        return (offsets + base).astype(self.kids.dtype)
+
+    def _batches(self, keys: np.ndarray):
+        for i in range(0, keys.size, self.batch):
+            yield keys[i : i + self.batch]
+
+    def _solve(self, start: int) -> None:
+        """Value every state reachable from the unsolved, non-terminal state
+        ``start`` through non-terminal states."""
+        values = self.values
+        values[start] = PENDING
+        size = self.set_bits.size
+        expanded = []
+        try:
+            for base in range(start - start % size, values.size, size):
+                if not (values[base : base + size] == PENDING).any():
+                    continue
+                for c in range(self.slice_bits + 1):
+                    keys = self._group(base, c)
+                    if keys.size:
+                        expanded.append((base, c))
+                        for batch in self._batches(keys):
+                            self._expand(batch)
+        except RuntimeError:
+            # a stalled search leaves the states it reached unsolved
+            for base in range(0, values.size, size):
+                part = values[base : base + size]
+                part[part == PENDING] = 0
+            raise
+        for base, c in reversed(expanded):
+            for batch in self._batches(self._group(base, c)):
+                values[batch] = values.take(self._gather(batch)).max(axis=1) + 1
+
+    def _expand(self, keys: np.ndarray) -> None:
+        """Decide the fresh children of PENDING, non-terminal states."""
+        values = self.values
+        kids = self._gather(keys)
+        kids.sort(axis=1)
         # children are supersets of the state, so the state sorts first
-        if kids[0] == key:
+        if (kids[:, 0] == keys).any():
             raise RuntimeError(
                 "adversary move without progress; family is not rooted enough"
             )
-        entries = self.values[kids]
-        fresh = kids[entries == 0]
-        self.memo_hits += kids.size - fresh.size
-        best = int(entries.max())
-        if fresh.size:
-            done = self._terminal(fresh)
-            if done.any():
-                self.values[fresh[done]] = 1
-                best = max(best, 1)
-                fresh = fresh[~done]
-        for child in fresh.tolist():
-            entry = int(self.values[child])
-            if entry:
-                self.memo_hits += 1
-            else:
-                entry = self._expand(child)
-            if entry > best:
-                best = entry
-        self.values[key] = best + 1
-        return best + 1
+        distinct = keys.size + np.count_nonzero(kids[:, 1:] != kids[:, :-1])
+        fresh = kids[values.take(kids) == 0]
+        fresh.sort()
+        first = np.empty(fresh.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+        fresh = fresh[first]
+        self.memo_hits += int(distinct) - fresh.size
+        values[fresh] = np.where(self._terminal(fresh), 1, PENDING)
 
 
 def _charge(what: str, nbytes: int, mem_cap_bytes: int) -> None:
@@ -243,15 +329,26 @@ def exact_worst_case(
     """Exact max-over-adversaries objective time, from the identity state.
 
     value = f(G(0)) where f(G) is 0 once the objective holds and otherwise
-    1 + max over family members H of f(G o H). Memoized on the product
-    adjacency; terminates because every move adds at least one product edge
-    while the objective is unmet.
+    1 + max over family members H of f(G o H). Every move adds at least one
+    product edge while the objective is unmet, so a child has a larger key
+    than its parent and the search runs as two sweeps over the dense value
+    table (see ``_Search``): an ascending one that reaches every state and
+    decides each one once against the objective, and a descending one that
+    values the states that were expanded. ``states_visited`` counts the
+    solved states and ``memo_hits`` the distinct children of expanded
+    states that were already reached, the sum of distinct children over
+    expanded states minus (``states_visited`` - 1); a depth-first memoized
+    recursion counts the same.
 
     Raises MemoryBudgetExceeded, before enumerating any move, when the dense
     value table (2^(n(n-1)) bytes) exceeds ``mem_cap_bytes``, and before
-    building the successor tables when the value table plus the successor
-    and move tables (``len(moves) * (n * 2^(n-1) + 2^n) * 8`` bytes) do.
-    ``states_visited`` counts the solved states. The search runs on one
+    building the successor tables when the value table plus the move table
+    (``moves * 2^n * 8`` bytes), the successor tables
+    (``n * 2^(n-1) * moves * w`` bytes, with key width w = 4 bytes when
+    n(n-1) <= 30 and 8 otherwise) and the batch buffers
+    (``6 * batch * moves * w`` bytes) do. A batch is as many states as keep
+    its ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and
+    at most the largest bit-count group of a slice. The search runs on one
     thread; ``threads`` is accepted for callers that pass 1, and any other
     value raises ValueError.
     """

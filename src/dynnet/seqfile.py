@@ -45,7 +45,7 @@ def _record_to_round(model: Model, n: int, record) -> Graph:
 
 def sequence_to_json_dict(seq: RoundSequence, seed: Optional[int] = None) -> dict:
     """Rounds are always written out in full; the repeat block is accepted
-    on input only, so serialize(parse(x)) is byte-stable."""
+    on input only."""
     spec = seq.spec
     out: dict = {
         "n": spec.n,
@@ -71,7 +71,8 @@ def save(path: str, seq: RoundSequence, seed: Optional[int] = None) -> None:
 
 def from_json_dict(doc: dict) -> RoundSequence:
     """Parse a decoded sequence file; any malformed document raises
-    ValueError."""
+    ValueError. The ``seed`` must be an integer and is not kept: a seeded
+    file is reproduced by ``dumps(loads(text), seed)``."""
     if not isinstance(doc, dict):
         raise ValueError("sequence file must hold a JSON object")
     unknown = set(doc) - FORMAT_KEYS
@@ -81,6 +82,8 @@ def from_json_dict(doc: dict) -> RoundSequence:
         n = _int(doc["n"])
         model = Model(doc["model"])
         spec = ModelSpec(model, n, _int(doc.get("k", 1)))
+        if "seed" in doc:
+            _int(doc["seed"])
         rounds = [_record_to_round(model, n, rec) for rec in doc["rounds"]]
         repeat = doc.get("repeat")
         if repeat is not None:

@@ -26,6 +26,13 @@ class TestSequenceFiles:
         again = seqfile.dumps(seqfile.loads(text))
         assert text == again
 
+    def test_seeded_round_trip(self):
+        # the seed is checked on load but not kept, so it is passed again
+        spec = ModelSpec(Model.TREES, 5)
+        text = seqfile.dumps(RoundSequence(spec, [random_graph(spec, s) for s in range(3)]), 7)
+        assert '"seed":7' in text
+        assert seqfile.dumps(seqfile.loads(text), 7) == text
+
     def test_round_trip_all_models(self):
         for model, k in [(Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_ROOTED, 2)]:
             spec = ModelSpec(model, 5, k)
@@ -89,13 +96,18 @@ class TestSequenceFiles:
          "repeat": {"from": 0, "to": 0.5, "times": 2}},
         {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]],
          "repeat": {"from": 0, "to": 0, "times": "2"}},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": 3.5},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": "x"},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": None},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": True},
     ], ids=["repeat-without-to", "rounds-not-a-list", "repeat-not-an-object",
             "n-null", "edge-not-a-pair", "list", "null",
             "self-parent", "parent-out-of-range", "parent-minus-two",
             "parents-too-short", "parents-too-long",
             "truncatable-floats", "integral-float-n", "string-n", "bool-k",
             "float-parent", "string-parent", "bool-parent", "float-endpoint",
-            "string-endpoint", "float-repeat", "string-repeat"])
+            "string-endpoint", "float-repeat", "string-repeat",
+            "float-seed", "string-seed", "null-seed", "bool-seed"])
     def test_malformed_document_is_a_value_error(self, doc):
         with pytest.raises(ValueError):
             seqfile.from_json_dict(doc)
@@ -130,6 +142,12 @@ class TestCliExitCodes:
     def test_simulate_validation_error(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text('{"n": 3, "model": "tree", "rounds": [[1, 0, -1]]}\n')
+        assert main(["simulate", "--seq", str(f), "--objective", "broadcast"]) == 2
+
+    @pytest.mark.parametrize("seed", ["3.5", '"x"', "null", "true"])
+    def test_simulate_non_integer_seed(self, tmp_path, seed):
+        f = tmp_path / "seeded.json"
+        f.write_text('{"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": %s}\n' % seed)
         assert main(["simulate", "--seq", str(f), "--objective", "broadcast"]) == 2
 
     def test_simulate_table(self, tree_file, capsys):

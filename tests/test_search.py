@@ -6,7 +6,7 @@ import pytest
 
 from dynnet import search as search_module
 from dynnet.analysis import bounds_for
-from dynnet.dissemination import Objective, run
+from dynnet.dissemination import Objective, cover_achieved, run
 from dynnet.families import Model, ModelSpec, validate_member
 from dynnet.graphs import add_self_loops, compose_rows, graph_from_rows, identity
 from dynnet.search import (
@@ -139,6 +139,15 @@ class TestExactWorstCase:
         with pytest.raises(RuntimeError, match="without progress"):
             exact_worst_case(ModelSpec(Model.K_FORESTS, 3, 2), Objective.broadcast())
 
+    def test_stall_leaves_reached_states_unsolved(self):
+        spec = ModelSpec(Model.K_FORESTS, 3, 2)
+        solved = search_module._Search(spec, Objective.broadcast(), 2 << 30)
+        start = solved.pack(identity(3).out_rows)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="without progress"):
+                solved.value(start)
+        assert set(solved.memo.values()) <= {0}
+
     def test_memory_cap(self):
         with pytest.raises(MemoryBudgetExceeded):
             exact_worst_case(
@@ -157,9 +166,11 @@ class TestExactWorstCase:
             )
 
     def test_charge_covers_successor_and_move_tables(self):
-        # trees at n=4: 4,096 table bytes + 64 moves * (4 * 2^3 + 2^4) * 8
+        # trees at n=4: 4,096 table bytes + 64 moves * 2^4 * 8 for the move
+        # table + 4 * 2^3 * 64 * 4 for the int32 successor tables + 6 * 512
+        # rows * 64 * 4 for the batch buffers
         res = exact_worst_case(
-            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=28_672
+            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=806_912
         )
         assert (res.value, res.states_visited) == (4, 2044)
 
@@ -170,7 +181,7 @@ class TestExactWorstCase:
         monkeypatch.setattr(search_module, "_successor_tables", build_tables)
         with pytest.raises(MemoryBudgetExceeded):
             exact_worst_case(
-                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=28_671
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=806_911
             )
 
     def test_more_than_one_thread_rejected(self):
@@ -241,6 +252,56 @@ class TestTerminalMatchesWitness:
             decided = search_module._Search(spec, other, 2 << 30)._terminal(keys).tolist()
             expected = [other.witness(solved.unpack(key)) is not None for key in keys.tolist()]
             assert decided == expected, other
+
+
+class TestSweepsMatchRecursion:
+    CASES = [
+        (ModelSpec(Model.TREES, 4), Objective.broadcast()),
+        (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2)),
+        (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2)),
+    ]
+
+    @staticmethod
+    def recursion(spec, objective):
+        """Value of every state reachable from the identity through states
+        the objective does not hold on, by plain memoized recursion."""
+        moves = [add_self_loops(g) for g in family_moves(spec)]
+        memo = {}
+
+        def f(rows):
+            if rows not in memo:
+                if objective.witness(rows) is not None:
+                    memo[rows] = 0
+                else:
+                    memo[rows] = 1 + max(f(compose_rows(rows, mv)) for mv in moves)
+            return memo[rows]
+
+        f(identity(spec.n).out_rows)
+        return memo
+
+    @pytest.mark.parametrize("spec, objective", CASES,
+                             ids=["trees-broadcast", "forests-cover", "rooted-kbroadcast"])
+    def test_table_equals_recursion(self, spec, objective):
+        # the solved keys are exactly the reachable states, each with its value
+        expected = self.recursion(spec, objective)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solved = search_module._Search(spec, objective, 2 << 30)
+            solved.value(solved.pack(identity(spec.n).out_rows))
+        assert solved.memo == {solved.pack(rows): v for rows, v in expected.items()}
+
+    def test_each_state_decided_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, k):
+            calls.append(g)
+            return cover_achieved(g, k)
+
+        monkeypatch.setattr(search_module, "cover_achieved", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = exact_worst_case(ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2))
+        assert len(calls) == res.states_visited == 805
 
 
 class TestGreedyAdversary:
