@@ -132,10 +132,10 @@ class _Search:
     ``_successor_tables``, and the child key is the sum of the n picks.
 
     A child is a strict superset of its parent, so it has a larger key and
-    more set bits. The table is cut into slices of 2^16 consecutive keys,
-    and inside a slice the keys are grouped by bit count; walking slices by
-    ascending key and, inside each, groups by ascending bit count visits
-    every parent before its children. ``_solve`` makes two sweeps in that
+    more set bits. The table is cut into slices of 2^16 consecutive keys
+    (one slice when it is smaller), and inside a slice the keys are grouped
+    by bit count; walking slices by ascending key and, inside each, groups
+    by ascending bit count visits every parent before its children. ``_solve`` makes two sweeps in that
     order:
 
     - ascending: each group's PENDING states are expanded in batches. Their
