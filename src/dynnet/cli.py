@@ -17,13 +17,7 @@ from . import analysis, constructions, seqfile
 from .dissemination import _CANONICAL, Objective, ObjectiveNotReached, RoundSequence, run
 from .families import Model, ModelSpec, random_graph
 from .graphs import ProductTrace, to_dot
-from .search import (
-    DEFAULT_MEM_CAP,
-    MemoryBudgetExceeded,
-    Policy,
-    exact_worst_case,
-    greedy_adversary,
-)
+from .search import DEFAULT_MEM_CAP, MemoryBudgetExceeded, exact_worst_case
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,7 +74,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    out = constructions.build(Model(args.model), args.n, args.k or 1)
+    out = constructions.build(Model(args.model), args.n, 1 if args.k is None else args.k)
     seqfile.save(args.out, out.seq)
     _print_json({
         "out": args.out,
@@ -134,7 +128,10 @@ def _parse_grid(text: str) -> tuple[range, range]:
     for part in text.split(","):
         key, _, val = part.partition("=")
         lo, _, hi = val.partition("..")
-        spans[key.strip()] = range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise ValueError(f"grid {text!r}: empty range {part!r}")
+        spans[key.strip()] = span
     if "n" not in spans:
         raise ValueError(f"grid {text!r} needs at least n=lo..hi")
     return spans["n"], spans.get("k", range(1, 4))
@@ -209,6 +206,8 @@ def _verify_rows(ns: range, ks: range, samples: int, seed: int):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     ns, ks = _parse_grid(args.grid)
     rows = []
     ok_all = True
@@ -225,30 +224,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 fh.write(f"{name},{int(ok)},\"{detail}\"\n")
     print(f"verify: {'all passed' if ok_all else 'FAILURES'} (seed={args.seed})")
     return EXIT_OK if ok_all else EXIT_FAIL
-
-
-def cmd_greedy(args: argparse.Namespace) -> int:
-    spec = ModelSpec(Model(args.model), args.n, args.k or 1)
-    objective = _objective_from_args(args.objective, args.k or 1)
-    res = greedy_adversary(
-        spec, objective, args.horizon, Policy(args.policy),
-        samples=args.samples, seed=args.seed,
-    )
-    if args.out:
-        seqfile.save(args.out, res.sequence, seed=args.seed)
-    doc = {
-        "policy": res.policy.value,
-        "metrics": res.metrics,
-        "seed": args.seed,
-    }
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            doc["achieved_time"] = run(res.sequence, objective).time
-    except ObjectiveNotReached:
-        doc["achieved_time"] = None
-    _print_json(doc)
-    return EXIT_OK
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
@@ -315,19 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="also write the certificate graph as DOT")
     p.add_argument("--table", action="store_true")
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("greedy", help="heuristic adversary probe")
-    p.add_argument("--model", required=True, choices=[m.value for m in Model])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--objective", required=True,
-                   choices=["broadcast", "cover", "kbroadcast"])
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--policy", required=True, choices=[pl.value for pl in Policy])
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_greedy)
 
     p = sub.add_parser("export-dot", help="print one round of a sequence as DOT")
     p.add_argument("--seq", required=True)

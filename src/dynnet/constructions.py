@@ -20,6 +20,8 @@ q = floor((n-2)/2) and p = n-2-q:
 No id completes before round p + q + (n-p-1) = floor(3n/2) - 2, and the
 weakest candidate completes exactly then. The k-forest and k-rooted
 schedules reuse this skeleton (isolated singletons, clique expansion).
+Below n = 3k+3, where the k-rooted skeleton does not fit, the k-rooted
+schedule is one directed cycle, which needs n-1 rounds for every k.
 """
 
 from __future__ import annotations
@@ -128,9 +130,21 @@ def kroot_lower_bound(n: int, k: int) -> ConstructionOutput:
     return ConstructionOutput(seq, claimed, claimed_main)
 
 
+def cycle_schedule(n: int, k: int) -> ConstructionOutput:
+    """The cycle i -> i+1 mod n in every round. Every node is a root, so it
+    is k-rooted for every k <= n, and each id moves one node a round, so no
+    node knows all ids before round n-1."""
+    cycle = make_graph(n, [(i, (i + 1) % n) for i in range(n)] if n > 1 else [])
+    seq = _schedule(ModelSpec(Model.K_ROOTED, n, k), [(cycle, n - 1)])
+    return ConstructionOutput(seq, n - 1, n - 1)
+
+
 def build(model: Model, n: int, k: int = 1) -> ConstructionOutput:
+    ModelSpec(model, n, k)  # rejects k outside [1, n] and k != 1 for trees
     if model is Model.TREES:
         return trees_lower_bound(n)
     if model is Model.K_FORESTS:
         return cover_lower_bound(n, k)
+    if n < 3 * k + 3:
+        return cycle_schedule(n, k)
     return kroot_lower_bound(n, k)

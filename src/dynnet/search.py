@@ -1,19 +1,17 @@
 """Exact worst-case objective times by memoized maximization over the
-monotone product-graph state space, plus greedy adversary heuristics."""
+monotone product-graph state space."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from itertools import product as iproduct
 from math import comb
-from typing import Iterable, Optional
 
 import numpy as np
 
 from .dissemination import Objective, RoundSequence, cover_achieved
-from .families import Model, ModelSpec, enumerate_k_forests, enumerate_rooted_trees, random_graph, union_rows
+from .families import Model, ModelSpec, enumerate_k_forests, enumerate_rooted_trees, union_rows
 from .graphs import Graph, add_self_loops, compose_rows, full_mask, graph_from_rows, identity
 
 TREE_SEARCH_GUARD = 6
@@ -210,12 +208,6 @@ class _Search:
         keys = np.flatnonzero(self.values)
         return dict(zip(keys.tolist(), (self.values[keys] - 1).tolist()))
 
-    def successors(self, key: int) -> np.ndarray:
-        """The child key under each move, in move order."""
-        w, mask = self.width, self.row_mask
-        picks = [(x << w) | ((key >> (x * w)) & mask) for x in range(self.n)]
-        return np.add.reduce(self.succ.take(picks, axis=0), axis=0)
-
     def _gather(self, keys: np.ndarray) -> np.ndarray:
         """out[i, j] = the child of keys[i] under move j, in the batch buffer."""
         w, mask = self.width, self.row_mask
@@ -379,7 +371,7 @@ def _reconstruct(search: _Search, start: int) -> list[Graph]:
     key = start
     remaining = int(search.values[key]) - 1
     while remaining > 0:
-        succ = search.successors(key)
+        succ = search._gather(np.array([key], dtype=search.kids.dtype))[0]
         # a child that needs remaining-1 rounds has table entry remaining
         best = np.flatnonzero(search.values[succ] == remaining)
         if best.size == 0:  # pragma: no cover
@@ -409,64 +401,3 @@ def worst_case_reference(spec: ModelSpec, objective: Objective) -> int:
         return best + 1
 
     return f(identity(spec.n).out_rows)
-
-
-class Policy(Enum):
-    MIN_NEW_EDGES = "min-new-edges"
-    MIN_MAX_OUT_ROW = "min-max-out-row"
-
-
-@dataclass
-class GreedyResult:
-    sequence: RoundSequence
-    metrics: list[int]
-    policy: Policy
-
-
-_GREEDY_ENUM_GUARD = {Model.TREES: 6, Model.K_FORESTS: 5, Model.K_ROOTED: 4}
-
-
-def greedy_adversary(
-    spec: ModelSpec,
-    objective: Objective,
-    horizon: int,
-    policy: Policy,
-    *,
-    samples: int = 200,
-    seed: int = 0,
-) -> GreedyResult:
-    """Heuristic lower-bound probe: at each round pick the family member
-    minimizing the policy metric on the resulting product, ties broken by
-    smallest serialized graph. Enumerates the family when small, otherwise
-    draws ``samples`` seeded random members per round."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    enumerable = spec.n <= _GREEDY_ENUM_GUARD[spec.model]
-    all_moves = family_moves(spec) if enumerable else None
-    rows = identity(spec.n).out_rows
-    chosen: list[Graph] = []
-    metrics: list[int] = []
-    for t in range(horizon):
-        if all_moves is not None:
-            candidates: Iterable[Graph] = all_moves
-        else:
-            candidates = (
-                random_graph(spec, seed * 1_000_003 + t * 1_009 + i)
-                for i in range(samples)
-            )
-        best: Optional[tuple[int, tuple[int, ...], Graph, tuple[int, ...]]] = None
-        base_edges = sum(r.bit_count() for r in rows)
-        for mv in candidates:
-            child = compose_rows(rows, add_self_loops(mv))
-            if policy is Policy.MIN_NEW_EDGES:
-                metric = sum(r.bit_count() for r in child) - base_edges
-            else:
-                metric = max(r.bit_count() for r in child)
-            key = (metric, mv.out_rows)
-            if best is None or key < best[:2]:
-                best = (metric, mv.out_rows, mv, child)
-        assert best is not None
-        metrics.append(best[0])
-        chosen.append(best[2])
-        rows = best[3]
-    return GreedyResult(RoundSequence(spec, chosen), metrics, policy)

@@ -207,6 +207,12 @@ class TestCliExitCodes:
             main(argv + ["--threads", "2"])
         assert exc.value.code == 2
 
+    def test_greedy_command_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["greedy", "--model", "tree", "--n", "4", "--objective", "broadcast",
+                  "--horizon", "6", "--policy", "min-new-edges"])
+        assert exc.value.code == 2
+
     def test_search_forest_small_value(self, capsys):
         assert main(["search", "--model", "forest", "--n", "4", "--k", "2",
                      "--objective", "cover"]) == 0
@@ -254,16 +260,6 @@ class TestCliExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_passed"] is True and doc["complete"] is True
 
-    def test_greedy_cli(self, tmp_path, capsys):
-        f = tmp_path / "g.json"
-        assert main(["greedy", "--model", "tree", "--n", "4",
-                     "--objective", "broadcast", "--horizon", "6",
-                     "--policy", "min-new-edges", "--seed", "5",
-                     "--out", str(f)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["metrics"]) == 6 and doc["seed"] == 5
-        assert json.loads(f.read_text())["seed"] == 5
-
     def test_verify_small_grid(self, tmp_path, capsys):
         csv = tmp_path / "v.csv"
         assert main(["verify", "--grid", "n=3..6,k=1..2", "--samples", "3",
@@ -271,6 +267,24 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "all passed" in out
         assert csv.read_text().startswith("check,passed,detail")
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--model", "tree", "--n", "6", "--k", "2"],
+        ["construct", "--model", "digraph", "--n", "5", "--k", "6"],
+        ["construct", "--model", "digraph", "--n", "8", "--k", "0"],
+        ["verify", "--samples", "-3"],
+        ["verify", "--samples", "0"],
+        ["verify", "--grid", "n=20..3"],
+        ["verify", "--grid", "n=3..6,k=3..1"],
+    ], ids=["construct-tree-k", "construct-k-over-n", "construct-k-zero",
+            "verify-negative-samples", "verify-zero-samples", "verify-empty-n", "verify-empty-k"])
+    def test_invalid_request_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        argv = argv + ["--out", str(out)] if argv[0] == "construct" else argv
+        assert main(argv) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seq", "{tree}", "--objective", "cover", "--k", "9"],

@@ -5,9 +5,15 @@ import pytest
 
 from dynnet import seqfile
 from dynnet.analysis import bounds_for
-from dynnet.constructions import build, cover_lower_bound, kroot_lower_bound, trees_lower_bound
+from dynnet.constructions import (
+    build,
+    cover_lower_bound,
+    cycle_schedule,
+    kroot_lower_bound,
+    trees_lower_bound,
+)
 from dynnet.dissemination import Objective, run
-from dynnet.families import Model, is_k_forest, is_k_rooted, is_rooted_tree, roots_reaching_all
+from dynnet.families import Model, ModelSpec, is_k_forest, is_k_rooted, is_rooted_tree, roots_reaching_all
 
 
 class TestTreesLowerBound:
@@ -91,6 +97,32 @@ class TestKRootLowerBound:
             kroot_lower_bound(8, 2)
 
 
+class TestCycleSchedule:
+    def test_time_is_n_minus_one(self):
+        # k-broadcast time is monotone in k, so k = 1 and k = n bound every k
+        for n in range(1, 65):
+            for k in (1, n):
+                assert run(cycle_schedule(n, k).seq, Objective.k_broadcast(k)).time == n - 1
+
+    def test_build_gives_cycle_below_paper_schedule(self):
+        cells = 0
+        for n in range(1, 65):
+            for k in range(1, n + 1):
+                if n < 3 * k + 3:
+                    out = build(Model.K_ROOTED, n, k)  # every round validated
+                    assert out.seq.spec == ModelSpec(Model.K_ROOTED, n, k)
+                    assert out.claimed_time == out.claimed_time_main == n - 1
+                    cells += 1
+        assert cells == 1470
+
+    @pytest.mark.parametrize("model,n,k", [
+        (Model.TREES, 6, 2), (Model.K_FORESTS, 5, 6), (Model.K_ROOTED, 5, 6), (Model.K_ROOTED, 5, 0),
+    ])
+    def test_build_checks_model_spec(self, model, n, k):
+        with pytest.raises(ValueError):
+            build(model, n, k)
+
+
 class TestSandwich:
     @pytest.mark.parametrize("n", [4, 5, 9, 16, 25])
     def test_trees(self, n):
@@ -116,18 +148,26 @@ class TestSandwich:
 
 
 class TestPinnedFiles:
-    """The sequence-file text of every construction is byte-stable."""
+    """The sequence-file text of every construction is byte-stable. The
+    k-rooted paper schedule exists for n >= 3k+3, and ``build`` gives the
+    cycle below that; the "cycle" row pins those files on their own."""
 
     @pytest.mark.parametrize("model,cells,expected", [
         (Model.TREES, 7, "085bd5eadc39f27ce462d0a320545a5f92b0054543973c68c8a14d333b79705d"),
         (Model.K_FORESTS, 118, "ab832889467e471cf9e19929716eca25c3680182bf214a4480eeab68b0d1c0a8"),
         (Model.K_ROOTED, 34, "6809c7c46645301967fd23d671029c5bdc92a8a7ac1c8a88adcce1c32bacfd29"),
+        ("cycle", 98, "ea2d8118e14aee017755966e9343e7a85eb23e4f6bd72fc68fcd3a56379919a6"),
     ])
     def test_construction_files(self, model, cells, expected):
+        cycle = model == "cycle"
+        if cycle:
+            model = Model.K_ROOTED
         digest = hashlib.sha256()
         built = 0
         for n in (3, 4, 5, 8, 16, 32, 64):
             for k in [1] if model is Model.TREES else range(1, n + 1):
+                if model is Model.K_ROOTED and (n < 3 * k + 3) != cycle:
+                    continue
                 try:
                     out = build(model, n, k)
                 except ValueError:  # no schedule for this (n, k)

@@ -11,10 +11,8 @@ from dynnet.families import Model, ModelSpec, validate_member
 from dynnet.graphs import add_self_loops, compose_rows, graph_from_rows, identity
 from dynnet.search import (
     MemoryBudgetExceeded,
-    Policy,
     exact_worst_case,
     family_moves,
-    greedy_adversary,
     worst_case_reference,
 )
 
@@ -303,50 +301,3 @@ class TestSweepsMatchRecursion:
             res = exact_worst_case(ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2))
         assert len(calls) == res.states_visited == 805
 
-
-class TestGreedyAdversary:
-    def test_forced_on_two_nodes(self):
-        spec = ModelSpec(Model.TREES, 2)
-        for policy in Policy:
-            res = greedy_adversary(spec, Objective.broadcast(), 3, policy)
-            assert run(res.sequence, Objective.broadcast()).time == 1
-
-    def test_metrics_recompute_from_trace(self):
-        spec = ModelSpec(Model.TREES, 5)
-        res = greedy_adversary(spec, Objective.broadcast(), 12, Policy.MIN_NEW_EDGES)
-        rows = identity(5).out_rows
-        for mv, reported in zip(res.sequence.rounds, res.metrics):
-            before = sum(r.bit_count() for r in rows)
-            rows = compose_rows(rows, add_self_loops(mv))
-            assert sum(r.bit_count() for r in rows) - before == reported
-
-    def test_max_row_policy_metric(self):
-        spec = ModelSpec(Model.TREES, 5)
-        res = greedy_adversary(spec, Objective.broadcast(), 8, Policy.MIN_MAX_OUT_ROW)
-        rows = identity(5).out_rows
-        for mv, reported in zip(res.sequence.rounds, res.metrics):
-            rows = compose_rows(rows, add_self_loops(mv))
-            assert max(r.bit_count() for r in rows) == reported
-
-    @pytest.mark.parametrize("n", [5, 7])
-    @pytest.mark.parametrize("policy", list(Policy))
-    def test_within_upper_bound(self, n, policy):
-        # adversarial sequences still broadcast inside the guarantee window
-        spec = ModelSpec(Model.TREES, n)
-        ub = bounds_for(spec).upper_int
-        res = greedy_adversary(spec, Objective.broadcast(), ub, policy, samples=80)
-        t = run(res.sequence, Objective.broadcast()).time
-        assert 1 <= t <= ub
-
-    def test_sampled_mode_deterministic(self):
-        spec = ModelSpec(Model.K_ROOTED, 6, 2)
-        a = greedy_adversary(spec, Objective.k_broadcast(2), 4,
-                             Policy.MIN_NEW_EDGES, samples=20, seed=9)
-        b = greedy_adversary(spec, Objective.k_broadcast(2), 4,
-                             Policy.MIN_NEW_EDGES, samples=20, seed=9)
-        assert [g.out_rows for g in a.sequence.rounds] == [g.out_rows for g in b.sequence.rounds]
-
-    def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            greedy_adversary(ModelSpec(Model.TREES, 3), Objective.broadcast(), 0,
-                             Policy.MIN_NEW_EDGES)
