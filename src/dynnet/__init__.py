@@ -11,6 +11,7 @@ from .dissemination import (
     cover_achieved,
     k_broadcast_achieved,
     run,
+    sampled_run,
 )
 from .families import Model, ModelSpec, random_graph
 from .graphs import Graph, ProductTrace, add_self_loops, in_set, make_graph, out_set, product
@@ -34,6 +35,7 @@ __all__ = [
     "product",
     "random_graph",
     "run",
+    "sampled_run",
 ]
 
 __version__ = "0.1.0"

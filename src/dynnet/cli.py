@@ -14,7 +14,7 @@ import sys
 import warnings
 
 from . import analysis, constructions, seqfile
-from .dissemination import _CANONICAL, Objective, ObjectiveNotReached, RoundSequence, run
+from .dissemination import Objective, ObjectiveNotReached, run, sampled_run
 from .families import Model, ModelSpec, random_graph
 from .graphs import ProductTrace, to_dot
 from .search import DEFAULT_MEM_CAP, MemoryBudgetExceeded, exact_worst_case
@@ -55,8 +55,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    spec = ModelSpec(Model(args.model), args.n, args.k or 1)
-    objective = _objective_from_args(args.objective, args.k or 1)
+    spec = ModelSpec(Model(args.model), args.n, 1 if args.k is None else args.k)
+    objective = _objective_from_args(args.objective, spec.k)
     res = exact_worst_case(
         spec,
         objective,
@@ -160,17 +160,11 @@ def _verify_rows(ns: range, ks: range, samples: int, seed: int):
         misses = 0
         for cell, (n, k) in enumerate(cells):
             spec = ModelSpec(model, n, k)
-            objective = Objective(_CANONICAL[model], k)
             horizon = analysis.bounds_values(model, n, k).upper_int
             for i in range(samples):
-                rounds = [
-                    random_graph(spec, seed + 7919 * (cell * samples + i) + 13 * t)
-                    for t in range(horizon)
-                ]
-                seq = RoundSequence(spec, rounds, validate=False)
+                base = seed + 7919 * (cell * samples + i)
                 try:
-                    if run(seq, objective).time > horizon:
-                        misses += 1
+                    sampled_run(spec, range(base, base + 13 * horizon, 13))
                 except ObjectiveNotReached:
                     misses += 1
         yield (
@@ -209,6 +203,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     ns, ks = _parse_grid(args.grid)
+    if ks.start > ns[-1]:
+        raise ValueError(f"grid {args.grid!r}: every k exceeds every n")
     rows = []
     ok_all = True
     with warnings.catch_warnings():

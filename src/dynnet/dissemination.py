@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .families import Model, ModelSpec, validate_member
+from .families import Model, ModelSpec, random_graph, validate_member
 from .graphs import Graph, ProductTrace, add_self_loops, bits, compose_rows, full_mask, graph_from_rows, identity
 
 
@@ -165,24 +165,25 @@ def k_broadcast_achieved(g: Graph, k: int) -> Optional[list[int]]:
     return list(w) if w is not None else None
 
 
+def _members(spec: ModelSpec, rounds: Iterable[Graph]) -> Iterator[Graph]:
+    """Yield the rounds, raising ValueError at the first that is not a
+    member of spec's family. A repeated graph object is checked once."""
+    checked: dict[int, Graph] = {}  # holds each graph, so that no id is reused
+    for t, g in enumerate(rounds, start=1):
+        if id(g) not in checked and not validate_member(spec, g):
+            raise ValueError(f"round {t} is not a valid {spec.model.value} member")
+        checked[id(g)] = g
+        yield g
+
+
 class RoundSequence:
     """A validated sequence of raw adversary graphs under one model."""
 
     __slots__ = ("spec", "rounds")
 
-    def __init__(self, spec: ModelSpec, rounds: list[Graph], validate: bool = True):
-        if validate:
-            checked: set[int] = set()
-            for t, g in enumerate(rounds):
-                if id(g) in checked:
-                    continue  # repeated phase graphs validate once
-                if not validate_member(spec, g):
-                    raise ValueError(
-                        f"round {t + 1} is not a valid {spec.model.value} member"
-                    )
-                checked.add(id(g))
+    def __init__(self, spec: ModelSpec, rounds: list[Graph]):
         self.spec = spec
-        self.rounds = list(rounds)
+        self.rounds = list(_members(spec, rounds))
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -235,15 +236,28 @@ def run(seq: RoundSequence, objective: Objective) -> RunResult:
             f"objective k={objective.k} exceeds the model parameter k={seq.spec.k}",
             stacklevel=2,
         )
+    return _run_rounds(n, seq.rounds, objective)
+
+
+def sampled_run(spec: ModelSpec, seeds: Iterable[int]) -> RunResult:
+    """``run`` of spec's own objective on ``random_graph(spec, s)`` for s in
+    seeds, drawing and checking each round only when the run reaches it."""
+    rounds = _members(spec, (random_graph(spec, s) for s in seeds))
+    return _run_rounds(spec.n, rounds, Objective(_CANONICAL[spec.model], spec.k))
+
+
+def _run_rounds(n: int, rounds: Iterable[Graph], objective: Objective) -> RunResult:
+    """Compose raw rounds onto the identity until the objective holds,
+    reading no round past that one."""
     rows = identity(n).out_rows
     witness = objective.witness(rows)
     t = 0
     if witness is None:
-        for t, raw in enumerate(seq.rounds, start=1):
+        for t, raw in enumerate(rounds, start=1):
             rows = compose_rows(rows, add_self_loops(raw))
             witness = objective.witness(rows)
             if witness is not None:
                 break
         else:
-            raise ObjectiveNotReached(objective, len(seq.rounds), graph_from_rows(n, rows))
+            raise ObjectiveNotReached(objective, t, graph_from_rows(n, rows))
     return RunResult(objective, t, witness, graph_from_rows(n, rows))

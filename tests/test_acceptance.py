@@ -27,7 +27,7 @@ from dynnet.analysis import (
     verify_strict_inequalities,
 )
 from dynnet.constructions import cover_lower_bound, kroot_lower_bound, trees_lower_bound
-from dynnet.dissemination import Objective, ObjectiveNotReached, RoundSequence, run
+from dynnet.dissemination import Objective, ObjectiveNotReached, run, sampled_run
 from dynnet.families import Model, ModelSpec, random_graph
 from dynnet.graphs import ProductTrace, full_mask, graph_from_rows, product
 from dynnet.search import exact_worst_case
@@ -45,75 +45,44 @@ def _gate(name: str, ok: bool, elapsed: float, budget: float, detail: str) -> No
     assert elapsed < budget, line
 
 
-def test_criterion_1_tree_upper_bound_adherence():
-    t0 = time.time()
-    misses = 0
-    runs = 0
-    for n in range(3, 21):
-        spec = ModelSpec(Model.TREES, n)
-        horizon = ceil_one_plus_sqrt2(n)
-        for i in range(1000):
-            base = n * 1_000_000 + i * 977
-            rounds = [random_graph(spec, base + t) for t in range(horizon)]
-            seq = RoundSequence(spec, rounds)
+def _adherence(cells, samples: int, stride: int) -> tuple[int, int]:
+    """(runs, misses) of ``samples`` sampled runs for each cell (spec, horizon,
+    start): from the seeds start, start + stride, ..., each of horizon rounds."""
+    runs = misses = 0
+    for spec, horizon, start in cells:
+        for base in range(start, start + samples * stride, stride):
             runs += 1
             try:
-                res = run(seq, Objective.broadcast())
+                sampled_run(spec, range(base, base + horizon))
             except ObjectiveNotReached:
                 misses += 1
-                continue
-            if res.time > horizon:
-                misses += 1
+    return runs, misses
+
+
+def test_criterion_1_tree_upper_bound_adherence():
+    t0 = time.time()
+    cells = [(ModelSpec(Model.TREES, n), ceil_one_plus_sqrt2(n), n * 1_000_000)
+             for n in range(3, 21)]
+    runs, misses = _adherence(cells, 1000, 977)
     _gate("criterion-1 tree-upper-bound", misses == 0, time.time() - t0, 60,
           f"runs={runs} misses={misses}")
 
 
 def test_criterion_2_forest_upper_bound_adherence():
     t0 = time.time()
-    misses = 0
-    runs = 0
-    for n in range(4, 17):
-        for k in (1, 2, 3):
-            spec = ModelSpec(Model.K_FORESTS, n, k)
-            horizon = ceil_beta(n) + 1
-            for i in range(500):
-                base = (n * 13 + k) * 1_000_000 + i * 613
-                rounds = [random_graph(spec, base + t) for t in range(horizon)]
-                seq = RoundSequence(spec, rounds)
-                runs += 1
-                try:
-                    res = run(seq, Objective.cover(k))
-                except ObjectiveNotReached:
-                    misses += 1
-                    continue
-                if res.time > horizon:
-                    misses += 1
+    cells = [(ModelSpec(Model.K_FORESTS, n, k), ceil_beta(n) + 1, (n * 13 + k) * 1_000_000)
+             for n in range(4, 17) for k in (1, 2, 3)]
+    runs, misses = _adherence(cells, 500, 613)
     _gate("criterion-2 forest-upper-bound", misses == 0, time.time() - t0, 120,
           f"runs={runs} misses={misses}")
 
 
 def test_criterion_3_k_rooted_upper_bound_adherence():
     t0 = time.time()
-    misses = 0
-    runs = 0
-    for n in range(4, 15):
-        for k in (1, 2, 3):
-            spec = ModelSpec(Model.K_ROOTED, n, k)
-            horizon = ceil_one_plus_sqrt2(n) + k - 1
-            for i in range(500):
-                base = (n * 17 + k) * 1_000_000 + i * 331
-                rounds = [random_graph(spec, base + t) for t in range(horizon)]
-                # membership is guaranteed by construction (k overlaid
-                # spanning trees); skipping re-validation keeps this hot
-                seq = RoundSequence(spec, rounds, validate=False)
-                runs += 1
-                try:
-                    res = run(seq, Objective.k_broadcast(k))
-                except ObjectiveNotReached:
-                    misses += 1
-                    continue
-                if res.time > horizon:
-                    misses += 1
+    cells = [(ModelSpec(Model.K_ROOTED, n, k), ceil_one_plus_sqrt2(n) + k - 1,
+              (n * 17 + k) * 1_000_000)
+             for n in range(4, 15) for k in (1, 2, 3)]
+    runs, misses = _adherence(cells, 500, 331)
     _gate("criterion-3 k-rooted-upper-bound", misses == 0, time.time() - t0, 120,
           f"runs={runs} misses={misses}")
 

@@ -14,6 +14,7 @@ from dynnet.dissemination import (
     cover_achieved,
     k_broadcast_achieved,
     run,
+    sampled_run,
 )
 from dynnet.families import Model, ModelSpec, enumerate_rooted_trees, random_graph
 from dynnet.graphs import add_self_loops, full_mask, graph_from_rows, identity, make_graph
@@ -201,8 +202,7 @@ class TestRun:
 
     def test_witness_recheck_on_final_product(self):
         spec = ModelSpec(Model.K_FORESTS, 6, 2)
-        rounds = [random_graph(spec, s) for s in range(40)]
-        res = run(RoundSequence(spec, rounds), Objective.cover(2))
+        res = sampled_run(spec, range(40))
         fm = full_mask(6)
         acc = 0
         for x in res.witness:
@@ -239,6 +239,26 @@ class TestRun:
                 t_bc = run(seq, Objective.broadcast()).time
                 t_kb = run(seq, Objective.k_broadcast(1)).time
             assert t_cover == t_bc == t_kb
+
+
+    @pytest.mark.parametrize("model,kind,n,k", [
+        (Model.TREES, "broadcast", 2, 1), (Model.TREES, "broadcast", 7, 1),
+        (Model.K_FORESTS, "cover", 6, 1), (Model.K_FORESTS, "cover", 7, 3),
+        (Model.K_ROOTED, "kbroadcast", 5, 2), (Model.K_ROOTED, "kbroadcast", 9, 3),
+    ])
+    def test_sampled_run_matches_eager_run(self, model, kind, n, k):
+        spec = ModelSpec(model, n, k)
+        for base in range(0, 2000, 100):
+            seeds = range(base, base + 3 * n, 3)
+            seq = RoundSequence(spec, [random_graph(spec, s) for s in seeds])
+            eager = run(seq, Objective(kind, k))
+            assert sampled_run(spec, seeds) == eager
+            # no seeds, and seeds that stop one round before the objective holds
+            for short in (range(0), seeds[:eager.time - 1]):
+                with pytest.raises(ObjectiveNotReached) as exc:
+                    sampled_run(spec, short)
+                assert exc.value.rounds_used == len(short)
+                assert exc.value.final_product == seq.trace().product_at(len(short))
 
 
 class TestRoundSequenceValidation:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -192,21 +193,13 @@ class TestRandomGraph:
         assert random_graph(spec, 7) == random_graph(spec, 7)
 
     def test_validator_closure(self):
-        rnd = random.Random(5)
-        for _ in range(60):
-            n = rnd.randint(2, 12)
-            k = rnd.randint(1, min(n, 4))
-            for model in Model:
-                spec = ModelSpec(model, n, 1 if model is Model.TREES else k)
-                g = random_graph(spec, rnd.randrange(10**6))
-                assert validate_member(spec, g), (model, n, k)
-
-    def test_k_rooted_has_k_roots(self):
-        spec = ModelSpec(Model.K_ROOTED, 6, 3)
-        for seed in range(25):
-            g = random_graph(spec, seed)
-            assert len(roots_reaching_all(g)) >= 3
-            assert is_k_rooted(g, 3)
+        # the adherence gates' cells, down to n = 2 and up to k = 4, and the largest sizes
+        for model, stop in ((Model.TREES, 21), (Model.K_FORESTS, 17), (Model.K_ROOTED, 15)):
+            ks = [1] if model is Model.TREES else range(1, 5)
+            for n, k, seed in itertools.product([*range(2, stop), 32, 48, 64], ks, range(50)):
+                if k <= n:
+                    spec = ModelSpec(model, n, k)
+                    assert validate_member(spec, random_graph(spec, seed)), (model, n, k, seed)
 
     def test_tree_distribution_hits_every_tree(self):
         # n=3 has 9 rooted trees; a uniform sampler should see them all
