@@ -201,6 +201,13 @@ class TestRandomGraph:
                     spec = ModelSpec(model, n, k)
                     assert validate_member(spec, random_graph(spec, seed)), (model, n, k, seed)
 
+    def test_k_rooted_has_k_roots(self):
+        spec = ModelSpec(Model.K_ROOTED, 6, 3)
+        for seed in range(25):
+            g = random_graph(spec, seed)
+            assert len(roots_reaching_all(g)) >= 3
+            assert is_k_rooted(g, 3)
+
     def test_tree_distribution_hits_every_tree(self):
         # n=3 has 9 rooted trees; a uniform sampler should see them all
         spec = ModelSpec(Model.TREES, 3)
