@@ -1,7 +1,9 @@
 """Command-line front end: simulate, search, construct, verify, analyze.
 
 Exit codes: 0 success / objective reached, 2 validation or usage error,
-3 objective not reached, 1 verification failures or memory budget exceeded.
+3 objective not reached (a sequence ran out first, or a search met an
+adversary move that makes no progress, so the objective can be delayed
+forever), 1 verification failures or memory budget exceeded.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import analysis, constructions, seqfile
 from .dissemination import Objective, ObjectiveNotReached, run, sampled_run
 from .families import Model, ModelSpec, random_graph
 from .graphs import ProductTrace, to_dot
-from .search import DEFAULT_MEM_CAP, MemoryBudgetExceeded, exact_worst_case
+from .search import DEFAULT_MEM_CAP, MemoryBudgetExceeded, SearchStalled, exact_worst_case
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -305,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ObjectiveNotReached as exc:
+    except (ObjectiveNotReached, SearchStalled) as exc:
         return _error(exc, EXIT_NOT_REACHED)
     except MemoryBudgetExceeded as exc:
         return _error(exc, EXIT_FAIL)

@@ -118,21 +118,34 @@ def _reduced_rows(rows: tuple[int, ...]) -> list[int]:
     return kept
 
 
-def _first_cover(rows: Sequence[int], uncovered: int, budget: int, lo: int) -> Optional[list[int]]:
+def _first_cover(
+    rows: Sequence[int], uncovered: int, budget: int, lo: int, most: int
+) -> Optional[list[int]]:
     """The lexicographically smallest ascending list of ``budget`` indices
-    >= lo whose rows cover ``uncovered``, or None. The caller has proven
-    that no smaller budget covers it, so each chosen row adds something
-    still uncovered. Above budget 2 a row is chosen only once the later
-    rows are decided to complete it, so no dead end is searched through."""
+    >= lo whose rows cover ``uncovered``, or None. ``most`` is the largest
+    bit count of any row.
+
+    The caller has proven that no smaller budget covers it, so each chosen
+    row adds something still uncovered, and a row that leaves more than
+    ``(budget - 1) * most`` elements uncovered cannot be completed. With
+    these two prunes, budget 1 is one scan and budget 2 one scan per first
+    row, an exact decision by themselves. Above budget 2 a row is chosen
+    only once the later rows are decided to complete it, so no dead end is
+    searched through."""
     if budget == 1:
-        return next(([i] for i in range(lo, len(rows)) if rows[i] & uncovered == uncovered), None)
+        # a plain loop: next() over a generator takes longer here
+        for i in range(lo, len(rows)):
+            if rows[i] & uncovered == uncovered:
+                return [i]
+        return None
+    reach = (budget - 1) * most
     for i in range(lo, len(rows) - budget + 1):
         rest = uncovered & ~rows[i]
-        if rest == uncovered:
+        if rest == uncovered or rest.bit_count() > reach:
             continue
         if budget > 2 and not _cover_exists(_reduced_rows(rows[i + 1:]), rest, budget - 1):
             continue
-        found = _first_cover(rows, rest, budget - 1, i + 1)
+        found = _first_cover(rows, rest, budget - 1, i + 1, most)
         if found is not None:
             return [i] + found
     return None
@@ -140,21 +153,32 @@ def _first_cover(rows: Sequence[int], uncovered: int, budget: int, lo: int) -> O
 
 def cover_achieved(g: Graph, k: int) -> Optional[list[int]]:
     """A set I of at most k nodes whose out-rows jointly cover [n], if one
-    exists; None otherwise. The rows are dominance-reduced once and each
-    size 1..k is decided exactly by branch and bound on them; the witness
-    is the lexicographically smallest cover of the minimum size, found by
-    one ordered depth-first search over the original rows."""
+    exists; None otherwise. The witness is the lexicographically smallest
+    cover of the minimum size.
+
+    Sizes 1 and 2 are decided by the ordered witness search
+    (``_first_cover``) on the original rows, which finds that witness or
+    proves there is none. From size 3 on, the rows are dominance-reduced
+    once, each size is decided exactly by branch and bound on them, and the
+    witness is then found by one ordered search over the original rows."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = g.n
     fm = full_mask(n)
     rows = g.out_rows
-    if max(map(int.bit_count, rows)) * k < n:
+    most = max(map(int.bit_count, rows))
+    if most * k < n:
         return None  # k rows cannot reach n elements yet
-    reduced = _reduced_rows(rows)
-    for size in range(1, min(k, n) + 1):
-        if _cover_exists(reduced, fm, size):
-            return _first_cover(rows, fm, size, 0)
+    top = min(k, n)
+    for size in range(1, min(top, 2) + 1):
+        found = _first_cover(rows, fm, size, 0, most)
+        if found is not None:
+            return found
+    if top > 2:
+        reduced = _reduced_rows(rows)
+        for size in range(3, top + 1):
+            if _cover_exists(reduced, fm, size):
+                return _first_cover(rows, fm, size, 0, most)
     return None
 
 

@@ -192,19 +192,36 @@ def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph
             yield _rooted_tree(n, r, seq)
 
 
+def _codes_with_zeros(length: int, zeros: int, labels: int) -> Iterator[tuple[int, ...]]:
+    """Every code of ``length`` letters from range(labels) that holds 0
+    exactly ``zeros`` times, in lexicographic order: a letter at a time,
+    0 while zeros remain, then each other letter while enough places remain
+    for the zeros."""
+    if zeros == 0:
+        yield from itertools.product(range(1, labels), repeat=length)
+        return
+    for tail in _codes_with_zeros(length - 1, zeros - 1, labels):
+        yield (0,) + tail
+    if length > zeros:
+        for v in range(1, labels):
+            for tail in _codes_with_zeros(length - 1, zeros, labels):
+                yield (v,) + tail
+
+
 def enumerate_k_forests(n: int, k: int) -> Iterator[Graph]:
-    """All forests of k rooted trees spanning [n], each exactly once.
+    """All forests of k rooted trees spanning [n], each exactly once, in
+    the lexicographic order of their codes.
 
     These are the codes on n+1 labels that hold label 0 exactly k-1 times,
-    C(n-1, k-1) * n^(n-k) of them. A rooted tree is the k = 1 case.
+    C(n-1, k-1) * n^(n-k) of them, generated without visiting any other
+    code. A rooted tree is the k = 1 case.
     """
     if not 1 <= n <= ENUM_GUARD:
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n], got k={k}, n={n}")
-    for code in itertools.product(range(n + 1), repeat=n - 1):
-        if code.count(0) == k - 1:
-            yield _forest_from_code(n, code)
+    for code in _codes_with_zeros(n - 1, k - 1, n + 1):
+        yield _forest_from_code(n, code)
 
 
 def union_rows(n: int, graphs: Iterable[Graph]) -> list[int]:

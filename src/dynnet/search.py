@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from itertools import product as iproduct
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -21,6 +22,11 @@ DEFAULT_MEM_CAP = 2 << 30  # bytes
 
 class MemoryBudgetExceeded(RuntimeError):
     pass
+
+
+class SearchStalled(RuntimeError):
+    """An adversary move leaves a state whose objective does not hold
+    unchanged, so the adversary can delay the objective forever."""
 
 
 @dataclass
@@ -183,10 +189,8 @@ class _Search:
         self.kids = np.empty((self.batch, moves), dtype=dtype)
         self.gathered = np.empty((self.batch, moves), dtype=dtype)
         # (full row x for every compressed row, key shift of row x)
-        self.row_lookup = [
-            ([_insert_bit(c, x) for c in range(1 << self.width)], x * self.width)
-            for x in range(n)
-        ]
+        compressed = np.arange(1 << self.width, dtype=np.int64)
+        self.row_lookup = [(_insert_bit(compressed, x), x * self.width) for x in range(n)]
         self.full_rows = [self.row_mask << (x * self.width) for x in range(n)]
         self.set_bits = _popcounts(self.slice_bits)
         self.values = np.zeros(table_bytes, dtype=np.uint8)
@@ -199,8 +203,12 @@ class _Search:
         return key
 
     def unpack(self, key: int) -> list[int]:
+        return list(next(self.unpack_all(np.array([key]))))
+
+    def unpack_all(self, keys: np.ndarray) -> Iterator[tuple[int, ...]]:
+        """``unpack`` of every key, one array lookup per row."""
         mask = self.row_mask
-        return [rows[(key >> shift) & mask] for rows, shift in self.row_lookup]
+        return zip(*(rows[(keys >> shift) & mask].tolist() for rows, shift in self.row_lookup))
 
     @property
     def memo(self) -> dict[int, int]:
@@ -219,14 +227,18 @@ class _Search:
         return out
 
     def _terminal(self, keys: np.ndarray) -> np.ndarray:
-        """Whether the objective holds on each state in ``keys``."""
+        """Whether the objective holds on each state in ``keys``.
+
+        A cover is decided by one ``cover_achieved`` call per key, on the
+        rows that ``unpack_all`` restores for the whole array at once."""
         k = self.objective.k
         if self.objective.kind == "cover":
             n = self.n
-            return np.array(
-                [cover_achieved(graph_from_rows(n, self.unpack(key)), k) is not None
-                 for key in keys.tolist()],
+            return np.fromiter(
+                (cover_achieved(graph_from_rows(n, rows), k) is not None
+                 for rows in self.unpack_all(keys)),
                 dtype=bool,
+                count=keys.size,
             )
         # broadcast and k-broadcast: at least k full rows
         full = np.zeros(keys.size, dtype=np.uint8)
@@ -272,7 +284,7 @@ class _Search:
                         expanded.append((base, c))
                         for batch in self._batches(keys):
                             self._expand(batch)
-        except RuntimeError:
+        except SearchStalled:
             # a stalled search leaves the states it reached unsolved
             for base in range(0, values.size, size):
                 part = values[base : base + size]
@@ -289,7 +301,7 @@ class _Search:
         kids.sort(axis=1)
         # children are supersets of the state, so the state sorts first
         if (kids[:, 0] == keys).any():
-            raise RuntimeError(
+            raise SearchStalled(
                 "adversary move without progress; family is not rooted enough"
             )
         distinct = keys.size + np.count_nonzero(kids[:, 1:] != kids[:, :-1])
@@ -342,7 +354,8 @@ def exact_worst_case(
     its ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and
     at most the largest bit-count group of a slice. The search runs on one
     thread; ``threads`` is accepted for callers that pass 1, and any other
-    value raises ValueError.
+    value raises ValueError. Raises SearchStalled when a move leaves a state
+    the objective does not hold on unchanged.
     """
     if threads != 1:
         raise ValueError(f"exact search runs on one thread, got threads={threads}")
@@ -396,7 +409,7 @@ def worst_case_reference(spec: ModelSpec, objective: Objective) -> int:
         for mv in moves:
             child = compose_rows(rows, mv)
             if child == rows:
-                raise RuntimeError("adversary move without progress")
+                raise SearchStalled("adversary move without progress")
             best = max(best, f(child))
         return best + 1
 

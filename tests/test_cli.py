@@ -181,6 +181,15 @@ class TestCliExitCodes:
         assert main(["search", "--model", "tree", "--n", "4",
                      "--objective", "broadcast", "--mem-cap", "5000"]) == 1
 
+    def test_search_stall_exits_3_without_traceback(self, capsys):
+        # a 2-forest can leave every node's broadcast unchanged, forever
+        assert main(["search", "--model", "forest", "--n", "3", "--k", "2",
+                     "--objective", "broadcast"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: adversary move without progress")
+        assert captured.err.count("\n") == 1
+
     def test_mem_cap_from_environment(self, tmp_path, monkeypatch, capsys):
         search = ["search", "--model", "tree", "--n", "3", "--objective", "broadcast"]
         monkeypatch.setenv("DYNNET_MEM_CAP", "1e9")

@@ -11,6 +11,7 @@ from dynnet.families import (
     ENUM_GUARD,
     Model,
     ModelSpec,
+    _forest_from_code,
     enumerate_k_forests,
     enumerate_rooted_trees,
     forest_parents,
@@ -164,6 +165,15 @@ class TestEnumeration:
             assert len({g.out_rows for g in forests}) == len(forests)
             assert len(forests) == math.comb(n - 1, k - 1) * n ** (n - k)
             assert all(is_k_forest(g, k)[0] for g in forests)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_k_forests_follow_the_filtered_codes(self, n):
+        # the definition: every code on n+1 labels in lexicographic order,
+        # kept when it holds label 0 exactly k-1 times
+        for k in range(1, n + 1):
+            codes = [c for c in itertools.product(range(n + 1), repeat=n - 1) if c.count(0) == k - 1]
+            assert ([g.out_rows for g in enumerate_k_forests(n, k)]
+                    == [_forest_from_code(n, c).out_rows for c in codes]), k
 
     def test_one_forests_are_the_rooted_trees(self):
         for n in (1, 2, 3, 4, 5):

@@ -48,8 +48,13 @@ class TestExactWorstCase:
             (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2), 2, 805, 228),
             (ModelSpec(Model.K_FORESTS, 5, 2), Objective.cover(2), 4, 558_511, 1_660_730),
             (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2), 3, 1595, 24865),
+            # the one search whose cover decisions reach size 3
+            (ModelSpec(Model.K_FORESTS, 5, 3), Objective.cover(3), 2, 6841, 1470),
+            # a cover of size 1 is a broadcast, and a 1-forest a tree
+            (ModelSpec(Model.K_FORESTS, 4, 1), Objective.cover(1), 4, 2044, 10141),
         ],
-        ids=["trees-broadcast", "forests-cover", "forests-cover-n5", "rooted-kbroadcast"],
+        ids=["trees-broadcast", "forests-cover", "forests-cover-n5", "rooted-kbroadcast",
+             "3-forests-cover-n5", "1-forests-cover"],
     )
     def test_pinned_counts(self, spec, objective, value, states, hits):
         # the counts depend only on the reachable state space and the
@@ -296,8 +301,14 @@ class TestSweepsMatchRecursion:
             return cover_achieved(g, k)
 
         monkeypatch.setattr(search_module, "cover_achieved", counted)
+        spec = ModelSpec(Model.K_FORESTS, 4, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = exact_worst_case(ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2))
+            res = exact_worst_case(spec, Objective.cover(2))
         assert len(calls) == res.states_visited == 805
+        # the decided rows are exactly the unpacked solved keys
+        decided = sorted(g.out_rows for g in calls)
+        solved = search_module._Search(spec, Objective.cover(2), 2 << 30)
+        solved.value(solved.pack(identity(4).out_rows))
+        assert decided == sorted(tuple(solved.unpack(key)) for key in solved.memo)
 
