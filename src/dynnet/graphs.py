@@ -3,13 +3,15 @@
 A node set is a single machine word (Python int used as a 64-bit mask), so
 relational composition of two graphs is a word-parallel OR loop. All values
 are immutable after construction (a graph's transpose is derived on first
-read, except a forest's, which is its parent array and is stored at once).
+read, except a forest's, which is its parent array and is stored at once, and
+carries over when the self-loops are added).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 MAX_NODES = 64
@@ -43,7 +45,9 @@ class Graph:
     """Immutable digraph: ``out_rows[x]`` is the bitmask of out-neighbors of x.
 
     ``in_rows`` is the exact transpose, computed on first read and cached
-    (:func:`graph_from_parents` stores it at once); equality and hashing see ``n`` and ``out_rows`` only. Construct via
+    (:func:`graph_from_parents` stores it at once, and :func:`add_self_loops`
+    carries a cached one over); equality and hashing see ``n`` and
+    ``out_rows`` only. Construct via
     :func:`make_graph`, :func:`graph_from_rows` or :func:`graph_from_parents`;
     each guarantees that no bit at index >= n is set.
     """
@@ -140,10 +144,18 @@ def identity(n: int) -> Graph:
     return graph_from_rows(n, (1 << x for x in range(n)))
 
 
+# the diagonal, one bit per row; ``map`` stops at the shorter row tuple
+_DIAGONAL = tuple(1 << x for x in range(MAX_NODES))
+
+
 def add_self_loops(g: Graph) -> Graph:
+    """``g`` with a self-loop at every node; a cached transpose carries over."""
     if g.has_all_self_loops():
         return g
-    return graph_from_rows(g.n, (row | (1 << x) for x, row in enumerate(g.out_rows)))
+    looped = graph_from_rows(g.n, map(or_, g.out_rows, _DIAGONAL))
+    if "in_rows" in g.__dict__:
+        looped.__dict__["in_rows"] = tuple(map(or_, g.in_rows, _DIAGONAL))
+    return looped
 
 
 def product(a: Graph, b: Graph) -> Graph:

@@ -95,16 +95,39 @@ def _key_dtype(n: int) -> type:
     return np.int32 if n * (n - 1) <= 30 else np.int64
 
 
+def _successor_rows(n: int) -> int:
+    """Rows of the stacked successor tables: 2^(2(n-1)) for each row pair
+    and 2^(n-1) for the last row when n is odd."""
+    return (n // 2 << 2 * (n - 1)) + (n % 2 << (n - 1))
+
+
 def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
-    """succ[x, c, j] = row x of the child under move j when row x of the
-    state is ``c``, both without the diagonal, shifted to its key position."""
+    """Child key parts, one table per row pair (x, x+1) for even x and one
+    for the last row alone when n is odd, stacked in that order.
+
+    A part's index is its key bits: 2(n-1) consecutive bits for a pair,
+    n-1 for the last row. Entry (part offset + index, j) is that part of
+    the child's key under move j, shifted to its key position, so the child
+    key is the sum of one entry per part."""
     table = _move_table(moves, n)
     width = n - 1
     compressed = np.arange(1 << width, dtype=np.uint64)
-    succ = np.empty((n, 1 << width, len(moves)), dtype=_key_dtype(n))
-    for x in range(n):
+    dtype = _key_dtype(n)
+
+    def row_table(x: int) -> np.ndarray:
+        """[c, j] = row x of the child under move j when row x of the state
+        is ``c``, both without the diagonal, shifted to its key position."""
         child_rows = table[:, _insert_bit(compressed, x)].T
-        succ[x] = _drop_bit(child_rows, x) << (x * width)
+        return (_drop_bit(child_rows, x) << (x * width)).astype(dtype)
+
+    pairs = n // 2
+    succ = np.empty((_successor_rows(n), len(moves)), dtype=dtype)
+    for p in range(pairs):
+        # index high * 2^width + low for the state rows (2p + 1, 2p) = (high, low)
+        part = succ[p << 2 * width : (p + 1) << 2 * width].reshape(1 << width, 1 << width, -1)
+        np.add(row_table(2 * p + 1)[:, None], row_table(2 * p)[None], out=part)
+    if n % 2:
+        succ[pairs << 2 * width :] = row_table(n - 1)
     return succ
 
 
@@ -132,23 +155,29 @@ class _Search:
 
     Values live in a dense uint8 table indexed by key that holds the value
     plus 1; 0 means not solved yet. The children of a batch of states under
-    every move are gathered at once: row x of each state picks a row of
-    ``_successor_tables``, and the child key is the sum of the n picks.
+    every move are gathered at once from ``_successor_tables``: each row
+    pair (x, x+1), x even, is 2(n-1) consecutive key bits (one key byte at
+    n=5) and picks a row of its pair table, the last row of an odd n picks
+    a row of its own table, and the child key is the sum of the ceil(n/2)
+    picks.
 
     A child is a strict superset of its parent, so it has a larger key and
     more set bits. The table is cut into slices of 2^16 consecutive keys
     (one slice when it is smaller), and inside a slice the keys are grouped
     by bit count; walking slices by ascending key and, inside each, groups
-    by ascending bit count visits every parent before its children. ``_solve`` makes two sweeps in that
-    order:
+    by ascending bit count visits every parent before its children.
+    ``_solve`` makes two sweeps in that order:
 
     - ascending: each group's PENDING states are expanded in batches. Their
       fresh children are deduplicated and decided once each against the
       objective (``_terminal``): a terminal child gets entry 1, any other
-      child PENDING, to be expanded when the sweep reaches its group;
-    - descending: the same groups in reverse order, each PENDING state
-      gets 1 + the largest entry among its children, which are all valued
-      by then.
+      child PENDING, to be expanded when the sweep reaches its group. A
+      state whose children are then all terminal needs one round and gets
+      entry 2 at once (132,120 of the 200,661 expanded states of trees at
+      n=5);
+    - descending: the same groups in reverse order, each state still
+      PENDING gets 1 + the largest entry among its children, which are all
+      valued by then.
 
     ``memo_hits`` counts each distinct child of an expanded state that was
     already solved or reached, which is the sum over expanded states of
@@ -180,12 +209,15 @@ class _Search:
             "value, move and successor tables and batch buffers",
             table_bytes
             + moves * (1 << n) * 8
-            + n * (1 << self.width) * moves * itemsize
+            + _successor_rows(n) * moves * itemsize
             # two key buffers and at most four key-sized temporaries per entry
             + self.batch * moves * 6 * itemsize,
             mem_cap_bytes,
         )
-        self.succ = _successor_tables(self.moves, n).reshape(n << self.width, -1)
+        self.succ = _successor_tables(self.moves, n)
+        # (table offset, key shift) of every part after the first
+        self.parts = [(p << 2 * self.width, 2 * p * self.width) for p in range(1, (n + 1) // 2)]
+        self.part_mask = full_mask(2 * self.width)
         self.kids = np.empty((self.batch, moves), dtype=dtype)
         self.gathered = np.empty((self.batch, moves), dtype=dtype)
         # (full row x for every compressed row, key shift of row x)
@@ -218,12 +250,12 @@ class _Search:
 
     def _gather(self, keys: np.ndarray) -> np.ndarray:
         """out[i, j] = the child of keys[i] under move j, in the batch buffer."""
-        w, mask = self.width, self.row_mask
-        out, row = self.kids[: keys.size], self.gathered[: keys.size]
+        mask = self.part_mask
+        out, part = self.kids[: keys.size], self.gathered[: keys.size]
         np.take(self.succ, keys & mask, axis=0, out=out)
-        for x in range(1, self.n):
-            np.take(self.succ, (x << w) | ((keys >> (x * w)) & mask), axis=0, out=row)
-            out += row
+        for offset, shift in self.parts:
+            np.take(self.succ, offset | ((keys >> shift) & mask), axis=0, out=part)
+            out += part
         return out
 
     def _terminal(self, keys: np.ndarray) -> np.ndarray:
@@ -285,7 +317,8 @@ class _Search:
                         for batch in self._batches(keys):
                             self._expand(batch)
         except SearchStalled:
-            # a stalled search leaves the states it reached unsolved
+            # a stalled search leaves the states it reached unsolved, except
+            # the terminal and one-round ones, whose values are exact
             for base in range(0, values.size, size):
                 part = values[base : base + size]
                 part[part == PENDING] = 0
@@ -313,6 +346,9 @@ class _Search:
         fresh = fresh[first]
         self.memo_hits += int(distinct) - fresh.size
         values[fresh] = np.where(self._terminal(fresh), 1, PENDING)
+        # every child is now valued or PENDING; with all of them terminal,
+        # the state needs one round and the descending sweep skips it
+        values[keys[values.take(kids).max(axis=1) == 1]] = 2
 
 
 def _charge(what: str, nbytes: int, mem_cap_bytes: int) -> None:
@@ -348,8 +384,9 @@ def exact_worst_case(
     value table (2^(n(n-1)) bytes) exceeds ``mem_cap_bytes``, and before
     building the successor tables when the value table plus the move table
     (``moves * 2^n * 8`` bytes), the successor tables
-    (``n * 2^(n-1) * moves * w`` bytes, with key width w = 4 bytes when
-    n(n-1) <= 30 and 8 otherwise) and the batch buffers
+    (``floor(n/2) * 2^(2(n-1)) * moves * w`` bytes for the row pairs, plus
+    ``2^(n-1) * moves * w`` for the last row when n is odd, with key width
+    w = 4 bytes when n(n-1) <= 30 and 8 otherwise) and the batch buffers
     (``6 * batch * moves * w`` bytes) do. A batch is as many states as keep
     its ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and
     at most the largest bit-count group of a slice. The search runs on one

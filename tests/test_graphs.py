@@ -92,6 +92,19 @@ class TestSelfLoops:
         g = add_self_loops(make_graph(3, [(0, 1), (1, 2)]))
         assert g.out_set(0) == {0, 1} and g.out_set(2) == {2}
 
+    def test_cached_transpose_carries_over(self):
+        # a forest's stored in-rows gain the diagonal; other graphs still
+        # derive theirs on first read
+        rnd = random.Random(3)
+        for k in (1, 2, 3):
+            raw = random_graph(ModelSpec(Model.K_FORESTS, 9, k), rnd.randrange(1 << 30))
+            looped = add_self_loops(raw)
+            assert "in_rows" in looped.__dict__
+            assert looped.in_rows == graph_from_rows(9, looped.out_rows).in_rows
+        looped = add_self_loops(make_graph(3, [(0, 1)]))
+        assert "in_rows" not in looped.__dict__
+        assert looped.in_rows == (1, 3, 4)
+
 
 class TestProduct:
     def test_one_relay(self):

@@ -170,10 +170,10 @@ class TestExactWorstCase:
 
     def test_charge_covers_successor_and_move_tables(self):
         # trees at n=4: 4,096 table bytes + 64 moves * 2^4 * 8 for the move
-        # table + 4 * 2^3 * 64 * 4 for the int32 successor tables + 6 * 512
-        # rows * 64 * 4 for the batch buffers
+        # table + 2 * 2^6 * 64 * 4 for the int32 row-pair successor tables
+        # + 6 * 512 rows * 64 * 4 for the batch buffers
         res = exact_worst_case(
-            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=806_912
+            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=831_488
         )
         assert (res.value, res.states_visited) == (4, 2044)
 
@@ -184,8 +184,31 @@ class TestExactWorstCase:
         monkeypatch.setattr(search_module, "_successor_tables", build_tables)
         with pytest.raises(MemoryBudgetExceeded):
             exact_worst_case(
-                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=806_911
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=831_487
             )
+
+    @pytest.mark.parametrize(
+        "n, total, succ_bytes",
+        [
+            # 64 table bytes + 9 moves * 2^3 * 8 + (2^4 + 2^2) * 9 * 4 for the
+            # pair table and the last row's + 6 * 20 rows * 9 * 4
+            (3, 5_680, 720),
+            # the README's sum for the 625 trees: 2^20 + 625 * 2^5 * 8
+            # + (2 * 2^8 + 2^4) * 625 * 4 + 6 * 52 * 625 * 4
+            (5, 3_308_576, 1_320_000),
+        ],
+    )
+    def test_odd_n_charges_the_last_row_alone(self, monkeypatch, n, total, succ_bytes):
+        spec = ModelSpec(Model.TREES, n)
+        built = search_module._Search(spec, Objective.broadcast(), total)
+        assert built.succ.nbytes == succ_bytes
+
+        def build_tables(moves, n):
+            pytest.fail("successor tables built before the budget check")
+
+        monkeypatch.setattr(search_module, "_successor_tables", build_tables)
+        with pytest.raises(MemoryBudgetExceeded):
+            search_module._Search(spec, Objective.broadcast(), total - 1)
 
     def test_more_than_one_thread_rejected(self):
         with pytest.raises(ValueError, match="one thread"):
@@ -257,11 +280,47 @@ class TestTerminalMatchesWitness:
             assert decided == expected, other
 
 
+class TestGatherMatchesCompose:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(Model.TREES, 3),
+            ModelSpec(Model.K_FORESTS, 3, 2),
+            ModelSpec(Model.K_ROOTED, 3, 2),
+            ModelSpec(Model.TREES, 4),
+            ModelSpec(Model.K_FORESTS, 4, 2),
+            ModelSpec(Model.K_ROOTED, 4, 2),
+            ModelSpec(Model.TREES, 5),
+        ],
+        ids=["trees-n3", "forests-n3", "rooted-n3", "trees-n4", "forests-n4", "rooted-n4",
+             "trees-n5"],
+    )
+    def test_every_move_on_sampled_states(self, spec):
+        # states reached by random play from the identity; odd n gathers the
+        # last row from a table of its own
+        search = search_module._Search(spec, Objective.broadcast(), 2 << 30)
+        moves = [add_self_loops(g) for g in search.moves]
+        rnd = random.Random(spec.n)
+        states = []
+        for _ in range(16):
+            rows = identity(spec.n).out_rows
+            for _ in range(rnd.randrange(spec.n + 1)):
+                rows = compose_rows(rows, rnd.choice(moves))
+            states.append(rows)
+        keys = np.array([search.pack(rows) for rows in states], dtype=search.kids.dtype)
+        expected = [[search.pack(compose_rows(rows, mv)) for mv in moves] for rows in states]
+        assert search._gather(keys).tolist() == expected
+
+
 class TestSweepsMatchRecursion:
     CASES = [
         (ModelSpec(Model.TREES, 4), Objective.broadcast()),
         (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2)),
         (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2)),
+        # odd n; against 2-forests the identity itself needs one round
+        (ModelSpec(Model.TREES, 3), Objective.broadcast()),
+        (ModelSpec(Model.K_FORESTS, 3, 2), Objective.cover(2)),
+        (ModelSpec(Model.K_ROOTED, 3, 2), Objective.k_broadcast(2)),
     ]
 
     @staticmethod
@@ -283,7 +342,9 @@ class TestSweepsMatchRecursion:
         return memo
 
     @pytest.mark.parametrize("spec, objective", CASES,
-                             ids=["trees-broadcast", "forests-cover", "rooted-kbroadcast"])
+                             ids=["trees-broadcast", "forests-cover", "rooted-kbroadcast",
+                                  "trees-broadcast-n3", "forests-cover-n3",
+                                  "rooted-kbroadcast-n3"])
     def test_table_equals_recursion(self, spec, objective):
         # the solved keys are exactly the reachable states, each with its value
         expected = self.recursion(spec, objective)
