@@ -82,7 +82,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "out": args.out,
         "rounds": len(out.seq),
         "claimed_time": out.claimed_time,
-        "claimed_time_main_text": out.claimed_time_main,
+        # the paper states each bound in a second form, equal to the first
+        "claimed_time_main_text": out.claimed_time,
     })
     return EXIT_OK
 
@@ -129,11 +130,14 @@ def _parse_grid(text: str) -> tuple[range, range]:
     spans = {}
     for part in text.split(","):
         key, _, val = part.partition("=")
+        key = key.strip()
+        if key not in ("n", "k") or key in spans:
+            raise ValueError(f"grid {text!r}: unknown or repeated key {key!r}")
         lo, _, hi = val.partition("..")
         span = range(int(lo), int(hi or lo) + 1)
         if not span:
             raise ValueError(f"grid {text!r}: empty range {part!r}")
-        spans[key.strip()] = span
+        spans[key] = span
     if "n" not in spans:
         raise ValueError(f"grid {text!r} needs at least n=lo..hi")
     return spans["n"], spans.get("k", range(1, 4))

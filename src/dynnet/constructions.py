@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import _ceil_div, bounds_for
+from .analysis import bounds_for
 from .dissemination import RoundSequence
 from .families import Model, ModelSpec
 from .graphs import Graph, make_graph
@@ -37,11 +37,7 @@ from .graphs import Graph, make_graph
 @dataclass(frozen=True)
 class ConstructionOutput:
     seq: RoundSequence
-    # the two fields put the ceiling around the whole expression vs around
-    # the fraction alone; integer offsets commute with ceilings, so they
-    # agree, and both are reported
-    claimed_time: int
-    claimed_time_main: int
+    claimed_time: int  # the family's lower bound, or n-1 for the cycle
 
 
 def _tree_phase_graphs(n: int) -> list[tuple[Graph, int]]:
@@ -75,9 +71,7 @@ def trees_lower_bound(n: int) -> ConstructionOutput:
     if n < 3:
         raise ValueError("tree lower-bound schedule needs n >= 3")
     seq = _schedule(ModelSpec(Model.TREES, n), _tree_phase_graphs(n))
-    claimed = _ceil_div(3 * n - 1 - 4, 2)          # ceil((3n-1)/2 - 2)
-    claimed_main = _ceil_div(3 * n - 1, 2) - 2     # ceil((3n-1)/2) - 2
-    return ConstructionOutput(seq, claimed, claimed_main)
+    return ConstructionOutput(seq, bounds_for(seq.spec).lower)
 
 
 def cover_lower_bound(n: int, k: int) -> ConstructionOutput:
@@ -89,9 +83,7 @@ def cover_lower_bound(n: int, k: int) -> ConstructionOutput:
         raise ValueError("k-forest lower-bound schedule needs n >= k + 2")
     phases = [(make_graph(n, g.edges()), reps) for g, reps in _tree_phase_graphs(n - k + 1)]
     seq = _schedule(ModelSpec(Model.K_FORESTS, n, k), phases)
-    claimed = _ceil_div(3 * n - 3 * k - 2, 2)          # ceil((3n-3k)/2 - 1)
-    claimed_main = _ceil_div(3 * (n - k), 2) - 1
-    return ConstructionOutput(seq, claimed, claimed_main)
+    return ConstructionOutput(seq, bounds_for(seq.spec).lower)
 
 
 def kroot_lower_bound(n: int, k: int) -> ConstructionOutput:
@@ -125,9 +117,7 @@ def kroot_lower_bound(n: int, k: int) -> ConstructionOutput:
 
     phases = [(expand(g), reps) for g, reps in _tree_phase_graphs(i)]
     seq = _schedule(ModelSpec(Model.K_ROOTED, n, k), phases)
-    claimed = _ceil_div(3 * n - 9 * k + 4, 2)          # ceil((3n-9k)/2 + 2)
-    claimed_main = _ceil_div(3 * (n - 3 * k), 2) + 2
-    return ConstructionOutput(seq, claimed, claimed_main)
+    return ConstructionOutput(seq, bounds_for(seq.spec).lower)
 
 
 def cycle_schedule(n: int, k: int) -> ConstructionOutput:
@@ -136,7 +126,7 @@ def cycle_schedule(n: int, k: int) -> ConstructionOutput:
     node knows all ids before round n-1."""
     cycle = make_graph(n, [(i, (i + 1) % n) for i in range(n)] if n > 1 else [])
     seq = _schedule(ModelSpec(Model.K_ROOTED, n, k), [(cycle, n - 1)])
-    return ConstructionOutput(seq, n - 1, n - 1)
+    return ConstructionOutput(seq, n - 1)
 
 
 def build(model: Model, n: int, k: int = 1) -> ConstructionOutput:

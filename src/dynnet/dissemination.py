@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .families import Model, ModelSpec, random_graph, validate_member
-from .graphs import Graph, ProductTrace, add_self_loops, bits, compose_rows, full_mask, graph_from_rows, identity
+from .graphs import Graph, ProductTrace, bits, compose_rows, full_mask, graph_from_rows, identity
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,10 @@ class Objective:
         """The objective's witness on the product with out-rows ``rows``, or
         None when it does not hold: the k smallest broadcasters (k = 1 for
         broadcast), or the cover ``cover_achieved`` reports."""
-        n = len(rows)
         if self.kind == "cover":
-            w = cover_achieved(graph_from_rows(n, rows), self.k)
+            w = cover_achieved(rows, self.k)
             return tuple(w) if w is not None else None
-        fm = full_mask(n)
+        fm = full_mask(len(rows))
         found = []
         for x, r in enumerate(rows):
             if r == fm:
@@ -67,10 +66,10 @@ class ObjectiveNotReached(Exception):
         self.final_product = final_product
 
 
-def broadcast_achieved(g: Graph) -> set[int]:
+def broadcast_achieved(rows: Sequence[int]) -> set[int]:
     """All nodes whose out-row covers every node (the broadcasters)."""
-    fm = full_mask(g.n)
-    return {x for x in range(g.n) if g.out_rows[x] == fm}
+    fm = full_mask(len(rows))
+    return {x for x, r in enumerate(rows) if r == fm}
 
 
 def _cover_exists(rows: list[int], uncovered: int, budget: int) -> bool:
@@ -151,10 +150,10 @@ def _first_cover(
     return None
 
 
-def cover_achieved(g: Graph, k: int) -> Optional[list[int]]:
-    """A set I of at most k nodes whose out-rows jointly cover [n], if one
-    exists; None otherwise. The witness is the lexicographically smallest
-    cover of the minimum size.
+def cover_achieved(rows: Sequence[int], k: int) -> Optional[list[int]]:
+    """A set I of at most k nodes whose out-rows ``rows`` jointly cover [n],
+    n = len(rows), if one exists; None otherwise. The witness is the
+    lexicographically smallest cover of the minimum size.
 
     Sizes 1 and 2 are decided by the ordered witness search
     (``_first_cover``) on the original rows, which finds that witness or
@@ -163,9 +162,8 @@ def cover_achieved(g: Graph, k: int) -> Optional[list[int]]:
     witness is then found by one ordered search over the original rows."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
-    n = g.n
+    n = len(rows)
     fm = full_mask(n)
-    rows = g.out_rows
     most = max(map(int.bit_count, rows))
     if most * k < n:
         return None  # k rows cannot reach n elements yet
@@ -182,10 +180,10 @@ def cover_achieved(g: Graph, k: int) -> Optional[list[int]]:
     return None
 
 
-def k_broadcast_achieved(g: Graph, k: int) -> Optional[list[int]]:
-    """The k smallest broadcaster ids if at least k nodes have full
-    out-rows; None otherwise. Raises ValueError when k < 1."""
-    w = Objective.k_broadcast(k).witness(g.out_rows)
+def k_broadcast_achieved(rows: Sequence[int], k: int) -> Optional[list[int]]:
+    """The k smallest broadcaster ids if at least k of the out-rows ``rows``
+    are full; None otherwise. Raises ValueError when k < 1."""
+    w = Objective.k_broadcast(k).witness(rows)
     return list(w) if w is not None else None
 
 
@@ -278,7 +276,7 @@ def _run_rounds(n: int, rounds: Iterable[Graph], objective: Objective) -> RunRes
     t = 0
     if witness is None:
         for t, raw in enumerate(rounds, start=1):
-            rows = compose_rows(rows, add_self_loops(raw))
+            rows = compose_rows(rows, raw)
             witness = objective.witness(rows)
             if witness is not None:
                 break

@@ -168,10 +168,11 @@ def product(a: Graph, b: Graph) -> Graph:
 
 
 def compose_rows(rows: tuple[int, ...], b: Graph) -> tuple[int, ...]:
-    """Out-rows of (rows graph) o b, without building a Graph. Hot path of
-    the simulator and the state-space search."""
+    """Out-rows of (rows graph) o (b with a self-loop at every node), without
+    building a Graph: row m becomes ``m | row_image(b.out_rows, m)``. One
+    round of the simulator and of the reference search, on the raw round."""
     brows = b.out_rows
-    return tuple([row_image(brows, m) for m in rows])
+    return tuple([m | row_image(brows, m) for m in rows])
 
 
 class ProductTrace:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dissemination import Objective, RoundSequence, cover_achieved
 from .families import Model, ModelSpec, enumerate_k_forests, enumerate_rooted_trees, union_rows
-from .graphs import Graph, add_self_loops, compose_rows, full_mask, graph_from_rows, identity
+from .graphs import Graph, compose_rows, full_mask, graph_from_rows, identity
 
 TREE_SEARCH_GUARD = 6
 OTHER_SEARCH_GUARD = 5
@@ -70,8 +70,7 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
 def _move_table(moves: list[Graph], n: int) -> np.ndarray:
     """table[j, mask] = OR of move j's loop-added out-rows over ``mask``."""
     rows = np.array(
-        [[add_self_loops(g).out_rows[i] for i in range(n)] for g in moves],
-        dtype=np.uint64,
+        [[r | 1 << i for i, r in enumerate(g.out_rows)] for g in moves], dtype=np.uint64
     )
     table = np.zeros((len(moves), 1 << n), dtype=np.uint64)
     for mask in range(1, 1 << n):
@@ -265,10 +264,8 @@ class _Search:
         rows that ``unpack_all`` restores for the whole array at once."""
         k = self.objective.k
         if self.objective.kind == "cover":
-            n = self.n
             return np.fromiter(
-                (cover_achieved(graph_from_rows(n, rows), k) is not None
-                 for rows in self.unpack_all(keys)),
+                (cover_achieved(rows, k) is not None for rows in self.unpack_all(keys)),
                 dtype=bool,
                 count=keys.size,
             )
@@ -437,7 +434,7 @@ def worst_case_reference(spec: ModelSpec, objective: Objective) -> int:
     """Memo-free recursive maximization; only sane for n <= 3."""
     if spec.n > 3:
         raise ValueError("reference search is for n <= 3")
-    moves = [add_self_loops(g) for g in family_moves(spec)]
+    moves = family_moves(spec)
 
     def f(rows: tuple[int, ...]) -> int:
         if objective.witness(rows) is not None:

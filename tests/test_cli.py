@@ -286,10 +286,12 @@ class TestCliExitCodes:
         ["verify", "--grid", "n=20..3"],
         ["verify", "--grid", "n=3..6,k=3..1"],
         ["verify", "--grid", "n=3..4,k=5..6", "--samples", "1"],
+        ["verify", "--grid", "n=3..4,K=1..2", "--samples", "1"],
+        ["verify", "--grid", "n=3..4,n=9", "--samples", "1"],
         ["search", "--model", "forest", "--n", "3", "--k", "0", "--objective", "cover"],
     ], ids=["construct-tree-k", "construct-k-over-n", "construct-k-zero",
             "verify-negative-samples", "verify-zero-samples", "verify-empty-n", "verify-empty-k",
-            "verify-k-over-n", "search-k-zero"])
+            "verify-k-over-n", "verify-unknown-key", "verify-repeated-key", "search-k-zero"])
     def test_invalid_request_exits_2(self, argv, tmp_path, capsys):
         out = tmp_path / "c.json"
         argv = argv + ["--out", str(out)] if argv[0] == "construct" else argv

@@ -16,6 +16,24 @@ from dynnet.dissemination import Objective, run
 from dynnet.families import Model, ModelSpec, is_k_forest, is_k_rooted, is_rooted_tree, roots_reaching_all
 
 
+class TestClaimedTime:
+    def test_is_the_lower_bound_in_every_cell(self):
+        # every cell ``build`` accepts up to n = 64; the cycle claims n-1
+        cells = 0
+        for model in Model:
+            for n in range(1, 65):
+                for k in [1] if model is Model.TREES else range(1, n + 1):
+                    try:
+                        out = build(model, n, k)
+                    except ValueError:  # no schedule for this (n, k)
+                        continue
+                    cycle = model is Model.K_ROOTED and n < 3 * k + 3
+                    expected = n - 1 if cycle else bounds_for(out.seq.spec).lower
+                    assert out.claimed_time == expected, (model, n, k)
+                    cells += 1
+        assert cells == 4095
+
+
 class TestTreesLowerBound:
     def test_n4_meets_formula(self):
         out = trees_lower_bound(4)
@@ -31,11 +49,6 @@ class TestTreesLowerBound:
         for n in (3, 4, 7, 12):
             out = trees_lower_bound(n)
             assert all(is_rooted_tree(g)[0] for g in out.seq.rounds)
-
-    def test_main_text_form_agrees(self):
-        for n in range(3, 40):
-            out = trees_lower_bound(n)
-            assert out.claimed_time == out.claimed_time_main
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -111,7 +124,7 @@ class TestCycleSchedule:
                 if n < 3 * k + 3:
                     out = build(Model.K_ROOTED, n, k)  # every round validated
                     assert out.seq.spec == ModelSpec(Model.K_ROOTED, n, k)
-                    assert out.claimed_time == out.claimed_time_main == n - 1
+                    assert out.claimed_time == n - 1
                     cells += 1
         assert cells == 1470
 

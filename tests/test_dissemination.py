@@ -44,34 +44,34 @@ def random_loopy_graph(n, rnd, density=0.35):
 
 class TestBroadcastAchieved:
     def test_identity_has_none(self):
-        assert broadcast_achieved(identity(3)) == set()
+        assert broadcast_achieved(identity(3).out_rows) == set()
 
     def test_complete_has_all(self):
         n = 4
         g = add_self_loops(
             make_graph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
         )
-        assert broadcast_achieved(g) == set(range(n))
+        assert broadcast_achieved(g.out_rows) == set(range(n))
 
     def test_star_after_one_round(self):
         star = add_self_loops(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
-        assert broadcast_achieved(star) == {0}
+        assert broadcast_achieved(star.out_rows) == {0}
 
     def test_n_equals_one(self):
-        assert broadcast_achieved(identity(1)) == {0}
+        assert broadcast_achieved(identity(1).out_rows) == {0}
 
 
 class TestCoverAchieved:
     def test_identity_covered_by_everyone(self):
         n = 5
-        assert cover_achieved(identity(n), n) == list(range(n))
+        assert cover_achieved(identity(n).out_rows, n) == list(range(n))
 
     def test_k1_matches_broadcast(self):
         rnd = random.Random(0)
         for _ in range(40):
             g = random_loopy_graph(6, rnd)
-            w = cover_achieved(g, 1)
-            bs = broadcast_achieved(g)
+            w = cover_achieved(g.out_rows, 1)
+            bs = broadcast_achieved(g.out_rows)
             if bs:
                 assert w == [min(bs)]
             else:
@@ -79,7 +79,7 @@ class TestCoverAchieved:
 
     def test_two_block_example(self):
         g = graph_from_rows(4, [0b0011, 0b0010, 0b1100, 0b1000])
-        assert cover_achieved(g, 2) == [0, 2]
+        assert cover_achieved(g.out_rows, 2) == [0, 2]
 
     def test_matches_brute_force(self):
         rnd = random.Random(1)
@@ -87,13 +87,13 @@ class TestCoverAchieved:
             n = rnd.randint(2, 12)
             g = random_loopy_graph(n, rnd, density=rnd.uniform(0.05, 0.5))
             for k in range(1, n + 1):
-                assert cover_achieved(g, k) == brute_force_cover(g, k), (g, k)
+                assert cover_achieved(g.out_rows, k) == brute_force_cover(g, k), (g, k)
 
     def test_sparse_needs_many(self):
         n = 6
         g = identity(n)
-        assert cover_achieved(g, n - 1) is None
-        assert cover_achieved(g, n) == list(range(n))
+        assert cover_achieved(g.out_rows, n - 1) is None
+        assert cover_achieved(g.out_rows, n) == list(range(n))
 
     def test_witness_search_skips_dead_ends(self):
         # 55 decoy rows each hold half of a 32-element block plus one more of
@@ -103,8 +103,8 @@ class TestCoverAchieved:
         blocks = [(1 << 32) - 1] + [0b1111 << (32 + 4 * j) for j in range(8)]
         decoys = [0xFFFF | 1 << (16 + d % 16) for d in range(n - len(blocks))]
         g = graph_from_rows(n, decoys + blocks)
-        assert cover_achieved(g, 8) is None
-        assert cover_achieved(g, 9) == list(range(55, 64))
+        assert cover_achieved(g.out_rows, 8) is None
+        assert cover_achieved(g.out_rows, 9) == list(range(55, 64))
 
     def test_every_state_of_the_forest_cover_search(self):
         # the products the exact search decides: every state solved by the
@@ -116,7 +116,7 @@ class TestCoverAchieved:
         for key in sorted(solved.memo):
             g = graph_from_rows(4, solved.unpack(key))
             for k in range(1, 5):
-                assert cover_achieved(g, k) == brute_force_cover(g, k), (g, k)
+                assert cover_achieved(g.out_rows, k) == brute_force_cover(g, k), (g, k)
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -132,7 +132,8 @@ class TestCoverAchieved:
             for t in range(max(0, reached - 3), reached + 1):
                 g = trace.product_at(t)
                 for size in range(1, 4):
-                    assert cover_achieved(g, size) == brute_force_cover(g, size), (seed, t, size)
+                    w = cover_achieved(g.out_rows, size)
+                    assert w == brute_force_cover(g, size), (seed, t, size)
 
 
 class TestKBroadcastAchieved:
@@ -141,18 +142,18 @@ class TestKBroadcastAchieved:
         g = add_self_loops(
             make_graph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
         )
-        assert k_broadcast_achieved(g, n) == list(range(n))
+        assert k_broadcast_achieved(g.out_rows, n) == list(range(n))
 
     def test_k1_matches_broadcast(self):
         rnd = random.Random(2)
         for _ in range(40):
             g = random_loopy_graph(5, rnd)
-            w = k_broadcast_achieved(g, 1)
-            bs = broadcast_achieved(g)
+            w = k_broadcast_achieved(g.out_rows, 1)
+            bs = broadcast_achieved(g.out_rows)
             assert (w == [min(bs)]) if bs else (w is None)
 
     def test_identity_absent(self):
-        assert k_broadcast_achieved(identity(3), 1) is None
+        assert k_broadcast_achieved(identity(3).out_rows, 1) is None
 
 
 def tree_seq(n, rounds):
@@ -196,9 +197,9 @@ class TestRun:
             rounds = [random_graph(spec, trial * 100 + t) for t in range(3 * n)]
             res = run(RoundSequence(spec, rounds), Objective.broadcast())
             trace = RoundSequence(spec, rounds).trace()
-            assert broadcast_achieved(trace.product_at(res.time))
+            assert broadcast_achieved(trace.product_at(res.time).out_rows)
             if res.time >= 1:
-                assert not broadcast_achieved(trace.product_at(res.time - 1))
+                assert not broadcast_achieved(trace.product_at(res.time - 1).out_rows)
 
     def test_witness_recheck_on_final_product(self):
         spec = ModelSpec(Model.K_FORESTS, 6, 2)

@@ -10,6 +10,7 @@ from dynnet.graphs import (
     ProductTrace,
     add_self_loops,
     bits,
+    compose_rows,
     full_mask,
     graph_from_rows,
     identity,
@@ -104,6 +105,21 @@ class TestSelfLoops:
         looped = add_self_loops(make_graph(3, [(0, 1)]))
         assert "in_rows" not in looped.__dict__
         assert looped.in_rows == (1, 3, 4)
+
+
+class TestComposeRows:
+    @pytest.mark.parametrize("model,k", [(Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_ROOTED, 2)],
+                             ids=["trees", "forests", "rooted"])
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_raw_round_composes_with_its_self_loops(self, model, k, n):
+        # on the identity and on every prefix product of a seeded draw
+        spec = ModelSpec(model, n, k)
+        rows = identity(n).out_rows
+        for seed in range(2 * n):
+            raw = random_graph(spec, seed)
+            looped = compose_rows(rows, add_self_loops(raw))
+            assert compose_rows(rows, raw) == looped, seed
+            rows = looped
 
 
 class TestProduct:

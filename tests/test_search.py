@@ -357,9 +357,9 @@ class TestSweepsMatchRecursion:
     def test_each_state_decided_once(self, monkeypatch):
         calls = []
 
-        def counted(g, k):
-            calls.append(g)
-            return cover_achieved(g, k)
+        def counted(rows, k):
+            calls.append(tuple(rows))
+            return cover_achieved(rows, k)
 
         monkeypatch.setattr(search_module, "cover_achieved", counted)
         spec = ModelSpec(Model.K_FORESTS, 4, 2)
@@ -368,7 +368,7 @@ class TestSweepsMatchRecursion:
             res = exact_worst_case(spec, Objective.cover(2))
         assert len(calls) == res.states_visited == 805
         # the decided rows are exactly the unpacked solved keys
-        decided = sorted(g.out_rows for g in calls)
+        decided = sorted(calls)
         solved = search_module._Search(spec, Objective.cover(2), 2 << 30)
         solved.value(solved.pack(identity(4).out_rows))
         assert decided == sorted(tuple(solved.unpack(key)) for key in solved.memo)
