@@ -120,29 +120,33 @@ def _reduced_rows(rows: tuple[int, ...]) -> list[int]:
 def _first_cover(
     rows: Sequence[int], uncovered: int, budget: int, lo: int, most: int
 ) -> Optional[list[int]]:
-    """The lexicographically smallest ascending list of ``budget`` indices
-    >= lo whose rows cover ``uncovered``, or None. ``most`` is the largest
-    bit count of any row.
+    """The lexicographically smallest ascending list of ``budget`` >= 2
+    indices >= lo whose rows cover ``uncovered``, or None. ``most`` is the
+    largest bit count of any row.
 
     The caller has proven that no smaller budget covers it, so each chosen
     row adds something still uncovered, and a row that leaves more than
     ``(budget - 1) * most`` elements uncovered cannot be completed. With
-    these two prunes, budget 1 is one scan and budget 2 one scan per first
-    row, an exact decision by themselves. Above budget 2 a row is chosen
-    only once the later rows are decided to complete it, so no dead end is
-    searched through."""
-    if budget == 1:
-        # a plain loop: next() over a generator takes longer here
-        for i in range(lo, len(rows)):
-            if rows[i] & uncovered == uncovered:
-                return [i]
+    these two prunes, budget 2 is one flat loop over pairs, an exact
+    decision by itself. Above budget 2 a row is chosen only once the later
+    rows are decided to complete it, so no dead end is searched through,
+    and the last two rows come from the pair loop."""
+    end = len(rows)
+    if budget == 2:
+        for i in range(lo, end - 1):
+            rest = uncovered & ~rows[i]
+            if rest == uncovered or rest.bit_count() > most:
+                continue
+            for j in range(i + 1, end):
+                if rows[j] & rest == rest:
+                    return [i, j]
         return None
     reach = (budget - 1) * most
-    for i in range(lo, len(rows) - budget + 1):
+    for i in range(lo, end - budget + 1):
         rest = uncovered & ~rows[i]
         if rest == uncovered or rest.bit_count() > reach:
             continue
-        if budget > 2 and not _cover_exists(_reduced_rows(rows[i + 1:]), rest, budget - 1):
+        if not _cover_exists(_reduced_rows(rows[i + 1:]), rest, budget - 1):
             continue
         found = _first_cover(rows, rest, budget - 1, i + 1, most)
         if found is not None:
@@ -153,30 +157,34 @@ def _first_cover(
 def cover_achieved(rows: Sequence[int], k: int) -> Optional[list[int]]:
     """A set I of at most k nodes whose out-rows ``rows`` jointly cover [n],
     n = len(rows), if one exists; None otherwise. The witness is the
-    lexicographically smallest cover of the minimum size.
+    lexicographically smallest cover of the minimum size. ``rows`` is a list
+    or tuple, and no row has a bit at index >= n (``graph_from_rows``
+    checks this), so a row covers [n] exactly when it equals the full mask.
 
-    Sizes 1 and 2 are decided by the ordered witness search
-    (``_first_cover``) on the original rows, which finds that witness or
-    proves there is none. From size 3 on, the rows are dominance-reduced
-    once, each size is decided exactly by branch and bound on them, and the
-    witness is then found by one ordered search over the original rows."""
+    Size 1 is that membership test, a scan in C. Size 2 is the ordered
+    witness search (``_first_cover``), a flat loop over pairs that finds
+    that witness or proves there is none. From size 3 on, the rows are
+    dominance-reduced once, each size is decided exactly by branch and bound
+    on them, and the witness is then found by one ordered search over the
+    original rows."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = len(rows)
     fm = full_mask(n)
+    if fm in rows:
+        return [rows.index(fm)]
+    if k == 1:
+        return None
     most = max(map(int.bit_count, rows))
     if most * k < n:
         return None  # k rows cannot reach n elements yet
-    top = min(k, n)
-    for size in range(1, min(top, 2) + 1):
-        found = _first_cover(rows, fm, size, 0, most)
-        if found is not None:
-            return found
-    if top > 2:
-        reduced = _reduced_rows(rows)
-        for size in range(3, top + 1):
-            if _cover_exists(reduced, fm, size):
-                return _first_cover(rows, fm, size, 0, most)
+    found = _first_cover(rows, fm, 2, 0, most)
+    if found is not None or k == 2:
+        return found
+    reduced = _reduced_rows(rows)
+    for size in range(3, min(k, n) + 1):
+        if _cover_exists(reduced, fm, size):
+            return _first_cover(rows, fm, size, 0, most)
     return None
 
 

@@ -261,7 +261,8 @@ class _Search:
         """Whether the objective holds on each state in ``keys``.
 
         A cover is decided by one ``cover_achieved`` call per key, on the
-        rows that ``unpack_all`` restores for the whole array at once."""
+        row tuples that ``unpack_all`` restores for the whole array at once;
+        most keys end in its size-1 membership test or size-2 pair loop."""
         k = self.objective.k
         if self.objective.kind == "cover":
             return np.fromiter(

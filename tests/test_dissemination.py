@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from dynnet import search as search_module
@@ -117,6 +119,45 @@ class TestCoverAchieved:
             g = graph_from_rows(4, solved.unpack(key))
             for k in range(1, 5):
                 assert cover_achieved(g.out_rows, k) == brute_force_cover(g, k), (g, k)
+
+    def test_witnesses_of_the_n5_forest_cover_search(self):
+        # the benchmark's search-cover traffic: every state solved by the
+        # 2-forest cover search at n=5, for cover sizes 1 to 3; the digest
+        # was taken before sizes 1 and 2 got their own decisions
+        spec = ModelSpec(Model.K_FORESTS, 5, 2)
+        solved = search_module._Search(spec, Objective.cover(2), 2 << 30)
+        solved.value(solved.pack(identity(5).out_rows))
+        keys = np.flatnonzero(solved.values)
+        assert keys.size == 558_511
+        digest = hashlib.sha256()
+        for rows in solved.unpack_all(keys):
+            for size in (1, 2, 3):
+                digest.update(repr(cover_achieved(rows, size)).encode())
+        assert digest.hexdigest() == (
+            "d255c83209d8b60ea367b2dc6ea69304fc6c1346d40657cdbaa831927c485bcf"
+        )
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize(
+        "rows, k, expected",
+        [
+            ([0b0011, 0b0110, 0b1100, 0b1001], 1, None),
+            ([0b0011, 0b0110, 0b1100, 0b1001], 2, [0, 2]),
+            ([0b00011, 0b00110, 0b01100, 0b11000, 0b11111], 1, [4]),
+            ([0b00011, 0b00110, 0b01100, 0b11000, 0b11111], 5, [4]),
+            ([0b1], 1, [0]),
+            ([0b1], 3, [0]),
+            ([0b001, 0b010, 0b100], 7, [0, 1, 2]),
+            ([0b0011, 0b0010, 0b0100, 0b1100], 9, [0, 3]),
+            ([0b00011, 0b00110, 0b00101, 0b00111, 0b11000], 2, [3, 4]),
+            ([0b00011, 0b00110, 0b00101, 0b00111, 0b01000], 2, None),
+        ],
+        ids=["k1-no-full-row", "pair", "full-row-last-k1", "full-row-last-k5", "n1-k1",
+             "n1-k3", "k-beyond-n", "k-beyond-n-pair", "pair-from-last-but-one",
+             "no-pair-from-last-but-one"],
+    )
+    def test_edge_cases(self, kind, rows, k, expected):
+        assert cover_achieved(kind(rows), k) == expected
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
