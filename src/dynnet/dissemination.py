@@ -8,7 +8,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .families import Model, ModelSpec, random_graph, validate_member
-from .graphs import Graph, ProductTrace, bits, compose_rows, full_mask, graph_from_rows, identity
+from .graphs import (
+    Graph,
+    ProductTrace,
+    _transpose,
+    bits,
+    compose_in_rows,
+    full_mask,
+    graph_from_rows,
+    identity,
+)
 
 
 @dataclass(frozen=True)
@@ -278,13 +287,16 @@ def sampled_run(spec: ModelSpec, seeds: Iterable[int]) -> RunResult:
 
 def _run_rounds(n: int, rounds: Iterable[Graph], objective: Objective) -> RunResult:
     """Compose raw rounds onto the identity until the objective holds,
-    reading no round past that one."""
-    rows = identity(n).out_rows
+    reading no round past that one. The product is kept as in-rows and
+    composed through each round's sparse in-rows; its transpose, the
+    out-rows, is what the objective is decided on."""
+    cols = rows = identity(n).out_rows
     witness = objective.witness(rows)
     t = 0
     if witness is None:
         for t, raw in enumerate(rounds, start=1):
-            rows = compose_rows(rows, raw)
+            cols = compose_in_rows(cols, raw.in_rows)
+            rows = _transpose(n, cols)
             witness = objective.witness(rows)
             if witness is not None:
                 break

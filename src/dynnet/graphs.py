@@ -1,16 +1,21 @@
 """Directed graphs on up to 64 labeled nodes, kept as bitset adjacency rows.
 
 A node set is a single machine word (Python int used as a 64-bit mask), so
-relational composition of two graphs is a word-parallel OR loop. All values
-are immutable after construction (a graph's transpose is derived on first
-read, except a forest's, which is its parent array and is stored at once, and
-carries over when the self-loops are added).
+relational composition of two graphs is a word-parallel OR loop. A running
+product is kept as in-rows and composed with one round by one step,
+:func:`compose_in_rows`, at one OR per edge of the round. The transpose packs
+the rows into one int and swaps its off-diagonal blocks with log2(size)
+masked delta swaps, so it costs a few big-int operations rather than one per
+edge. All values are immutable after construction (a graph's transpose is
+derived on first read, except a forest's, which is its parent array and is
+stored at once, and carries over when the self-loops are added).
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -86,12 +91,39 @@ class Graph:
         return f"Graph(n={self.n}, edges=[{es}], loops={loops})"
 
 
-def _transpose(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    cols = [0] * n
-    for u in range(n):
-        for v in bits(rows[u]):
-            cols[v] |= 1 << u
-    return tuple(cols)
+@cache
+def _delta_swaps(size: int) -> tuple[tuple[int, int], ...]:
+    """(delta, mask) of each block swap that transposes a size x size bit
+    matrix packed row by row into one int, bit (u, v) at u * size + v. At
+    block width j the mask holds each (u, v) with u & j == 0 and v & j != 0,
+    whose partner (u + j, v - j) sits delta = j * (size - 1) bits higher."""
+    swaps = []
+    j = size >> 1
+    while j:
+        row = sum(1 << v for v in range(size) if v & j)
+        mask = sum(row << u * size for u in range(size) if not u & j)
+        swaps.append((j * (size - 1), mask))
+        j >>= 1
+    return tuple(swaps)
+
+
+@cache
+def _layout(n: int) -> tuple[struct.Struct, tuple[tuple[int, int], ...]]:
+    """The packing of n rows, each padded to 8, 16, 32 or 64 columns, and
+    the delta swaps of that size."""
+    size, code = next(word for word in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if n <= word[0])
+    return struct.Struct(f"<{n}{code}"), _delta_swaps(size)
+
+
+def _transpose(n: int, rows: Sequence[int]) -> tuple[int, ...]:
+    """The transpose of the n x n bit matrix ``rows`` (no bit at index >= n):
+    entry v of the result has bit u exactly when ``rows[u]`` has bit v."""
+    layout, swaps = _layout(n)
+    x = int.from_bytes(layout.pack(*rows), "little")
+    for delta, mask in swaps:
+        t = (x ^ x >> delta) & mask
+        x ^= t ^ t << delta
+    return layout.unpack(x.to_bytes(layout.size, "little"))
 
 
 def graph_from_rows(n: int, out_rows: Iterable[int]) -> Graph:
@@ -169,10 +201,22 @@ def product(a: Graph, b: Graph) -> Graph:
 
 def compose_rows(rows: tuple[int, ...], b: Graph) -> tuple[int, ...]:
     """Out-rows of (rows graph) o (b with a self-loop at every node), without
-    building a Graph: row m becomes ``m | row_image(b.out_rows, m)``. One
-    round of the simulator and of the reference search, on the raw round."""
+    building a Graph: row m becomes ``m | row_image(b.out_rows, m)``, one OR
+    per set bit of the product. One round of the reference search, on the
+    raw round, and the out-row oracle of the tests; ``run`` composes on
+    in-rows with :func:`compose_in_rows`."""
     brows = b.out_rows
     return tuple([m | row_image(brows, m) for m in rows])
+
+
+def compose_in_rows(cols: Sequence[int], in_rows: Sequence[int]) -> tuple[int, ...]:
+    """In-rows of P o (G with a self-loop at every node), from the in-rows
+    ``cols`` of P and ``in_rows`` of G: entry y is
+    ``cols[y] | row_image(cols, in_rows[y])``, since in_{P o G}(y) is the
+    union of in_P(z) over z in in_G(y). One OR per edge of the round, so a
+    sparse round is cheap however dense the product is. ``in_rows`` may
+    carry the self-loops already."""
+    return tuple([c | row_image(cols, m) for c, m in zip(cols, in_rows)])
 
 
 class ProductTrace:
@@ -183,10 +227,10 @@ class ProductTrace:
     holds the in-rows of the product of rounds 1..t: entry y is the set of
     processes whose id y has heard after round t. Index 0 is the identity
     (every process knows only itself before round 1). Each prefix is
-    composed from the last one through the sparse round,
-    in_{P o G}(y) = union of in_P(z) over z in in_G(y), which costs one OR
-    per edge of the round. :meth:`product_at` builds the prefix as a Graph
-    on demand.
+    composed from the last one through the sparse round by
+    :func:`compose_in_rows`, the step ``run`` takes too, at one OR per edge
+    of the round. :meth:`product_at` builds the prefix as a Graph on demand,
+    through the delta-swap transpose.
     """
 
     __slots__ = ("n", "rounds", "prefix_in_rows")
@@ -202,7 +246,7 @@ class ProductTrace:
         cols = identity(n).out_rows
         prefixes = [cols]
         for g in self.rounds:
-            cols = tuple([row_image(cols, m) for m in g.in_rows])
+            cols = compose_in_rows(cols, g.in_rows)
             prefixes.append(cols)
         self.prefix_in_rows = prefixes
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dynnet import constructions
 from dynnet import search as search_module
 from dynnet.analysis import bounds_for
 from dynnet.dissemination import (
@@ -19,7 +20,7 @@ from dynnet.dissemination import (
     sampled_run,
 )
 from dynnet.families import Model, ModelSpec, enumerate_rooted_trees, random_graph
-from dynnet.graphs import add_self_loops, full_mask, graph_from_rows, identity, make_graph
+from dynnet.graphs import add_self_loops, compose_rows, full_mask, graph_from_rows, identity, make_graph
 
 
 def brute_force_cover(g, k):
@@ -201,6 +202,44 @@ def tree_seq(n, rounds):
     return RoundSequence(ModelSpec(Model.TREES, n), rounds)
 
 
+CANONICAL = {
+    Model.TREES: lambda k: Objective.broadcast(),
+    Model.K_FORESTS: Objective.cover,
+    Model.K_ROOTED: Objective.k_broadcast,
+}
+
+
+def out_row_run(n, rounds, objective):
+    """The run loop on out-rows: ``compose_rows`` then ``Objective.witness``
+    each round. Returns the time, the witness (None if not reached) and the
+    final out-rows."""
+    rows = identity(n).out_rows
+    witness = objective.witness(rows)
+    t = 0
+    for raw in rounds:
+        if witness is not None:
+            break
+        t += 1
+        rows = compose_rows(rows, raw)
+        witness = objective.witness(rows)
+    return t, witness, rows
+
+
+def assert_run_matches_out_rows(seq, objective):
+    """``run`` gives what the out-row loop gives; returns whether it reached
+    the objective."""
+    t, witness, rows = out_row_run(seq.spec.n, seq.rounds, objective)
+    if witness is None:
+        with pytest.raises(ObjectiveNotReached) as exc:
+            run(seq, objective)
+        assert exc.value.rounds_used == t
+        assert exc.value.final_product.out_rows == rows
+        return False
+    res = run(seq, objective)
+    assert (res.time, res.witness, res.final_product.out_rows) == (t, witness, rows)
+    return True
+
+
 class TestRun:
     def test_repeated_path_takes_n_minus_one(self):
         for n in (2, 3, 5, 8):
@@ -301,6 +340,56 @@ class TestRun:
                     sampled_run(spec, short)
                 assert exc.value.rounds_used == len(short)
                 assert exc.value.final_product == seq.trace().product_at(len(short))
+
+
+class TestRunMatchesOutRowLoop:
+    """``run`` composes on in-rows and transposes each round; the out-row
+    loop it replaced is the oracle."""
+
+    @pytest.mark.parametrize("model,k", [
+        (Model.TREES, 1), (Model.K_FORESTS, 1), (Model.K_FORESTS, 2), (Model.K_FORESTS, 3),
+        (Model.K_ROOTED, 1), (Model.K_ROOTED, 2), (Model.K_ROOTED, 3),
+    ])
+    def test_seeded_sequences(self, model, k):
+        for n in (1, 2, 3, 5, 8, 9, 16, 17, 33, 64):
+            if k > n:
+                continue
+            spec = ModelSpec(model, n, k)
+            horizon = bounds_for(spec).upper_int
+            rounds = [random_graph(spec, 1000 * n + t) for t in range(horizon)]
+            assert assert_run_matches_out_rows(RoundSequence(spec, rounds), CANONICAL[model](k))
+
+    @pytest.mark.parametrize("model,k", [
+        (Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_FORESTS, 3),
+        (Model.K_ROOTED, 2), (Model.K_ROOTED, 3),
+    ])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_certify_schedules(self, model, k, n):
+        seq = constructions.build(model, n, k).seq
+        assert assert_run_matches_out_rows(seq, CANONICAL[model](k))
+
+    @pytest.mark.parametrize("model,k", [(Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_ROOTED, 3)])
+    def test_not_reached(self, model, k):
+        # the schedule cut one round short, and with no rounds at all
+        seq = constructions.build(model, 40, k).seq
+        time = run(seq, CANONICAL[model](k)).time
+        for cut in (seq.rounds[:time - 1], []):
+            short = RoundSequence(seq.spec, cut)
+            assert not assert_run_matches_out_rows(short, CANONICAL[model](k))
+
+    @pytest.mark.parametrize("model,k", [(Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_ROOTED, 2)])
+    def test_sampled_run_reads_exactly_time_rounds(self, model, k):
+        spec = ModelSpec(model, 12, k)
+        for base in range(0, 500, 100):
+            drawn = []
+
+            def seeds():
+                for s in range(base, base + 100):
+                    drawn.append(s)
+                    yield s
+
+            res = sampled_run(spec, seeds())
+            assert len(drawn) == res.time >= 1
 
 
 class TestRoundSequenceValidation:

@@ -8,6 +8,7 @@ from dynnet.families import Model, ModelSpec, random_graph
 from dynnet.graphs import (
     Graph,
     ProductTrace,
+    _transpose,
     add_self_loops,
     bits,
     compose_rows,
@@ -79,6 +80,38 @@ class TestMakeGraph:
         assert hash(g) == hash(fresh)
         assert len({g, fresh}) == 1
         assert g != make_graph(5, [(0, 1)])
+
+
+def per_bit_transpose(n: int, rows) -> tuple[int, ...]:
+    """Reference transpose: one test per (u, v) bit."""
+    cols = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if rows[u] >> v & 1:
+                cols[v] |= 1 << u
+    return tuple(cols)
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_per_bit_loop(self, n):
+        # every packing width and its padding, on the structured matrices
+        # and on seeded random ones from nearly empty to nearly full
+        fm = full_mask(n)
+        rnd = random.Random(n)
+        cases = [(0,) * n, (fm,) * n, identity(n).out_rows]
+        for u in sorted({0, n // 2, n - 1}):
+            cases.append(tuple(fm if x == u else 0 for x in range(n)))
+            cases.append(tuple(rnd.getrandbits(n) if x == u else 0 for x in range(n)))
+        for density in (0.02, 0.1, 0.5, 0.9):
+            for _ in range(3):
+                cases.append(tuple(
+                    sum(1 << v for v in range(n) if rnd.random() < density) for _ in range(n)
+                ))
+        for rows in cases:
+            cols = _transpose(n, rows)
+            assert cols == per_bit_transpose(n, rows), (n, rows)
+            assert _transpose(n, cols) == rows, (n, rows)
 
 
 class TestSelfLoops:
