@@ -14,7 +14,7 @@ from .dissemination import (
     sampled_run,
 )
 from .families import Model, ModelSpec, random_graph
-from .graphs import Graph, ProductTrace, add_self_loops, in_set, make_graph, out_set, product
+from .graphs import Graph, ProductTrace, in_set, make_graph, out_set, product
 
 __all__ = [
     "Graph",
@@ -25,7 +25,6 @@ __all__ = [
     "ProductTrace",
     "RoundSequence",
     "RunResult",
-    "add_self_loops",
     "broadcast_achieved",
     "cover_achieved",
     "in_set",

@@ -316,7 +316,7 @@ def build_strict_sets(trace: ProductTrace, k: int, t_prime: int) -> StrictSetsTr
             t -= 1
             if t >= 1:
                 rows = trace.rounds[t - 1].in_rows
-                masks = [row_image(rows, m) for m in masks]
+                masks = [m | row_image(rows, m) for m in masks]
         if found is None:
             complete = False
             break

@@ -18,7 +18,7 @@ import warnings
 from . import analysis, constructions, seqfile
 from .dissemination import Objective, ObjectiveNotReached, run, sampled_run
 from .families import Model, ModelSpec, random_graph
-from .graphs import ProductTrace, to_dot
+from .graphs import MAX_NODES, ProductTrace, to_dot
 from .search import DEFAULT_MEM_CAP, MemoryBudgetExceeded, SearchStalled, exact_worst_case
 
 EXIT_OK = 0
@@ -181,9 +181,7 @@ def _verify_rows(ns: range, ks: range, samples: int, seed: int):
 
     rnd = random.Random(seed)
     spec = ModelSpec(Model.TREES, 7)
-    trace = ProductTrace.from_raw_rounds(
-        7, [random_graph(spec, seed + t) for t in range(25)]
-    )
+    trace = ProductTrace(7, [random_graph(spec, seed + t) for t in range(25)])
     roots = analysis.smallest_roots(trace)
     checks = {
         "duality": analysis.check_duality(trace, rnd, 2000),
@@ -211,6 +209,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ns, ks = _parse_grid(args.grid)
     if ks.start > ns[-1]:
         raise ValueError(f"grid {args.grid!r}: every k exceeds every n")
+    if ns[0] < 1 or ns[-1] > MAX_NODES:
+        raise ValueError(f"grid {args.grid!r}: n outside [1, {MAX_NODES}]")
     rows = []
     ok_all = True
     with warnings.catch_warnings():

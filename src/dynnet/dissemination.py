@@ -228,7 +228,7 @@ class RoundSequence:
         return len(self.rounds)
 
     def trace(self) -> ProductTrace:
-        return ProductTrace.from_raw_rounds(self.spec.n, self.rounds)
+        return ProductTrace(self.spec.n, self.rounds)
 
 
 @dataclass(frozen=True)

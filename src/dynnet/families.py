@@ -1,6 +1,7 @@
 """The three adversary graph families: rooted trees, k-forests, k-rooted
-digraphs. Validators operate on raw adversary graphs (no self-loops); the
-simulation engine adds the loops afterwards."""
+digraphs. Every graph here is a raw adversary round, without self-loops;
+the loops of the model are implied by each composition step in
+``graphs``, never added to a round."""
 
 from __future__ import annotations
 
@@ -271,6 +272,5 @@ def random_graph(spec: ModelSpec, seed: int) -> Graph:
 
 
 def forest_roots(g: Graph) -> list[int]:
-    """Tree roots of a forest round, tolerant of added self-loops: the nodes
-    whose only in-edge (if any) is their own loop."""
-    return [v for v in range(g.n) if g.in_rows[v] & ~(1 << v) == 0]
+    """Tree roots of a forest round: the nodes with an empty in-row."""
+    return [v for v, row in enumerate(g.in_rows) if not row]

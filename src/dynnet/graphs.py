@@ -8,7 +8,12 @@ the rows into one int and swaps its off-diagonal blocks with log2(size)
 masked delta swaps, so it costs a few big-int operations rather than one per
 edge. All values are immutable after construction (a graph's transpose is
 derived on first read, except a forest's, which is its parent array and is
-stored at once, and carries over when the self-loops are added).
+stored at once).
+
+Rounds are the adversary's raw graphs throughout. A process keeps what it
+has heard, so every composition step with a round implies a self-loop at
+every node of that round; no looped copy of a round is ever built.
+:func:`product` is plain relational composition and implies nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 MAX_NODES = 64
@@ -50,9 +54,8 @@ class Graph:
     """Immutable digraph: ``out_rows[x]`` is the bitmask of out-neighbors of x.
 
     ``in_rows`` is the exact transpose, computed on first read and cached
-    (:func:`graph_from_parents` stores it at once, and :func:`add_self_loops`
-    carries a cached one over); equality and hashing see ``n`` and
-    ``out_rows`` only. Construct via
+    (:func:`graph_from_parents` stores it at once); equality and hashing see
+    ``n`` and ``out_rows`` only. Construct via
     :func:`make_graph`, :func:`graph_from_rows` or :func:`graph_from_parents`;
     each guarantees that no bit at index >= n is set.
     """
@@ -81,9 +84,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.out_rows)
-
-    def has_all_self_loops(self) -> bool:
-        return all(row >> x & 1 for x, row in enumerate(self.out_rows))
 
     def __repr__(self) -> str:  # compact, for test failure output
         es = ",".join(f"{u}->{v}" for u, v in self.edges() if u != v)
@@ -176,20 +176,6 @@ def identity(n: int) -> Graph:
     return graph_from_rows(n, (1 << x for x in range(n)))
 
 
-# the diagonal, one bit per row; ``map`` stops at the shorter row tuple
-_DIAGONAL = tuple(1 << x for x in range(MAX_NODES))
-
-
-def add_self_loops(g: Graph) -> Graph:
-    """``g`` with a self-loop at every node; a cached transpose carries over."""
-    if g.has_all_self_loops():
-        return g
-    looped = graph_from_rows(g.n, map(or_, g.out_rows, _DIAGONAL))
-    if "in_rows" in g.__dict__:
-        looped.__dict__["in_rows"] = tuple(map(or_, g.in_rows, _DIAGONAL))
-    return looped
-
-
 def product(a: Graph, b: Graph) -> Graph:
     """Relational composition: (x, y) is an edge iff some z has (x, z) in
     ``a`` and (z, y) in ``b``."""
@@ -214,46 +200,38 @@ def compose_in_rows(cols: Sequence[int], in_rows: Sequence[int]) -> tuple[int, .
     ``cols`` of P and ``in_rows`` of G: entry y is
     ``cols[y] | row_image(cols, in_rows[y])``, since in_{P o G}(y) is the
     union of in_P(z) over z in in_G(y). One OR per edge of the round, so a
-    sparse round is cheap however dense the product is. ``in_rows`` may
-    carry the self-loops already."""
+    sparse round is cheap however dense the product is."""
     return tuple([c | row_image(cols, m) for c, m in zip(cols, in_rows)])
 
 
 class ProductTrace:
     """A round sequence together with its cumulative products.
 
-    ``rounds[t-1]`` is the round-t communication graph with self-loops
-    already added (rounds are 1-based throughout). ``prefix_in_rows[t]``
-    holds the in-rows of the product of rounds 1..t: entry y is the set of
-    processes whose id y has heard after round t. Index 0 is the identity
-    (every process knows only itself before round 1). Each prefix is
-    composed from the last one through the sparse round by
-    :func:`compose_in_rows`, the step ``run`` takes too, at one OR per edge
-    of the round. :meth:`product_at` builds the prefix as a Graph on demand,
-    through the delta-swap transpose.
+    ``rounds[t-1]`` is the adversary's round-t graph as given (rounds are
+    1-based throughout); every step below composes it with its implied
+    self-loops, so a round that carries the loops gives the same trace.
+    ``prefix_in_rows[t]`` holds the in-rows of the product of rounds 1..t:
+    entry y is the set of processes whose id y has heard after round t.
+    Index 0 is the identity (every process knows only itself before
+    round 1). Each prefix is composed from the last one through the sparse
+    round by :func:`compose_in_rows`, the step ``run`` takes too, at one OR
+    per edge of the round. :meth:`product_at` builds the prefix as a Graph
+    on demand, through the delta-swap transpose.
     """
 
     __slots__ = ("n", "rounds", "prefix_in_rows")
 
-    def __init__(self, n: int, rounds: list[Graph]):
-        for g in rounds:
-            if g.n != n:
-                raise ValueError("round graph node count mismatch")
-            if not g.has_all_self_loops():
-                raise ValueError("trace rounds must carry all self-loops")
+    def __init__(self, n: int, rounds: Iterable[Graph]):
         self.n = n
         self.rounds = list(rounds)
+        if any(g.n != n for g in self.rounds):
+            raise ValueError("round graph node count mismatch")
         cols = identity(n).out_rows
         prefixes = [cols]
         for g in self.rounds:
             cols = compose_in_rows(cols, g.in_rows)
             prefixes.append(cols)
         self.prefix_in_rows = prefixes
-
-    @classmethod
-    def from_raw_rounds(cls, n: int, raw_rounds: Iterable[Graph]) -> "ProductTrace":
-        """Build a trace from adversary graphs, adding the self-loops."""
-        return cls(n, [add_self_loops(g) for g in raw_rounds])
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -277,13 +255,14 @@ class ProductTrace:
             return 0
         if t == t2 + 1:
             return 1 << x
-        # In-neighborhood of x in G_t o ... o G_t2, computed by composing
-        # backwards: in_{A o B}(x) = union of in_A(z) over z in in_B(x).
+        # In-neighborhood of x in G_t o ... o G_t2, each round with its
+        # implied self-loops, computed by composing backwards:
+        # in_{A o B}(x) = union of in_A(z) over z in in_B(x).
         # Round 0 does not exist; the interval [0, t2] means [1, t2] with an
         # identity prepended, which changes nothing.
         m = 1 << x
         for tau in range(t2, max(t, 1) - 1, -1):
-            m = row_image(self.rounds[tau - 1].in_rows, m)
+            m |= row_image(self.rounds[tau - 1].in_rows, m)
         return m
 
     def out_mask(self, t: int, t2: int, x: int) -> int:
@@ -295,7 +274,7 @@ class ProductTrace:
             return 1 << x
         m = 1 << x
         for tau in range(max(t, 1), t2 + 1):
-            m = row_image(self.rounds[tau - 1].out_rows, m)
+            m |= row_image(self.rounds[tau - 1].out_rows, m)
         return m
 
 

@@ -18,6 +18,7 @@ from .families import Model, ModelSpec, forest_parents
 from .graphs import Graph, graph_from_parents, make_graph
 
 FORMAT_KEYS = {"n", "model", "k", "rounds", "repeat", "seed"}
+MAX_ROUNDS = 1 << 20  # rounds a repeat block may expand a file to
 
 
 def _int(value) -> int:
@@ -90,6 +91,9 @@ def from_json_dict(doc: dict) -> RoundSequence:
             lo, hi, times = _int(repeat["from"]), _int(repeat["to"]), _int(repeat["times"])
             if not (0 <= lo <= hi < len(rounds)) or times < 1:
                 raise ValueError(f"bad repeat block {repeat}")
+            expanded = len(rounds) + (hi + 1 - lo) * (times - 1)
+            if expanded > MAX_ROUNDS:
+                raise ValueError(f"repeat block expands to {expanded} rounds, over {MAX_ROUNDS}")
             rounds = rounds[:lo] + rounds[lo : hi + 1] * times + rounds[hi + 1 :]
     except KeyError as exc:
         raise ValueError(f"sequence file missing key {exc}") from exc

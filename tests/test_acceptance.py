@@ -144,7 +144,7 @@ def test_criterion_6_strict_sets_certificate():
         spec = ModelSpec(Model.K_FORESTS, n, k)
         horizon = ceil_beta(n) + 1
         base = 5_000_000 + runs * 7919
-        trace = ProductTrace.from_raw_rounds(
+        trace = ProductTrace(
             n, [random_graph(spec, base + t) for t in range(horizon)]
         )
         runs += 1
@@ -170,7 +170,7 @@ def test_criterion_7_rounds_graph_pigeonhole():
         horizon = ceil_one_plus_sqrt2(n)
         for i in range(20):
             base = 9_000_000 + (n * 20 + i) * 1009
-            trace = ProductTrace.from_raw_rounds(
+            trace = ProductTrace(
                 n, [random_graph(spec, base + t) for t in range(horizon)]
             )
             runs += 1
@@ -186,7 +186,7 @@ def test_criterion_7_rounds_graph_pigeonhole():
         spec = ModelSpec(Model.K_ROOTED, n, k)
         horizon = ceil_one_plus_sqrt2(n) + len(avoid)
         base = 11_000_000 + i * 2003
-        trace = ProductTrace.from_raw_rounds(
+        trace = ProductTrace(
             n, [random_graph(spec, base + t) for t in range(horizon)]
         )
         runs += 1
@@ -216,7 +216,7 @@ def test_criterion_8_lemma_micro_properties():
         length = rnd.randint(8, 3 * n)
         base = 13_000_000 + trace_idx * 4999
         trace_idx += 1
-        trace = ProductTrace.from_raw_rounds(
+        trace = ProductTrace(
             n, [random_graph(spec, base + t) for t in range(length)]
         )
         roots = smallest_roots(trace)

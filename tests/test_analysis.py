@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -22,20 +23,21 @@ from dynnet.analysis import (
     verify_strict_inequalities,
 )
 from dynnet.constructions import build
+from dynnet.dissemination import RoundSequence
 from dynnet.families import Model, ModelSpec, random_graph, reach_mask
-from dynnet.graphs import ProductTrace, full_mask, identity, make_graph, product
+from dynnet.graphs import ProductTrace, full_mask, graph_from_rows, identity, make_graph, product
 
 
 def tree_trace(n, length, seed):
     spec = ModelSpec(Model.TREES, n)
-    return ProductTrace.from_raw_rounds(
+    return ProductTrace(
         n, [random_graph(spec, seed * 7919 + t) for t in range(length)]
     )
 
 
 def forest_trace(n, k, length, seed):
     spec = ModelSpec(Model.K_FORESTS, n, k)
-    return ProductTrace.from_raw_rounds(
+    return ProductTrace(
         n, [random_graph(spec, seed * 104729 + t) for t in range(length)]
     )
 
@@ -130,7 +132,7 @@ class TestRoundsGraph:
     def test_repeated_star_round_indegree(self):
         n = 5
         star = make_graph(n, [(0, v) for v in range(1, n)])
-        trace = ProductTrace.from_raw_rounds(n, [star] * ceil_one_plus_sqrt2(n))
+        trace = ProductTrace(n, [star] * ceil_one_plus_sqrt2(n))
         rg = build_rounds_graph(trace)
         in_deg = rg.round_in_degrees()
         for t in range(1, rg.threshold + 1):
@@ -150,7 +152,7 @@ class TestRoundsGraph:
         n, k = 6, 3
         spec = ModelSpec(Model.K_ROOTED, n, k)
         length = ceil_one_plus_sqrt2(n) + 2
-        trace = ProductTrace.from_raw_rounds(
+        trace = ProductTrace(
             n, [random_graph(spec, 31 + t) for t in range(length)]
         )
         avoid = frozenset({0, 1})
@@ -182,13 +184,14 @@ class TestRoundsGraph:
 
 def reference_rounds_graph(trace, avoid):
     """The rounds graph's roots and edges, recomputed from the plain
-    ``product`` chain and read through out-rows."""
+    ``product`` chain over the looped rounds and read through out-rows."""
     n = trace.n
     round_count = ceil_one_plus_sqrt2(n) + len(avoid)
     threshold = ceil_sqrt2(n) + len(avoid)
     chain = [identity(n)]
     for g in trace.rounds[:round_count]:
-        chain.append(product(chain[-1], g))
+        looped = graph_from_rows(n, [row | 1 << x for x, row in enumerate(g.out_rows)])
+        chain.append(product(chain[-1], looped))
     roots = [
         min(x for x in range(n) if x not in avoid and reach_mask(g, x) == full_mask(n))
         for g in trace.rounds[:round_count]
@@ -216,6 +219,47 @@ def test_rounds_graph_matches_product_chain(model, k, avoid):
     trace = build(model, 16, k).seq.trace()
     rg = build_rounds_graph(trace, avoid)
     assert (rg.roots, rg.process_edges, rg.round_edges) == reference_rounds_graph(trace, avoid)
+
+
+def certificate_digest(trace, model, k):
+    """SHA-256 of the strict-sets certificate (its report, sets, marks and
+    pivots) of a k-forest trace, or of the rounds graph (roots and edges,
+    avoiding processes 0..k-2) of any other trace."""
+    if model is Model.K_FORESTS:
+        tr = build_strict_sets(trace, k, len(trace))
+        doc = [verify_strict_inequalities(tr).to_json_dict(), sorted(tr.sets.items()),
+               sorted(tr.t_marks.items()), sorted(tr.pivots.items())]
+    else:
+        rg = build_rounds_graph(trace, frozenset(range(k - 1)))
+        doc = [rg.roots, rg.process_edges, rg.round_edges]
+    return hashlib.sha256(repr(doc).encode()).hexdigest()
+
+
+class TestPinnedCertificates:
+    """The certificates of the benchmark's schedules at n = 16 and 32, and
+    of one seeded random k-forest trace, are byte-stable."""
+
+    @pytest.mark.parametrize("model,k,n,expected", [
+        (Model.TREES, 1, 16, "504ae5388eb63fe269606d2f4b5e73bf188845e1082f62d10b5e993dc73d5e0d"),
+        (Model.TREES, 1, 32, "860dc6b5aa732274bb4cfa60a8cba27a8c5026dcdb6ac0f01320c81b147fb26e"),
+        (Model.K_FORESTS, 2, 16, "cd9522bc239061af902992d779af648f85d9c4990066eae37ff31552851401e9"),
+        (Model.K_FORESTS, 2, 32, "692a18ad611754c6a1ea1f63a1790d80540dc56fb559881c450cac1f16425eb3"),
+        (Model.K_FORESTS, 3, 16, "302c4e5dee07a3cbf87f46667df034eba47058c9bc060eec0200a38e6e6198e0"),
+        (Model.K_FORESTS, 3, 32, "4e0f3a8b8e6d6c64c902f618e57d17c21cff13a96e944da49913810429dc2491"),
+        (Model.K_ROOTED, 2, 16, "f5d2b98dc1df1eeeff37fa0db1e71d2a0c660bda0cf51dd25e071592a101133e"),
+        (Model.K_ROOTED, 2, 32, "7bc4d02faebfdf19e8f8958790a1df0299183e1fa3bfc8783e6660ff5761a0c8"),
+        (Model.K_ROOTED, 3, 16, "d558616f449907e6d2aed2db4f6196c83ae256699b498e7d7b3c5726f7d07bb0"),
+        (Model.K_ROOTED, 3, 32, "a84a5e9092200c39137fc4f95305b47920979ea6d20ad1fa088f2391e36a9d44"),
+    ])
+    def test_schedule(self, model, k, n, expected):
+        assert certificate_digest(build(model, n, k).seq.trace(), model, k) == expected
+
+    def test_random_forest_trace(self):
+        spec = ModelSpec(Model.K_FORESTS, 32, 3)
+        horizon = bounds_for(spec).upper_int
+        seq = RoundSequence(spec, [random_graph(spec, 20221118 + t) for t in range(horizon)])
+        digest = certificate_digest(seq.trace(), Model.K_FORESTS, 3)
+        assert (horizon, digest) == (86, "96620fcac521f280df74b751a8b1eec6a59919e1be82de7100196d0ee34e0a28")
 
 
 class TestStrictSets:

@@ -59,6 +59,14 @@ class TestSequenceFiles:
         with pytest.raises(ValueError):
             seqfile.from_json_dict(doc)
 
+    def test_repeat_past_the_round_cap_rejected(self):
+        # one round repeated to one more than the cap; refused before the
+        # expanded list is built
+        doc = {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]],
+               "repeat": {"from": 0, "to": 0, "times": seqfile.MAX_ROUNDS + 1}}
+        with pytest.raises(ValueError, match="repeat block expands"):
+            seqfile.from_json_dict(doc)
+
     def test_cyclic_parent_array_rejected(self):
         doc = {"n": 3, "model": "tree", "rounds": [[1, 0, -1]]}
         with pytest.raises(ValueError):
@@ -288,10 +296,13 @@ class TestCliExitCodes:
         ["verify", "--grid", "n=3..4,k=5..6", "--samples", "1"],
         ["verify", "--grid", "n=3..4,K=1..2", "--samples", "1"],
         ["verify", "--grid", "n=3..4,n=9", "--samples", "1"],
+        ["verify", "--grid", "n=63..65", "--samples", "1"],
+        ["verify", "--grid", "n=0..3", "--samples", "1"],
         ["search", "--model", "forest", "--n", "3", "--k", "0", "--objective", "cover"],
     ], ids=["construct-tree-k", "construct-k-over-n", "construct-k-zero",
             "verify-negative-samples", "verify-zero-samples", "verify-empty-n", "verify-empty-k",
-            "verify-k-over-n", "verify-unknown-key", "verify-repeated-key", "search-k-zero"])
+            "verify-k-over-n", "verify-unknown-key", "verify-repeated-key", "verify-n-over-64",
+            "verify-n-below-1", "search-k-zero"])
     def test_invalid_request_exits_2(self, argv, tmp_path, capsys):
         out = tmp_path / "c.json"
         argv = argv + ["--out", str(out)] if argv[0] == "construct" else argv

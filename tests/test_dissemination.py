@@ -20,7 +20,7 @@ from dynnet.dissemination import (
     sampled_run,
 )
 from dynnet.families import Model, ModelSpec, enumerate_rooted_trees, random_graph
-from dynnet.graphs import add_self_loops, compose_rows, full_mask, graph_from_rows, identity, make_graph
+from dynnet.graphs import compose_rows, full_mask, graph_from_rows, identity, make_graph
 
 
 def brute_force_cover(g, k):
@@ -51,13 +51,11 @@ class TestBroadcastAchieved:
 
     def test_complete_has_all(self):
         n = 4
-        g = add_self_loops(
-            make_graph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
-        )
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(n)])
         assert broadcast_achieved(g.out_rows) == set(range(n))
 
     def test_star_after_one_round(self):
-        star = add_self_loops(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
+        star = make_graph(4, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)])
         assert broadcast_achieved(star.out_rows) == {0}
 
     def test_n_equals_one(self):
@@ -181,9 +179,7 @@ class TestCoverAchieved:
 class TestKBroadcastAchieved:
     def test_complete(self):
         n = 4
-        g = add_self_loops(
-            make_graph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
-        )
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(n)])
         assert k_broadcast_achieved(g.out_rows, n) == list(range(n))
 
     def test_k1_matches_broadcast(self):

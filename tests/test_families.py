@@ -25,7 +25,7 @@ from dynnet.families import (
     validate_member,
 )
 from dynnet.dissemination import RoundSequence
-from dynnet.graphs import _transpose, add_self_loops, graph_from_parents, make_graph
+from dynnet.graphs import _transpose, graph_from_parents, graph_from_rows, make_graph
 from dynnet.search import family_moves
 
 # the sizes of the ``sample`` benchmark workload
@@ -55,7 +55,7 @@ class TestRootedTreeValidator:
         assert not is_rooted_tree(make_graph(4, [(0, 1), (2, 3)]))[0]
 
     def test_self_loop_rejected(self):
-        g = add_self_loops(make_graph(3, [(0, 1), (1, 2)]))
+        g = make_graph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
         assert not is_rooted_tree(g)[0]
 
     def test_single_node(self):
@@ -86,10 +86,12 @@ class TestForestValidator:
             g = random_graph(ModelSpec(Model.K_FORESTS, n, k), rnd.randrange(10**6))
             assert g.edge_count() == n - k
 
-    def test_forest_roots_with_loops(self):
-        raw = make_graph(5, [(0, 1), (3, 4)])
-        assert forest_roots(raw) == [0, 2, 3]
-        assert forest_roots(add_self_loops(raw)) == [0, 2, 3]
+    def test_forest_roots_are_parentless_nodes(self):
+        assert forest_roots(make_graph(5, [(0, 1), (3, 4)])) == [0, 2, 3]
+        rnd = random.Random(5)
+        for k in (1, 2, 3):
+            g = random_graph(ModelSpec(Model.K_FORESTS, 9, k), rnd.randrange(1 << 30))
+            assert forest_roots(g) == is_k_forest(g, k)[1]
 
 
 class TestRootsReachingAll:
@@ -121,7 +123,7 @@ class TestRootsReachingAll:
             density = rnd.choice((0.05, 0.15, 0.3, 0.6))
             g = make_graph(n, [(u, v) for u in range(n) for v in range(n) if rnd.random() < density])
             if rnd.random() < 0.5:
-                g = add_self_loops(g)
+                g = graph_from_rows(n, [row | 1 << x for x, row in enumerate(g.out_rows)])
             expected = {x for x in range(n) if reach_mask(g, x) == (1 << n) - 1}
             assert roots_reaching_all(g) == expected
             for k in range(1, n + 1):

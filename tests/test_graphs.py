@@ -9,7 +9,6 @@ from dynnet.graphs import (
     Graph,
     ProductTrace,
     _transpose,
-    add_self_loops,
     bits,
     compose_rows,
     full_mask,
@@ -32,6 +31,11 @@ def brute_force_product(a: Graph, b: Graph) -> set[tuple[int, int]]:
                 if a.has_edge(x, z) and b.has_edge(z, y):
                     edges.add((x, y))
     return edges
+
+
+def with_loops(g: Graph) -> Graph:
+    """``g`` with a self-loop added at every node."""
+    return graph_from_rows(g.n, [row | 1 << x for x, row in enumerate(g.out_rows)])
 
 
 def random_digraph(n: int, rnd: random.Random, density: float = 0.3) -> Graph:
@@ -114,32 +118,6 @@ class TestTranspose:
             assert _transpose(n, cols) == rows, (n, rows)
 
 
-class TestSelfLoops:
-    def test_empty_becomes_identity(self):
-        assert add_self_loops(make_graph(3, [])) == identity(3)
-
-    def test_idempotent(self):
-        g = add_self_loops(make_graph(3, [(0, 1)]))
-        assert add_self_loops(g) == g
-
-    def test_path_keeps_edges(self):
-        g = add_self_loops(make_graph(3, [(0, 1), (1, 2)]))
-        assert g.out_set(0) == {0, 1} and g.out_set(2) == {2}
-
-    def test_cached_transpose_carries_over(self):
-        # a forest's stored in-rows gain the diagonal; other graphs still
-        # derive theirs on first read
-        rnd = random.Random(3)
-        for k in (1, 2, 3):
-            raw = random_graph(ModelSpec(Model.K_FORESTS, 9, k), rnd.randrange(1 << 30))
-            looped = add_self_loops(raw)
-            assert "in_rows" in looped.__dict__
-            assert looped.in_rows == graph_from_rows(9, looped.out_rows).in_rows
-        looped = add_self_loops(make_graph(3, [(0, 1)]))
-        assert "in_rows" not in looped.__dict__
-        assert looped.in_rows == (1, 3, 4)
-
-
 class TestComposeRows:
     @pytest.mark.parametrize("model,k", [(Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_ROOTED, 2)],
                              ids=["trees", "forests", "rooted"])
@@ -150,15 +128,15 @@ class TestComposeRows:
         rows = identity(n).out_rows
         for seed in range(2 * n):
             raw = random_graph(spec, seed)
-            looped = compose_rows(rows, add_self_loops(raw))
+            looped = compose_rows(rows, with_loops(raw))
             assert compose_rows(rows, raw) == looped, seed
             rows = looped
 
 
 class TestProduct:
     def test_one_relay(self):
-        a = add_self_loops(make_graph(3, [(0, 1)]))
-        b = add_self_loops(make_graph(3, [(1, 2)]))
+        a = with_loops(make_graph(3, [(0, 1)]))
+        b = with_loops(make_graph(3, [(1, 2)]))
         p = product(a, b)
         assert p.has_edge(0, 2) and p.has_edge(0, 1) and p.has_edge(1, 2)
 
@@ -193,9 +171,7 @@ class TestProduct:
 
 def random_tree_trace(n: int, length: int, seed: int) -> ProductTrace:
     spec = ModelSpec(Model.TREES, n)
-    return ProductTrace.from_raw_rounds(
-        n, [random_graph(spec, seed * 977 + t) for t in range(length)]
-    )
+    return ProductTrace(n, [random_graph(spec, seed * 977 + t) for t in range(length)])
 
 
 class TestProductTrace:
@@ -213,7 +189,8 @@ class TestProductTrace:
     def test_prefix_product_recurrence(self):
         trace = random_tree_trace(5, 9, 2)
         for t in range(1, len(trace) + 1):
-            assert trace.product_at(t) == product(trace.product_at(t - 1), trace.rounds[t - 1])
+            looped = with_loops(trace.rounds[t - 1])
+            assert trace.product_at(t) == product(trace.product_at(t - 1), looped)
 
     def test_rooted_round_adds_edge_until_broadcast(self):
         # with a root present every round, the product gains an edge per
@@ -225,20 +202,17 @@ class TestProductTrace:
                 break
             assert trace.product_at(t).edge_count() > trace.product_at(t - 1).edge_count()
 
-    def test_rejects_missing_loops(self):
-        with pytest.raises(ValueError):
-            ProductTrace(3, [make_graph(3, [(0, 1)])])
-
     def test_rejects_node_count_mismatch(self):
         with pytest.raises(ValueError):
             ProductTrace(3, [identity(4)])
 
 
 def product_chain(trace: ProductTrace) -> list[Graph]:
-    """Reference prefixes: the plain ``product`` fold over the rounds."""
+    """Reference prefixes: the plain ``product`` fold over the rounds, each
+    with its self-loops added."""
     chain = [identity(trace.n)]
     for g in trace.rounds:
-        chain.append(product(chain[-1], g))
+        chain.append(product(chain[-1], with_loops(g)))
     return chain
 
 
@@ -260,14 +234,34 @@ class TestPrefixDifferential:
         if length == "long":
             length = 2 * n + 3
         seed = 1000 * n + 10 * k + length
-        trace = ProductTrace.from_raw_rounds(
-            n, [random_graph(spec, seed + t) for t in range(length)]
-        )
+        trace = ProductTrace(n, [random_graph(spec, seed + t) for t in range(length)])
         chain = product_chain(trace)
         assert len(trace.prefix_in_rows) == len(chain) == length + 1
         for t, ref in enumerate(chain):
             assert trace.product_at(t) == ref
             assert trace.prefix_in_rows[t] == ref.in_rows
+
+
+class TestLoopedRoundsChangeNothing:
+    """Rounds are composed with their implied self-loops, so a trace of the
+    raw rounds equals one of looped copies on every prefix and interval."""
+
+    @pytest.mark.parametrize("model,k", [(Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_ROOTED, 2)],
+                             ids=["trees", "forests", "rooted"])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_every_interval(self, model, k, n):
+        spec = ModelSpec(model, n, k)
+        rounds = [random_graph(spec, 100 * n + t) for t in range(n + 4)]
+        raw = ProductTrace(n, rounds)
+        looped = ProductTrace(n, [with_loops(g) for g in rounds])
+        assert raw.rounds == rounds
+        assert raw.prefix_in_rows == looped.prefix_in_rows
+        T = len(rounds)
+        for t in range(T + 2):
+            for t2 in range(-1, T + 1):
+                for x in range(n):
+                    assert raw.in_mask(t, t2, x) == looped.in_mask(t, t2, x), (t, t2, x)
+                    assert raw.out_mask(t, t2, x) == looped.out_mask(t, t2, x), (t, t2, x)
 
 
 class TestIntervalNeighborhoods:
@@ -281,7 +275,7 @@ class TestIntervalNeighborhoods:
 
     def test_star_single_round(self):
         star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-        trace = ProductTrace.from_raw_rounds(4, [star])
+        trace = ProductTrace(4, [star])
         for x in range(1, 4):
             assert in_set(trace, 1, 1, x) == {x, 0}
         assert in_set(trace, 1, 1, 0) == {0}
@@ -289,7 +283,7 @@ class TestIntervalNeighborhoods:
     def test_path_flooding(self):
         n = 6
         path = make_graph(n, [(i, i + 1) for i in range(n - 1)])
-        trace = ProductTrace.from_raw_rounds(n, [path] * (n - 1))
+        trace = ProductTrace(n, [path] * (n - 1))
         assert out_set(trace, 1, n - 1, 0) == set(range(n))
         assert out_set(trace, 1, n - 2, 0) == set(range(n - 1))
 
@@ -316,7 +310,7 @@ class TestIntervalNeighborhoods:
 
 class TestDot:
     def test_suppresses_loops_by_default(self):
-        g = add_self_loops(make_graph(3, [(0, 1)]))
+        g = with_loops(make_graph(3, [(0, 1)]))
         text = to_dot(g)
         assert "0 -> 1;" in text and "0 -> 0;" not in text
         assert "0 -> 0;" in to_dot(g, include_self_loops=True)

@@ -8,7 +8,7 @@ from dynnet import search as search_module
 from dynnet.analysis import bounds_for
 from dynnet.dissemination import Objective, cover_achieved, run
 from dynnet.families import Model, ModelSpec, validate_member
-from dynnet.graphs import add_self_loops, compose_rows, graph_from_rows, identity
+from dynnet.graphs import compose_rows, graph_from_rows, identity
 from dynnet.search import (
     MemoryBudgetExceeded,
     exact_worst_case,
@@ -242,7 +242,7 @@ class TestSupergraphDominance:
                 if search.memo[key] == 0:
                     continue
                 state = tuple(search.unpack(key))
-                mv = add_self_loops(rnd.choice(moves))
+                mv = rnd.choice(moves)
                 rows = list(mv.out_rows)
                 for _ in range(rnd.randint(1, 3)):
                     u, v = rnd.randrange(4), rnd.randrange(4)
@@ -299,7 +299,7 @@ class TestGatherMatchesCompose:
         # states reached by random play from the identity; odd n gathers the
         # last row from a table of its own
         search = search_module._Search(spec, Objective.broadcast(), 2 << 30)
-        moves = [add_self_loops(g) for g in search.moves]
+        moves = search.moves
         rnd = random.Random(spec.n)
         states = []
         for _ in range(16):
@@ -327,7 +327,7 @@ class TestSweepsMatchRecursion:
     def recursion(spec, objective):
         """Value of every state reachable from the identity through states
         the objective does not hold on, by plain memoized recursion."""
-        moves = [add_self_loops(g) for g in family_moves(spec)]
+        moves = family_moves(spec)
         memo = {}
 
         def f(rows):
