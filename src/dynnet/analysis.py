@@ -12,7 +12,7 @@ from typing import Iterator, Optional
 from mpmath import iv
 
 from .families import Model, ModelSpec, forest_roots, roots_reaching_all
-from .graphs import ProductTrace, bits, full_mask, row_image
+from .graphs import ProductTrace, _once, bits, full_mask, row_image
 
 iv.dps = 60
 
@@ -193,7 +193,8 @@ class RoundsGraph:
 def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset()) -> RoundsGraph:
     """Construct the certificate from a trace of rooted rounds; the trace
     must be at least ceil((1+sqrt2) n) + |avoid| rounds long. The chosen
-    root of each round is the smallest root outside the avoided set."""
+    root of each round is the smallest root outside the avoided set; the
+    roots of a round object that the trace repeats are searched once."""
     n = trace.n
     outside = sorted(v for v in avoid if not 0 <= v < n)
     if outside:
@@ -205,8 +206,9 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
             f"trace too short: {len(trace)} rounds, need {round_count}"
         )
     roots = []
+    round_roots = _once(roots_reaching_all)
     for t in range(1, round_count + 1):
-        candidates = roots_reaching_all(trace.rounds[t - 1]) - avoid
+        candidates = round_roots(trace.rounds[t - 1]) - avoid
         if not candidates:
             raise ValueError(f"round {t} has no root outside the avoided set")
         roots.append(min(candidates))

@@ -233,7 +233,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     if not 1 <= args.round <= len(seq):
         raise ValueError(f"--round must be in 1..{len(seq)}, got {args.round}")
     g = seq.rounds[args.round - 1]
-    print(to_dot(g, name=f"round_{args.round}", include_self_loops=args.self_loops))
+    print(to_dot(g, name=f"round_{args.round}"))
     return EXIT_OK
 
 
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="print one round of a sequence as DOT")
     p.add_argument("--seq", required=True)
     p.add_argument("--round", type=int, default=1)
-    p.add_argument("--self-loops", action="store_true")
     p.set_defaults(func=cmd_export_dot)
 
     return parser

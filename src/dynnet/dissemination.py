@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .families import Model, ModelSpec, random_graph, validate_member
 from .graphs import (
     Graph,
     ProductTrace,
+    _once,
     _transpose,
     bits,
     compose_in_rows,
@@ -207,11 +209,10 @@ def k_broadcast_achieved(rows: Sequence[int], k: int) -> Optional[list[int]]:
 def _members(spec: ModelSpec, rounds: Iterable[Graph]) -> Iterator[Graph]:
     """Yield the rounds, raising ValueError at the first that is not a
     member of spec's family. A repeated graph object is checked once."""
-    checked: dict[int, Graph] = {}  # holds each graph, so that no id is reused
+    valid = _once(partial(validate_member, spec))
     for t, g in enumerate(rounds, start=1):
-        if id(g) not in checked and not validate_member(spec, g):
+        if not valid(g):
             raise ValueError(f"round {t} is not a valid {spec.model.value} member")
-        checked[id(g)] = g
         yield g
 
 

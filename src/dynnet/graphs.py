@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_NODES = 64
 
@@ -89,6 +89,24 @@ class Graph:
         es = ",".join(f"{u}->{v}" for u, v in self.edges() if u != v)
         loops = sum(row >> x & 1 for x, row in enumerate(self.out_rows))
         return f"Graph(n={self.n}, edges=[{es}], loops={loops})"
+
+
+def _once(f: Callable, key: Callable = id) -> Callable:
+    """``f`` computed once per ``key`` of its argument: a later argument
+    with a key already seen gets the first one's value. The default key is
+    the object's id, so a round that a schedule repeats as one object costs
+    one call. The memo holds each argument, so no id is reused while it
+    lives."""
+    memo: dict = {}
+
+    def once(x):
+        k = key(x)
+        hit = memo.get(k)
+        if hit is None:
+            hit = memo[k] = (x, f(x))
+        return hit[1]
+
+    return once
 
 
 @cache

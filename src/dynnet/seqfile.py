@@ -6,18 +6,26 @@ spelling every round out.
 A forest round is written as ``families.forest_parents`` of its graph and
 read back through ``graphs.graph_from_parents``. Every number in a file is
 a JSON integer: floats, numeric strings and booleans are rejected, never
-truncated."""
+truncated. No round carries a self-loop: every composition step implies
+them.
+
+The lower-bound schedules repeat a few phase graphs many times, so each
+distinct round is handled once: the writer derives one record per
+distinct Graph object, and the reader builds one Graph per distinct
+record, which ``RoundSequence`` then validates once."""
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Optional
 
 from .dissemination import RoundSequence
 from .families import Model, ModelSpec, forest_parents
-from .graphs import Graph, graph_from_parents, make_graph
+from .graphs import Graph, _once, graph_from_parents, make_graph
 
 FORMAT_KEYS = {"n", "model", "k", "rounds", "repeat", "seed"}
+REPEAT_KEYS = {"from", "to", "times"}
 MAX_ROUNDS = 1 << 20  # rounds a repeat block may expand a file to
 
 
@@ -31,6 +39,8 @@ def _int(value) -> int:
 
 def _round_to_record(model: Model, g: Graph):
     if model is Model.K_ROOTED:
+        if any(row >> v & 1 for v, row in enumerate(g.out_rows)):
+            raise ValueError("graph has a self-loop; cannot emit edge list")
         return [[u, v] for u, v in g.edges()]
     parents = forest_parents(g)
     if parents is None:
@@ -40,19 +50,25 @@ def _round_to_record(model: Model, g: Graph):
 
 def _record_to_round(model: Model, n: int, record) -> Graph:
     if model is Model.K_ROOTED:
-        return make_graph(n, [(_int(u), _int(v)) for u, v in record])
+        edges = [(_int(u), _int(v)) for u, v in record]
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"edge ({u}, {v}) is a self-loop")
+        return make_graph(n, edges)
     return graph_from_parents(n, [_int(p) for p in record])
 
 
 def sequence_to_json_dict(seq: RoundSequence, seed: Optional[int] = None) -> dict:
     """Rounds are always written out in full; the repeat block is accepted
-    on input only."""
+    on input only. A Graph object that repeats in the sequence gets one
+    record, and every round it fills refers to that same list."""
     spec = seq.spec
+    record = _once(partial(_round_to_record, spec.model))
     out: dict = {
         "n": spec.n,
         "model": spec.model.value,
         "k": spec.k,
-        "rounds": [_round_to_record(spec.model, g) for g in seq.rounds],
+        "rounds": [record(g) for g in seq.rounds],
     }
     if seed is not None:
         out["seed"] = seed
@@ -73,7 +89,11 @@ def save(path: str, seq: RoundSequence, seed: Optional[int] = None) -> None:
 def from_json_dict(doc: dict) -> RoundSequence:
     """Parse a decoded sequence file; any malformed document raises
     ValueError. The ``seed`` must be an integer and is not kept: a seeded
-    file is reproduced by ``dumps(loads(text), seed)``."""
+    file is reproduced by ``dumps(loads(text), seed)``.
+
+    Equal records load as one Graph. They are matched on their ``repr``,
+    which tells ``1`` from ``1.0``, ``True`` and ``"1"``, so a record is
+    reused only where decoding it again would give the same Graph."""
     if not isinstance(doc, dict):
         raise ValueError("sequence file must hold a JSON object")
     unknown = set(doc) - FORMAT_KEYS
@@ -85,9 +105,16 @@ def from_json_dict(doc: dict) -> RoundSequence:
         spec = ModelSpec(model, n, _int(doc.get("k", 1)))
         if "seed" in doc:
             _int(doc["seed"])
-        rounds = [_record_to_round(model, n, rec) for rec in doc["rounds"]]
+        records = doc["rounds"]
+        if not isinstance(records, list):
+            raise ValueError(f"rounds must be an array, got {type(records).__name__}")
+        decode = _once(partial(_record_to_round, model, n), key=repr)
+        rounds = [decode(rec) for rec in records]
         repeat = doc.get("repeat")
         if repeat is not None:
+            unknown = set(repeat) - REPEAT_KEYS
+            if unknown:
+                raise ValueError(f"unknown repeat keys: {sorted(unknown)}")
             lo, hi, times = _int(repeat["from"]), _int(repeat["to"]), _int(repeat["times"])
             if not (0 <= lo <= hi < len(rounds)) or times < 1:
                 raise ValueError(f"bad repeat block {repeat}")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dynnet import seqfile
 from dynnet.analysis import (
     BETA,
     StrictRoundsGraph,
@@ -236,8 +237,9 @@ def certificate_digest(trace, model, k):
 
 
 class TestPinnedCertificates:
-    """The certificates of the benchmark's schedules at n = 16 and 32, and
-    of one seeded random k-forest trace, are byte-stable."""
+    """The certificates of the benchmark's schedules at n = 16 and 32, of
+    the same schedules read back from their sequence files at n = 16, 32
+    and 64, and of one seeded random k-forest trace, are byte-stable."""
 
     @pytest.mark.parametrize("model,k,n,expected", [
         (Model.TREES, 1, 16, "504ae5388eb63fe269606d2f4b5e73bf188845e1082f62d10b5e993dc73d5e0d"),
@@ -253,6 +255,28 @@ class TestPinnedCertificates:
     ])
     def test_schedule(self, model, k, n, expected):
         assert certificate_digest(build(model, n, k).seq.trace(), model, k) == expected
+
+    @pytest.mark.parametrize("model,k,n,expected", [
+        (Model.TREES, 1, 16, "504ae5388eb63fe269606d2f4b5e73bf188845e1082f62d10b5e993dc73d5e0d"),
+        (Model.TREES, 1, 32, "860dc6b5aa732274bb4cfa60a8cba27a8c5026dcdb6ac0f01320c81b147fb26e"),
+        (Model.TREES, 1, 64, "07a69a4e1d58ee3e2fb75a3e9f03ad9f730b71c582c1773094acd40b55c8c0e7"),
+        (Model.K_FORESTS, 2, 16, "cd9522bc239061af902992d779af648f85d9c4990066eae37ff31552851401e9"),
+        (Model.K_FORESTS, 2, 32, "692a18ad611754c6a1ea1f63a1790d80540dc56fb559881c450cac1f16425eb3"),
+        (Model.K_FORESTS, 2, 64, "067111e0ff07a079d8ec10624d1a012262bacefbd6797fbf38f690c6b0e81997"),
+        (Model.K_FORESTS, 3, 16, "302c4e5dee07a3cbf87f46667df034eba47058c9bc060eec0200a38e6e6198e0"),
+        (Model.K_FORESTS, 3, 32, "4e0f3a8b8e6d6c64c902f618e57d17c21cff13a96e944da49913810429dc2491"),
+        (Model.K_FORESTS, 3, 64, "88a9e79623e143ef29965469e405d0d76cf9824a76d2f3b271aedda50f1fdca4"),
+        (Model.K_ROOTED, 2, 16, "f5d2b98dc1df1eeeff37fa0db1e71d2a0c660bda0cf51dd25e071592a101133e"),
+        (Model.K_ROOTED, 2, 32, "7bc4d02faebfdf19e8f8958790a1df0299183e1fa3bfc8783e6660ff5761a0c8"),
+        (Model.K_ROOTED, 2, 64, "3c7a428e7bbe1b9e9987ecaad522ef96c48fed69a69d0d914222c75f54036790"),
+        (Model.K_ROOTED, 3, 16, "d558616f449907e6d2aed2db4f6196c83ae256699b498e7d7b3c5726f7d07bb0"),
+        (Model.K_ROOTED, 3, 32, "a84a5e9092200c39137fc4f95305b47920979ea6d20ad1fa088f2391e36a9d44"),
+        (Model.K_ROOTED, 3, 64, "0ad1acea6ffc4bf7f20ef45d2fbbe820fa09f9ef6c2387dde73921bf3164b1c8"),
+    ])
+    def test_loaded_schedule(self, model, k, n, expected):
+        # the same certificates through a sequence-file round trip, up to n = 64
+        trace = seqfile.loads(seqfile.dumps(build(model, n, k).seq)).trace()
+        assert certificate_digest(trace, model, k) == expected
 
     def test_random_forest_trace(self):
         spec = ModelSpec(Model.K_FORESTS, 32, 3)

@@ -108,6 +108,11 @@ class TestSequenceFiles:
         {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": "x"},
         {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": None},
         {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": True},
+        {"n": 3, "model": "tree", "rounds": ""},
+        {"n": 3, "model": "tree", "rounds": {}},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]],
+         "repeat": {"from": 0, "to": 0, "times": 2, "x": 1}},
+        {"n": 3, "model": "digraph", "k": 1, "rounds": [[[0, 0], [0, 1], [1, 2]]]},
     ], ids=["repeat-without-to", "rounds-not-a-list", "repeat-not-an-object",
             "n-null", "edge-not-a-pair", "list", "null",
             "self-parent", "parent-out-of-range", "parent-minus-two",
@@ -115,7 +120,8 @@ class TestSequenceFiles:
             "truncatable-floats", "integral-float-n", "string-n", "bool-k",
             "float-parent", "string-parent", "bool-parent", "float-endpoint",
             "string-endpoint", "float-repeat", "string-repeat",
-            "float-seed", "string-seed", "null-seed", "bool-seed"])
+            "float-seed", "string-seed", "null-seed", "bool-seed",
+            "rounds-a-string", "rounds-an-object", "repeat-unknown-key", "self-loop-edge"])
     def test_malformed_document_is_a_value_error(self, doc):
         with pytest.raises(ValueError):
             seqfile.from_json_dict(doc)
@@ -123,6 +129,37 @@ class TestSequenceFiles:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             seqfile.from_json_dict({"n": 2, "model": "tree", "rounds": [], "zz": 1})
+
+    @pytest.mark.parametrize("model,first,second", [
+        ("tree", [-1, 0, 1], [-1, 0, True]),
+        ("tree", [-1, 0, 1], [-1, 0, 1.0]),
+        ("tree", [-1, 0, 1], [-1, 0, "1"]),
+        ("digraph", [[0, 1], [1, 2]], [[0, True], [1, 2]]),
+        ("digraph", [[0, 1], [1, 2]], [[0, 1.0], [1, 2]]),
+        ("digraph", [[0, 1], [1, 2]], [[0, "1"], [1, 2]]),
+    ], ids=["parent-true", "parent-float", "parent-string",
+            "endpoint-true", "endpoint-float", "endpoint-string"])
+    def test_record_equal_to_an_earlier_one_still_checked(self, model, first, second):
+        # the second record compares equal to the first (or is its string
+        # form), but it is no JSON integer array, so it is decoded and refused
+        text = json.dumps({"n": 3, "model": model, "k": 1, "rounds": [first, second]})
+        seqfile.loads(json.dumps({"n": 3, "model": model, "k": 1, "rounds": [first, first]}))
+        with pytest.raises(ValueError, match="expected an integer"):
+            seqfile.loads(text)
+
+    def test_equal_records_load_as_one_graph(self):
+        doc = {"n": 3, "model": "tree", "rounds": [[-1, 0, 1], [1, -1, 1], [-1, 0, 1]],
+               "repeat": {"from": 1, "to": 2, "times": 2}}
+        rounds = seqfile.from_json_dict(doc).rounds
+        assert len(rounds) == 5
+        assert len({id(g) for g in rounds}) == 2
+        assert rounds[0] is rounds[2] is rounds[4]
+
+    def test_looped_digraph_round_not_written(self):
+        spec = ModelSpec(Model.K_ROOTED, 3, 1)
+        seq = RoundSequence(spec, [make_graph(3, [(0, 0), (0, 1), (1, 2)])])
+        with pytest.raises(ValueError, match="self-loop"):
+            seqfile.dumps(seq)
 
     def test_digraph_edge_lists(self):
         spec = ModelSpec(Model.K_ROOTED, 4, 2)
@@ -346,3 +383,10 @@ class TestCliExitCodes:
         path, _ = tree_file
         assert main(["export-dot", "--seq", path, "--round", "1"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
+
+    def test_export_dot_has_no_self_loops_option(self, tree_file, capsys):
+        # no file round carries a loop, so there is none to select
+        with pytest.raises(SystemExit) as exc:
+            main(["export-dot", "--seq", tree_file[0], "--self-loops"])
+        assert exc.value.code == 2
+        assert "--self-loops" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 import warnings
 
 import pytest
@@ -12,8 +14,9 @@ from dynnet.constructions import (
     kroot_lower_bound,
     trees_lower_bound,
 )
-from dynnet.dissemination import Objective, run
-from dynnet.families import Model, ModelSpec, is_k_forest, is_k_rooted, is_rooted_tree, roots_reaching_all
+from dynnet.dissemination import Objective, RoundSequence, run
+from dynnet.families import (Model, ModelSpec, is_k_forest, is_k_rooted, is_rooted_tree,
+                             random_graph, roots_reaching_all)
 
 
 class TestClaimedTime:
@@ -172,19 +175,60 @@ class TestPinnedFiles:
         ("cycle", 98, "ea2d8118e14aee017755966e9343e7a85eb23e4f6bd72fc68fcd3a56379919a6"),
     ])
     def test_construction_files(self, model, cells, expected):
-        cycle = model == "cycle"
-        if cycle:
-            model = Model.K_ROOTED
         digest = hashlib.sha256()
         built = 0
-        for n in (3, 4, 5, 8, 16, 32, 64):
-            for k in [1] if model is Model.TREES else range(1, n + 1):
-                if model is Model.K_ROOTED and (n < 3 * k + 3) != cycle:
-                    continue
-                try:
-                    out = build(model, n, k)
-                except ValueError:  # no schedule for this (n, k)
-                    continue
-                digest.update(seqfile.dumps(out.seq).encode())
-                built += 1
+        for text in construction_files(model):
+            digest.update(text.encode())
+            built += 1
         assert (built, digest.hexdigest()) == (cells, expected)
+
+
+def construction_files(model):
+    """The sequence-file text of every construction of ``model`` at
+    n in {3, 4, 5, 8, 16, 32, 64}; for ``Model.K_ROOTED`` the paper's
+    schedules only, and for "cycle" the k-rooted cells below n = 3k+3."""
+    cycle = model == "cycle"
+    if cycle:
+        model = Model.K_ROOTED
+    for n in (3, 4, 5, 8, 16, 32, 64):
+        for k in [1] if model is Model.TREES else range(1, n + 1):
+            if model is Model.K_ROOTED and (n < 3 * k + 3) != cycle:
+                continue
+            try:
+                out = build(model, n, k)
+            except ValueError:  # no schedule for this (n, k)
+                continue
+            yield seqfile.dumps(out.seq)
+
+
+def loaded_and_decoded_alone(text):
+    """The rounds of a sequence file as loaded, and each round record of
+    it decoded on its own."""
+    doc = json.loads(text)
+    model = Model(doc["model"])
+    alone = [seqfile._record_to_round(model, doc["n"], rec) for rec in doc["rounds"]]
+    return seqfile.from_json_dict(doc).rounds, alone
+
+
+class TestRecordsDecodeAlone:
+    """Loading a file gives, round by round, the graphs its records decode
+    to one at a time, although equal records load as one Graph."""
+
+    @pytest.mark.parametrize("model", [Model.TREES, Model.K_FORESTS, Model.K_ROOTED, "cycle"])
+    def test_construction_files(self, model):
+        for text in construction_files(model):
+            loaded, alone = loaded_and_decoded_alone(text)
+            assert loaded == alone
+
+    @pytest.mark.parametrize("model,k", [(Model.TREES, 1)] + [
+        (m, k) for m in (Model.K_FORESTS, Model.K_ROOTED) for k in (1, 2, 3)])
+    def test_random_files(self, model, k):
+        for n in (3, 4, 5, 8, 16, 32, 64):
+            spec = ModelSpec(model, n, k)
+            rnd = random.Random(f"{model.value}/{n}/{k}")
+            # a few graphs drawn once and repeated, as a schedule's phases are
+            pool = [random_graph(spec, rnd.getrandbits(32)) for _ in range(4)]
+            seq = RoundSequence(spec, [rnd.choice(pool) for _ in range(24)])
+            text = seqfile.dumps(seq)
+            loaded, alone = loaded_and_decoded_alone(text)
+            assert loaded == alone == seq.rounds
