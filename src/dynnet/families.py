@@ -9,6 +9,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import (MAX_NODES, Graph, full_mask, graph_from_parents, graph_from_rows,
@@ -155,24 +156,30 @@ def _prufer_parents(n: int, code: Sequence[int]) -> list[int]:
     return parents
 
 
-def _forest_from_code(n: int, code: Sequence[int]) -> Graph:
-    """The rooted forest on [n] cut from the tree on n+1 labels with code
-    ``code`` (length n-1): the tree is rooted at label 0, which is then
-    dropped, so its neighbors become the forest's roots and label v+1 is
-    node v. Label 0 has degree ``code.count(0) + 1``, the number of trees."""
+def _forest_parents_from_code(n: int, code: Sequence[int]) -> list[int]:
+    """Parent array of the rooted forest on [n] cut from the tree on n+1
+    labels with code ``code`` (length n-1): the tree is rooted at label 0,
+    which is then dropped, so its neighbors become the forest's roots and
+    label v+1 is node v. Label 0 has degree ``code.count(0) + 1``, the
+    number of trees."""
     parents = _prufer_parents(n + 1, code)
     # re-root from label n at label 0 by reversing the path between them
     prev, v = -1, 0
     while v != -1:
         parents[v], prev, v = prev, v, parents[v]
-    return graph_from_parents(n, [p - 1 for p in parents[1:]])
+    return [p - 1 for p in parents[1:]]
 
 
-def _rooted_tree(n: int, root: int, code: Sequence[int]) -> Graph:
-    """The tree on n >= 2 nodes with the n-label ``code``, rooted at ``root``.
-    Its forest code puts label 0 as a leaf below label root+1; that leaf is
-    removed first, and the rest decodes as ``code`` shifted by one."""
-    return _forest_from_code(n, (root + 1,) + tuple(v + 1 for v in code))
+def _forest_from_code(n: int, code: Sequence[int]) -> Graph:
+    return graph_from_parents(n, _forest_parents_from_code(n, code))
+
+
+def _rooted_tree_parents(n: int, root: int, code: Sequence[int]) -> list[int]:
+    """Parent array of the tree on n >= 2 nodes with the n-label ``code``,
+    rooted at ``root``. Its forest code puts label 0 as a leaf below label
+    root+1; that leaf is removed first, and the rest decodes as ``code``
+    shifted by one."""
+    return _forest_parents_from_code(n, (root + 1,) + tuple(v + 1 for v in code))
 
 
 def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph]:
@@ -190,7 +197,7 @@ def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         for r in roots:
-            yield _rooted_tree(n, r, seq)
+            yield graph_from_parents(n, _rooted_tree_parents(n, r, seq))
 
 
 def _codes_with_zeros(length: int, zeros: int, labels: int) -> Iterator[tuple[int, ...]]:
@@ -234,20 +241,72 @@ def union_rows(n: int, graphs: Iterable[Graph]) -> list[int]:
     return rows
 
 
-def _random_rooted_tree(n: int, root: int, rnd: random.Random) -> Graph:
-    if n == 1:
-        return make_graph(1, [])
-    return _rooted_tree(n, root, [rnd.randrange(n) for _ in range(n - 2)])
+def _randbelow(rnd: random.Random, n: int, count: int) -> list[int]:
+    """``count`` draws of ``rnd.randrange(n)``, in order, from the same
+    random words: each is ``getrandbits(n.bit_length())``, drawn again
+    while it is n or more, without the per-call overhead of ``randrange``."""
+    bits = n.bit_length()
+    getrandbits = rnd.getrandbits
+    out: list[int] = []
+    while len(out) < count:
+        v = getrandbits(bits)
+        if v < n:
+            out.append(v)
+    return out
 
 
 def _random_k_forest(n: int, k: int, rnd: random.Random) -> Graph:
     """Uniform forest of k rooted trees: a uniform code on n+1 labels that
     holds label 0 exactly k-1 times."""
     positions = set(rnd.sample(range(n - 1), k - 1))
-    code = tuple(
-        0 if i in positions else rnd.randrange(1, n + 1) for i in range(n - 1)
-    )
+    letters = iter(_randbelow(rnd, n, n - k))
+    code = tuple(0 if i in positions else next(letters) + 1 for i in range(n - 1))
     return _forest_from_code(n, code)
+
+
+# ``random() < EXTRA_EDGE_DENSITY`` as a test on the integer m of
+# ``random() == m / 2**53``: an integer is below x iff it is below ceil(x)
+_DENSITY_NUM, _DENSITY_DEN = EXTRA_EDGE_DENSITY.as_integer_ratio()
+EXTRA_EDGE_THRESHOLD = -(-_DENSITY_NUM * 2**53 // _DENSITY_DEN)
+
+
+@cache
+def _cell_bits(n: int):
+    """Row u's n-1 extra-edge cells as bits: column j, or j + 1 once past
+    the diagonal."""
+    import numpy as np
+
+    j = np.arange(n - 1, dtype=np.uint64)
+    return np.uint64(1) << j + (j >= np.arange(n, dtype=np.uint64)[:, None])
+
+
+def _random_k_rooted(n: int, k: int, rnd: random.Random) -> Graph:
+    """k random spanning trees from k distinct roots, then each off-diagonal
+    cell (u, v), row by row, set where ``rnd.random() < EXTRA_EDGE_DENSITY``.
+
+    The extra-edge draws read the words those calls would take, in one
+    bulk draw. ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``
+    for the next two 32-bit words a and b, and ``getrandbits(64 * j)``
+    returns the next 2j words least significant first, so each
+    little-endian 64-bit lane holds one call's a (low half) and b (high
+    half).
+
+    numpy is imported here, not with the module, so that ``import
+    dynnet`` stays free of it (about 14 MiB and 0.1 s to load)."""
+    import numpy as np
+
+    roots = rnd.sample(range(n), k)
+    letters = _randbelow(rnd, n, k * (n - 2))
+    cells = n * (n - 1)
+    lanes = np.frombuffer(rnd.getrandbits(64 * cells).to_bytes(8 * cells, "little"), "<u8")
+    hits = ((lanes & 0xFFFFFFFF) >> 5 << 26 | lanes >> 38) < EXTRA_EDGE_THRESHOLD
+    rows = (hits.reshape(n, n - 1) * _cell_bits(n)).sum(axis=1).tolist()
+    if n > 1:
+        for i, r in enumerate(roots):
+            for v, p in enumerate(_rooted_tree_parents(n, r, letters[i * (n - 2):(i + 1) * (n - 2)])):
+                if p >= 0:
+                    rows[p] |= 1 << v
+    return graph_from_rows(n, rows)
 
 
 def random_graph(spec: ModelSpec, seed: int) -> Graph:
@@ -257,18 +316,17 @@ def random_graph(spec: ModelSpec, seed: int) -> Graph:
     a 1-forest. K-rooted graphs are built as k overlaid random spanning
     trees from k distinct roots plus extra edges at ``EXTRA_EDGE_DENSITY``;
     membership is guaranteed, the distribution is not uniform.
+
+    The sequence of random words drawn from ``random.Random(seed)`` is part
+    of the output: each graph is the one that the plain ``randrange`` and
+    ``random()`` calls of this construction give, in their order, and
+    drawing the same words in bulk keeps it so.
     """
     rnd = random.Random(seed)
     n, k = spec.n, spec.k
-    if spec.model is not Model.K_ROOTED:
-        return _random_k_forest(n, k, rnd)
-    roots = rnd.sample(range(n), k)
-    rows = union_rows(n, (_random_rooted_tree(n, r, rnd) for r in roots))
-    for u in range(n):
-        for v in range(n):
-            if u != v and rnd.random() < EXTRA_EDGE_DENSITY:
-                rows[u] |= 1 << v
-    return graph_from_rows(n, rows)
+    if spec.model is Model.K_ROOTED:
+        return _random_k_rooted(n, k, rnd)
+    return _random_k_forest(n, k, rnd)
 
 
 def forest_roots(g: Graph) -> list[int]:

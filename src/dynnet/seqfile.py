@@ -89,7 +89,9 @@ def save(path: str, seq: RoundSequence, seed: Optional[int] = None) -> None:
 def from_json_dict(doc: dict) -> RoundSequence:
     """Parse a decoded sequence file; any malformed document raises
     ValueError. The ``seed`` must be an integer and is not kept: a seeded
-    file is reproduced by ``dumps(loads(text), seed)``.
+    file is reproduced by ``dumps(loads(text), seed)``. A ``repeat`` key,
+    where present, must hold an object; ``null`` is refused like any other
+    non-object.
 
     Equal records load as one Graph. They are matched on their ``repr``,
     which tells ``1`` from ``1.0``, ``True`` and ``"1"``, so a record is
@@ -110,8 +112,10 @@ def from_json_dict(doc: dict) -> RoundSequence:
             raise ValueError(f"rounds must be an array, got {type(records).__name__}")
         decode = _once(partial(_record_to_round, model, n), key=repr)
         rounds = [decode(rec) for rec in records]
-        repeat = doc.get("repeat")
-        if repeat is not None:
+        if "repeat" in doc:
+            repeat = doc["repeat"]
+            if not isinstance(repeat, dict):
+                raise ValueError(f"repeat must be an object, got {repeat!r}")
             unknown = set(repeat) - REPEAT_KEYS
             if unknown:
                 raise ValueError(f"unknown repeat keys: {sorted(unknown)}")

@@ -82,6 +82,8 @@ class TestSequenceFiles:
         {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "repeat": {"from": 0, "times": 2}},
         {"n": 3, "model": "tree", "rounds": 5},
         {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "repeat": 7},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "repeat": None},
+        {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "repeat": [0, 0, 2]},
         {"n": None, "model": "tree", "rounds": []},
         {"n": 3, "model": "digraph", "k": 1, "rounds": [[5]]},
         [],
@@ -114,7 +116,7 @@ class TestSequenceFiles:
          "repeat": {"from": 0, "to": 0, "times": 2, "x": 1}},
         {"n": 3, "model": "digraph", "k": 1, "rounds": [[[0, 0], [0, 1], [1, 2]]]},
     ], ids=["repeat-without-to", "rounds-not-a-list", "repeat-not-an-object",
-            "n-null", "edge-not-a-pair", "list", "null",
+            "repeat-null", "repeat-a-list", "n-null", "edge-not-a-pair", "list", "null",
             "self-parent", "parent-out-of-range", "parent-minus-two",
             "parents-too-short", "parents-too-long",
             "truncatable-floats", "integral-float-n", "string-n", "bool-k",
@@ -187,6 +189,12 @@ class TestCliExitCodes:
     def test_simulate_validation_error(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text('{"n": 3, "model": "tree", "rounds": [[1, 0, -1]]}\n')
+        assert main(["simulate", "--seq", str(f), "--objective", "broadcast"]) == 2
+
+    @pytest.mark.parametrize("repeat", ["null", "7", "[0, 0, 2]"])
+    def test_simulate_repeat_not_an_object(self, tmp_path, repeat):
+        f = tmp_path / "repeat.json"
+        f.write_text('{"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "repeat": %s}\n' % repeat)
         assert main(["simulate", "--seq", str(f), "--objective", "broadcast"]) == 2
 
     @pytest.mark.parametrize("seed", ["3.5", '"x"', "null", "true"])

@@ -9,9 +9,12 @@ import pytest
 from dynnet import seqfile
 from dynnet.families import (
     ENUM_GUARD,
+    EXTRA_EDGE_DENSITY,
+    EXTRA_EDGE_THRESHOLD,
     Model,
     ModelSpec,
     _forest_from_code,
+    _random_k_rooted,
     enumerate_k_forests,
     enumerate_rooted_trees,
     forest_parents,
@@ -22,6 +25,7 @@ from dynnet.families import (
     random_graph,
     reach_mask,
     roots_reaching_all,
+    union_rows,
     validate_member,
 )
 from dynnet.dissemination import RoundSequence
@@ -233,6 +237,85 @@ class TestRandomGraph:
         counts = Counter(random_graph(spec, seed).out_rows for seed in range(600))
         assert len(counts) == 6
         assert min(counts.values()) > 50
+
+
+def _reference_k_rooted(n: int, k: int, rnd: random.Random):
+    """The k-rooted generator as plain calls: k trees decoded from
+    ``randrange`` letters, then one ``random()`` per off-diagonal cell."""
+    roots = rnd.sample(range(n), k)
+    trees = [_forest_from_code(n, (r + 1,) + tuple(rnd.randrange(n) + 1 for _ in range(n - 2)))
+             for r in roots] if n > 1 else []
+    rows = union_rows(n, trees)
+    for u in range(n):
+        for v in range(n):
+            if u != v and rnd.random() < EXTRA_EDGE_DENSITY:
+                rows[u] |= 1 << v
+    return graph_from_rows(n, rows)
+
+
+def _reference_random_graph(spec: ModelSpec, seed: int):
+    """``random_graph`` drawn one ``randrange`` or ``random()`` at a time."""
+    rnd = random.Random(seed)
+    n, k = spec.n, spec.k
+    if spec.model is Model.K_ROOTED:
+        return _reference_k_rooted(n, k, rnd)
+    positions = set(rnd.sample(range(n - 1), k - 1))
+    code = tuple(0 if i in positions else rnd.randrange(1, n + 1) for i in range(n - 1))
+    return _forest_from_code(n, code)
+
+
+class _GivenWords(random.Random):
+    """A generator that hands out the given 32-bit words in order, the way
+    ``random.Random`` hands out its own: ``getrandbits`` takes one word per
+    32 bits (the top bits of one word below 32), least significant first,
+    and ``random()`` takes two."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        if k <= 32:
+            return self.words.pop(0) >> (32 - k)
+        assert k % 32 == 0
+        taken, self.words = self.words[:k // 32], self.words[k // 32:]
+        return sum(w << 32 * i for i, w in enumerate(taken))
+
+    def random(self):
+        a, b = self.getrandbits(32), self.getrandbits(32)
+        return ((a >> 5) * 2**26 + (b >> 6)) / 2**53
+
+
+class TestBulkDraws:
+    """The bulk draws give the graph of the plain calls, seed for seed."""
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_equals_the_plain_generator(self, model):
+        for n in range(1, 65):
+            for k in sorted({1, 2, 3, n}) if model is not Model.TREES else [1]:
+                if k <= n:
+                    spec = ModelSpec(model, n, k)
+                    for seed in range(4):
+                        assert random_graph(spec, seed) == _reference_random_graph(spec, seed), \
+                            (spec, seed)
+
+    def test_threshold_is_exact(self):
+        for m in (EXTRA_EDGE_THRESHOLD - 1, EXTRA_EDGE_THRESHOLD, EXTRA_EDGE_THRESHOLD + 1):
+            assert (m < EXTRA_EDGE_THRESHOLD) == (m / 2**53 < EXTRA_EDGE_DENSITY), m
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_extra_edge_at_the_threshold(self, offset):
+        # n = 2, k = 1: one word for the root, then the two cells (0, 1)
+        # and (1, 0), both at m; the tree gives 0 -> 1 and the extra edge
+        # 1 -> 0 exists iff random() < EXTRA_EDGE_DENSITY. The bits that
+        # random() drops are set, so they must be dropped here too.
+        m = EXTRA_EDGE_THRESHOLD + offset
+        a, b = (m >> 26) << 5 | 0x1F, (m & (2**26 - 1)) << 6 | 0x3F
+        words = [0, a, b, a, b]
+        assert _GivenWords([a, b]).random() == m / 2**53
+        g = _random_k_rooted(2, 1, _GivenWords(words))
+        assert g == _reference_k_rooted(2, 1, _GivenWords(words))
+        assert g.out_rows == (0b10, 0b01 if offset < 0 else 0)
 
 
 class TestPinnedOutputs:
