@@ -75,6 +75,19 @@ class TestBounds:
             assert ceil_one_plus_sqrt2(n) == n + m
             assert 0 < ceil_beta(n) - BETA * n < 1
 
+    def test_pinned_values(self):
+        # every bound to the bit, and the three ceilings, are byte-stable
+        doc = [
+            (model.value, n, k, b.lower, b.upper_real.hex(), b.upper_int)
+            for model in Model
+            for n in range(1, 201)
+            for k in range(1, min(n, 8) + 1)
+            for b in [bounds_values(model, n, k)]
+        ]
+        doc.append([(ceil_sqrt2(n), ceil_one_plus_sqrt2(n), ceil_beta(n)) for n in range(2001)])
+        digest = hashlib.sha256(repr(doc).encode()).hexdigest()
+        assert digest == "010d09d1098f7dc5459cf2f703678531cfbe920ef52eeb273229001e77bbf3b1"
+
 
 class TestAlpha:
     def test_small_values(self):
