@@ -1,6 +1,10 @@
 """Bound formulas and the two proof certificates computed on concrete runs:
 the rounds graph (broadcast / k-broadcast) and the backward strict-sets
-construction with its strict rounds graph (cover)."""
+construction with its strict rounds graph (cover).
+
+The bounds are ceilings of irrational numbers, computed exactly in Python
+integers: sqrt(2) n through ``math.isqrt``, and pi through the 60-digit
+bracket [P, P + 1] / 10^60."""
 
 from __future__ import annotations
 
@@ -9,46 +13,51 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from mpmath import iv
-
 from .families import Model, ModelSpec, forest_roots, roots_reaching_all
 from .graphs import ProductTrace, _once, bits, full_mask, row_image
 
-iv.dps = 60
+BETA = (math.pi ** 2 + 6) / 6  # float view; exact comparisons go through P
 
-BETA = (math.pi ** 2 + 6) / 6  # float view; exact comparisons go through iv
-
-
-def _exact_ceil(x) -> int:
-    """Ceiling of an interval that provably does not straddle an integer."""
-    lo, hi = iv.mpf(x).a, iv.mpf(x).b
-    clo, chi = int(math.ceil(lo)), int(math.ceil(hi))
-    if clo != chi:  # pragma: no cover - dps=60 leaves no room for this
-        raise ArithmeticError(f"interval {x} straddles an integer")
-    return clo
-
-
-_SQRT2 = iv.sqrt(2)
-_BETA_IV = (iv.pi ** 2 + 6) / 6
+_D = 10 ** 60
+P = 3141592653589793238462643383279502884197169399375105820974944  # floor(pi * _D)
+# beta = (pi^2 + 6) / 6 lies in [_BETA_LO, _BETA_HI] / _BETA_DEN
+_BETA_DEN = 6 * _D * _D
+_BETA_LO = P * P + _BETA_DEN
+_BETA_HI = (P + 1) ** 2 + _BETA_DEN
 
 
 def ceil_sqrt2(n: int) -> int:
-    """ceil(sqrt(2) * n), exactly."""
-    return _exact_ceil(_SQRT2 * n)
+    """ceil(sqrt(2) * n), exactly: sqrt(2) n is irrational for n > 0."""
+    return math.isqrt(2 * n * n) + (n > 0)
 
 
 def ceil_one_plus_sqrt2(n: int) -> int:
     """ceil((1 + sqrt(2)) * n), exactly."""
-    return _exact_ceil((1 + _SQRT2) * n)
+    return n + ceil_sqrt2(n)
 
 
 def ceil_beta(n: int) -> int:
-    """ceil((pi^2 + 6) / 6 * n), exactly."""
-    return _exact_ceil(_BETA_IV * n)
+    """ceil((pi^2 + 6) / 6 * n), exactly: both ends of the bracket agree."""
+    lo, hi = _ceil_div(_BETA_LO * n, _BETA_DEN), _ceil_div(_BETA_HI * n, _BETA_DEN)
+    if lo != hi:  # pragma: no cover - 60 digits leave no room for this
+        raise ArithmeticError(f"beta * {n} straddles an integer at 60 digits")
+    return lo
 
 
 def _ceil_div(num: int, den: int) -> int:
     return -(-num // den)
+
+
+def _float_down(num: int, den: int) -> float:
+    """The largest double <= num / den, for positive num and den."""
+    f = num / den  # correctly rounded, so at most one ulp too high
+    a, b = f.as_integer_ratio()
+    return math.nextafter(f, 0.0) if a * den > num * b else f
+
+
+def _sqrt2_floor(n: int) -> int:
+    """floor(sqrt(2) * n * 10^60)."""
+    return math.isqrt(2 * (n * _D) ** 2)
 
 
 @dataclass(frozen=True)
@@ -63,23 +72,24 @@ class Bounds:
 
 def bounds_values(model: Model, n: int, k: int = 1) -> Bounds:
     """Worst-case time brackets: integer lower bound and the real upper
-    bound with its exact ceiling. Pure formula evaluation, so n may exceed
-    the simulator's 64-node cap."""
+    bound with its exact ceiling. The real bound is the largest double at
+    or below it. Pure formula evaluation, so n may exceed the simulator's
+    64-node cap."""
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"bad bounds parameters n={n}, k={k}")
     if model is Model.TREES:
         lower = _ceil_div(3 * n - 1, 2) - 2
-        upper = (1 + _SQRT2) * n
+        upper_real = _float_down(n * _D + _sqrt2_floor(n), _D)
         upper_int = ceil_one_plus_sqrt2(n)
     elif model is Model.K_FORESTS:
         lower = _ceil_div(3 * (n - k), 2) - 1
-        upper = _BETA_IV * n + 1
-        upper_int = _exact_ceil(upper)
+        upper_real = _float_down(_BETA_LO * n + _BETA_DEN, _BETA_DEN)
+        upper_int = ceil_beta(n) + 1
     else:
         lower = _ceil_div(3 * (n - 3 * k), 2) + 2
-        upper = (1 + _SQRT2) * n + (k - 1)
+        upper_real = _float_down((n + k - 1) * _D + _sqrt2_floor(n), _D)
         upper_int = ceil_one_plus_sqrt2(n) + k - 1
-    return Bounds(model, n, k, lower, float(iv.mpf(upper).mid), upper_int)
+    return Bounds(model, n, k, lower, upper_real, upper_int)
 
 
 def bounds_for(spec: ModelSpec) -> Bounds:
@@ -498,10 +508,10 @@ def verify_strict_inequalities(
                 {"lhs": lhs, "rhs": (u - k) * n},
             ))
         total = sum(deltas.values())
-        beta_n = _BETA_IV * n
-        # total is an integer and beta*n irrational, so the interval decides
+        # total is an integer and beta*n irrational: total <= beta*n iff below its ceiling
+        beta_n = _float_down(_BETA_LO * n, _BETA_DEN)
         checks.append(CheckResult(
-            "total_gap", total <= beta_n.a, {"sum": total, "beta_n": float(beta_n.mid)},
+            "total_gap", total < ceil_beta(n), {"sum": total, "beta_n": beta_n},
         ))
         checks.extend(_strict_increment_spot_checks(tr, samples, seed))
     return VerificationReport(checks)

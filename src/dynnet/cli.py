@@ -82,8 +82,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "out": args.out,
         "rounds": len(out.seq),
         "claimed_time": out.claimed_time,
-        # the paper states each bound in a second form, equal to the first
-        "claimed_time_main_text": out.claimed_time,
     })
     return EXIT_OK
 
@@ -211,6 +209,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"grid {args.grid!r}: every k exceeds every n")
     if ns[0] < 1 or ns[-1] > MAX_NODES:
         raise ValueError(f"grid {args.grid!r}: n outside [1, {MAX_NODES}]")
+    if ks.start < 1:
+        raise ValueError(f"grid {args.grid!r}: k below 1")
     rows = []
     ok_all = True
     with warnings.catch_warnings():
@@ -250,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", required=True,
                    choices=["broadcast", "cover", "kbroadcast"])
     p.add_argument("--k", type=int)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--table", action="store_true")
+    p.add_argument("--table", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("search", help="exact worst-case time over a family")

@@ -7,6 +7,7 @@ import pytest
 from dynnet import seqfile
 from dynnet.analysis import (
     BETA,
+    P,
     StrictRoundsGraph,
     alpha,
     bounds_for,
@@ -27,6 +28,23 @@ from dynnet.constructions import build
 from dynnet.dissemination import RoundSequence
 from dynnet.families import Model, ModelSpec, random_graph, reach_mask
 from dynnet.graphs import ProductTrace, full_mask, graph_from_rows, identity, make_graph, product
+
+
+def machin_pi(digits):
+    """floor(pi * 10^digits) in integers, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239), with 20 guard digits."""
+    one = 10 ** (digits + 20)
+
+    def arctan_inv(x):
+        # sum of (-1)^i / ((2i + 1) x^(2i + 1)), each term truncated
+        total, power, i = 0, one // x, 0
+        while power:
+            total += (-1) ** i * (power // (2 * i + 1))
+            power //= x * x
+            i += 1
+        return total
+
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) // 10 ** 20
 
 
 def tree_trace(n, length, seed):
@@ -68,12 +86,23 @@ class TestBounds:
                     assert b.lower <= b.upper_int, (model, n, k)
 
     def test_exact_ceilings_consistent(self):
-        for n in range(1, 300):
+        pi80, one = machin_pi(80), 10 ** 160
+        # exact past the doubles too: above 2^53 a float ceiling is off
+        for n in [*range(1, 300), 2 ** 53 - 1, 2 ** 64 + 1, 10 ** 20 + 7, 10 ** 40 + 3]:
             m = ceil_sqrt2(n)
             # ceil(sqrt2 n) = m iff (m-1)^2 < 2n^2 < m^2, checked in integers
             assert (m - 1) ** 2 < 2 * n * n < m * m
             assert ceil_one_plus_sqrt2(n) == n + m
+            # ceil(beta n) = c iff c - 1 < (pi^2 + 6) n / 6 < c, with pi to 80 digits
+            c = ceil_beta(n)
+            assert (c - 1) * 6 * one < (pi80 ** 2 + 6 * one) * n
+            assert ((pi80 + 1) ** 2 + 6 * one) * n < c * 6 * one
+        for n in range(1, 300):
             assert 0 < ceil_beta(n) - BETA * n < 1
+
+    def test_pi_bracket(self):
+        # the bracket [P, P + 1] / 10^60 holds pi, checked against Machin's formula
+        assert P == machin_pi(60)
 
     def test_pinned_values(self):
         # every bound to the bit, and the three ceilings, are byte-stable

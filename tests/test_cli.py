@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynnet
 from dynnet import seqfile
 from dynnet.cli import main
 from dynnet.constructions import trees_lower_bound
@@ -299,7 +304,8 @@ class TestCliExitCodes:
         f = tmp_path / "t10.json"
         assert main(["construct", "--model", "tree", "--n", "10",
                      "--out", str(f)]) == 0
-        assert json.loads(capsys.readouterr().out)["claimed_time"] == 13
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"out", "rounds", "claimed_time"} and doc["claimed_time"] == 13
         assert main(["simulate", "--seq", str(f), "--objective", "broadcast"]) == 0
         assert json.loads(capsys.readouterr().out)["time"] >= 13
 
@@ -343,11 +349,12 @@ class TestCliExitCodes:
         ["verify", "--grid", "n=3..4,n=9", "--samples", "1"],
         ["verify", "--grid", "n=63..65", "--samples", "1"],
         ["verify", "--grid", "n=0..3", "--samples", "1"],
+        ["verify", "--grid", "n=3..4,k=0..1", "--samples", "1"],
         ["search", "--model", "forest", "--n", "3", "--k", "0", "--objective", "cover"],
     ], ids=["construct-tree-k", "construct-k-over-n", "construct-k-zero",
             "verify-negative-samples", "verify-zero-samples", "verify-empty-n", "verify-empty-k",
             "verify-k-over-n", "verify-unknown-key", "verify-repeated-key", "verify-n-over-64",
-            "verify-n-below-1", "search-k-zero"])
+            "verify-n-below-1", "verify-k-below-1", "search-k-zero"])
     def test_invalid_request_exits_2(self, argv, tmp_path, capsys):
         out = tmp_path / "c.json"
         argv = argv + ["--out", str(out)] if argv[0] == "construct" else argv
@@ -392,9 +399,25 @@ class TestCliExitCodes:
         assert main(["export-dot", "--seq", path, "--round", "1"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
 
+    def test_simulate_has_no_json_option(self, tree_file, capsys):
+        # JSON is the only default; --table alone selects another format
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seq", tree_file[0], "--objective", "broadcast", "--json"])
+        assert exc.value.code == 2
+        assert "--json" in capsys.readouterr().err
+
     def test_export_dot_has_no_self_loops_option(self, tree_file, capsys):
         # no file round carries a loop, so there is none to select
         with pytest.raises(SystemExit) as exc:
             main(["export-dot", "--seq", tree_file[0], "--self-loops"])
         assert exc.value.code == 2
         assert "--self-loops" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_mpmath_out():
+    # the bounds are exact in integers; a fresh interpreter shows what loads
+    env = {**os.environ, "PYTHONPATH": str(Path(dynnet.__file__).parents[1])}
+    code = "import sys, dynnet.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
