@@ -59,12 +59,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     spec = ModelSpec(Model(args.model), args.n, 1 if args.k is None else args.k)
     objective = _objective_from_args(args.objective, spec.k)
-    res = exact_worst_case(
-        spec,
-        objective,
-        mem_cap_bytes=args.mem_cap,
-        allow_large=args.allow_large,
-    )
+    res = exact_worst_case(spec, objective, mem_cap_bytes=args.mem_cap)
     doc = {
         "value": res.value,
         "states_visited": res.states_visited,
@@ -263,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     # command runs, so a malformed DYNNET_MEM_CAP is a usage error there alone
     p.add_argument("--mem-cap", type=int,
                    default=os.environ.get("DYNNET_MEM_CAP", DEFAULT_MEM_CAP))
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("construct", help="emit a worst-case schedule file")

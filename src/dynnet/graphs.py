@@ -311,14 +311,12 @@ def out_set(trace: ProductTrace, t: int, t2: int, x: int) -> set[int]:
     return set(bits(trace.out_mask(t, t2, x)))
 
 
-def to_dot(g: Graph, name: str = "G", include_self_loops: bool = False) -> str:
-    """DOT rendering of a graph; self-loops suppressed unless requested."""
+def to_dot(g: Graph, name: str = "G") -> str:
+    """DOT rendering of a graph, one line per node and per edge."""
     lines = [f"digraph {name} {{"]
     for x in range(g.n):
         lines.append(f"  {x};")
     for u, v in g.edges():
-        if u == v and not include_self_loops:
-            continue
         lines.append(f"  {u} -> {v};")
     lines.append("}")
     return "\n".join(lines)

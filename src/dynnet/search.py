@@ -15,8 +15,9 @@ from .dissemination import Objective, RoundSequence, cover_achieved
 from .families import Model, ModelSpec, enumerate_k_forests, enumerate_rooted_trees, union_rows
 from .graphs import Graph, compose_rows, full_mask, graph_from_rows, identity
 
-TREE_SEARCH_GUARD = 6
-OTHER_SEARCH_GUARD = 5
+# n <= 5 keeps the dense value table at 1 MiB and every key in 20 bits
+SEARCH_GUARD = 5
+KEY_DTYPE = np.dtype(np.int32)
 DEFAULT_MEM_CAP = 2 << 30  # bytes
 
 
@@ -89,11 +90,6 @@ def _insert_bit(row, x: int):
     return (row & ((1 << x) - 1)) | ((row >> x) << (x + 1)) | (1 << x)
 
 
-def _key_dtype(n: int) -> type:
-    """The smallest signed integer type holding every key of ``n`` nodes."""
-    return np.int32 if n * (n - 1) <= 30 else np.int64
-
-
 def _successor_rows(n: int) -> int:
     """Rows of the stacked successor tables: 2^(2(n-1)) for each row pair
     and 2^(n-1) for the last row when n is odd."""
@@ -111,16 +107,15 @@ def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
     table = _move_table(moves, n)
     width = n - 1
     compressed = np.arange(1 << width, dtype=np.uint64)
-    dtype = _key_dtype(n)
 
     def row_table(x: int) -> np.ndarray:
         """[c, j] = row x of the child under move j when row x of the state
         is ``c``, both without the diagonal, shifted to its key position."""
         child_rows = table[:, _insert_bit(compressed, x)].T
-        return (_drop_bit(child_rows, x) << (x * width)).astype(dtype)
+        return (_drop_bit(child_rows, x) << (x * width)).astype(KEY_DTYPE)
 
     pairs = n // 2
-    succ = np.empty((_successor_rows(n), len(moves)), dtype=dtype)
+    succ = np.empty((_successor_rows(n), len(moves)), dtype=KEY_DTYPE)
     for p in range(pairs):
         # index high * 2^width + low for the state rows (2p + 1, 2p) = (high, low)
         part = succ[p << 2 * width : (p + 1) << 2 * width].reshape(1 << width, 1 << width, -1)
@@ -149,8 +144,8 @@ SLICE_BITS = 16
 class _Search:
     """A state is the product graph G(t) with self-loops, so its diagonal is
     always set. The key drops it: row x without bit x occupies key bits
-    [x*(n-1), (x+1)*(n-1)), so a state takes n(n-1) bits (20 at n=5, 30 at
-    n=6).
+    [x*(n-1), (x+1)*(n-1)), so a state takes n(n-1) bits, at most 20 under
+    ``SEARCH_GUARD``, and every key is an int32.
 
     Values live in a dense uint8 table indexed by key that holds the value
     plus 1; 0 means not solved yet. The children of a batch of states under
@@ -197,8 +192,7 @@ class _Search:
         self.row_mask = full_mask(n - 1)
         self.objective = objective
         self.moves = family_moves(spec)
-        dtype = _key_dtype(n)
-        itemsize = np.dtype(dtype).itemsize
+        itemsize = KEY_DTYPE.itemsize
         moves = len(self.moves)
         self.slice_bits = min(SLICE_BITS, key_bits)
         # a batch comes from one bit-count group, and the middle one is largest
@@ -217,8 +211,8 @@ class _Search:
         # (table offset, key shift) of every part after the first
         self.parts = [(p << 2 * self.width, 2 * p * self.width) for p in range(1, (n + 1) // 2)]
         self.part_mask = full_mask(2 * self.width)
-        self.kids = np.empty((self.batch, moves), dtype=dtype)
-        self.gathered = np.empty((self.batch, moves), dtype=dtype)
+        self.kids = np.empty((self.batch, moves), dtype=KEY_DTYPE)
+        self.gathered = np.empty((self.batch, moves), dtype=KEY_DTYPE)
         # (full row x for every compressed row, key shift of row x)
         compressed = np.arange(1 << self.width, dtype=np.int64)
         self.row_lookup = [(_insert_bit(compressed, x), x * self.width) for x in range(n)]
@@ -291,7 +285,7 @@ class _Search:
         """The PENDING keys with ``c`` set bits in the slice at ``base``."""
         offsets = np.flatnonzero(self.values[base : base + self.set_bits.size] == PENDING)
         offsets = offsets[self.set_bits[offsets] == c]
-        return (offsets + base).astype(self.kids.dtype)
+        return (offsets + base).astype(KEY_DTYPE)
 
     def _batches(self, keys: np.ndarray):
         for i in range(0, keys.size, self.batch):
@@ -360,7 +354,6 @@ def exact_worst_case(
     spec: ModelSpec,
     objective: Objective,
     *,
-    allow_large: bool = False,
     mem_cap_bytes: int = DEFAULT_MEM_CAP,
     threads: int = 1,
 ) -> SearchResult:
@@ -378,28 +371,25 @@ def exact_worst_case(
     expanded states minus (``states_visited`` - 1); a depth-first memoized
     recursion counts the same.
 
-    Raises MemoryBudgetExceeded, before enumerating any move, when the dense
-    value table (2^(n(n-1)) bytes) exceeds ``mem_cap_bytes``, and before
-    building the successor tables when the value table plus the move table
-    (``moves * 2^n * 8`` bytes), the successor tables
-    (``floor(n/2) * 2^(2(n-1)) * moves * w`` bytes for the row pairs, plus
-    ``2^(n-1) * moves * w`` for the last row when n is odd, with key width
-    w = 4 bytes when n(n-1) <= 30 and 8 otherwise) and the batch buffers
-    (``6 * batch * moves * w`` bytes) do. A batch is as many states as keep
-    its ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and
-    at most the largest bit-count group of a slice. The search runs on one
-    thread; ``threads`` is accepted for callers that pass 1, and any other
-    value raises ValueError. Raises SearchStalled when a move leaves a state
-    the objective does not hold on unchanged.
+    Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
+    (5) in any family. Raises MemoryBudgetExceeded, before enumerating any
+    move, when the dense value table (2^(n(n-1)) bytes) exceeds
+    ``mem_cap_bytes``, and before building the successor tables when the
+    value table plus the move table (``moves * 2^n * 8`` bytes), the
+    successor tables (``floor(n/2) * 2^(2(n-1)) * moves * 4`` bytes for the
+    row pairs, plus ``2^(n-1) * moves * 4`` for the last row when n is odd)
+    and the batch buffers (``6 * batch * moves * 4`` bytes) do. A batch is as
+    many states as keep its ``batch * moves`` child keys within
+    ``BATCH_BYTES``, at least one and at most the largest bit-count group of
+    a slice. The search runs on one thread; ``threads`` is accepted for
+    callers that pass 1, and any other value raises ValueError. Raises
+    SearchStalled when a move leaves a state the objective does not hold on
+    unchanged.
     """
+    if spec.n > SEARCH_GUARD:
+        raise ValueError(f"exact search guarded to n <= {SEARCH_GUARD}, got n={spec.n}")
     if threads != 1:
         raise ValueError(f"exact search runs on one thread, got threads={threads}")
-    guard = TREE_SEARCH_GUARD if spec.model is Model.TREES else OTHER_SEARCH_GUARD
-    if spec.n > guard and not allow_large:
-        raise ValueError(
-            f"exact search guarded to n <= {guard} for {spec.model.value}; "
-            "pass allow_large=True at your own risk"
-        )
     if objective.k > spec.n:
         raise ValueError("objective k exceeds n")
     search = _Search(spec, objective, mem_cap_bytes)
@@ -419,7 +409,7 @@ def _reconstruct(search: _Search, start: int) -> list[Graph]:
     key = start
     remaining = int(search.values[key]) - 1
     while remaining > 0:
-        succ = search._gather(np.array([key], dtype=search.kids.dtype))[0]
+        succ = search._gather(np.array([key], dtype=KEY_DTYPE))[0]
         # a child that needs remaining-1 rounds has table entry remaining
         best = np.flatnonzero(search.values[succ] == remaining)
         if best.size == 0:  # pragma: no cover

@@ -9,6 +9,7 @@ from dynnet.analysis import (
     BETA,
     P,
     StrictRoundsGraph,
+    StrictSetsTrace,
     alpha,
     bounds_for,
     bounds_values,
@@ -380,6 +381,23 @@ class TestStrictSets:
         tr = build_strict_sets(trace, n, 3)
         assert tr.complete and tr.deltas == {}
         assert verify_strict_inequalities(tr).all_passed
+
+    @pytest.mark.parametrize("total, passed", [(10, True), (11, False)])
+    def test_total_gap_splits_at_the_ceiling(self, total, passed):
+        # a synthetic complete trace whose delta sum is t_marks[4] - t_marks[1];
+        # beta * 4 is 10.58, so a sum of ceil_beta(4) - 1 = 10 is the largest allowed
+        n, k, length = 4, 1, 12
+        assert ceil_beta(n) - 1 == 10
+        tr = StrictSetsTrace(
+            k=k, n=n, t_prime=length, complete=True,
+            sets={s: tuple((i, length) for i in range(s)) for s in range(k, n + 1)},
+            t_marks={1: 0, 2: 3, 3: 6, 4: total},
+            pivots={},
+            trace=ProductTrace(n, [make_graph(n, [])] * length),
+        )
+        report = verify_strict_inequalities(tr, samples=0)
+        gap = [c for c in report.checks if c.name == "total_gap"]
+        assert [(c.passed, c.detail["sum"]) for c in gap] == [(passed, total)]
 
     def test_strict_rounds_graph_dot(self):
         n, k = 8, 2

@@ -351,10 +351,11 @@ class TestCliExitCodes:
         ["verify", "--grid", "n=0..3", "--samples", "1"],
         ["verify", "--grid", "n=3..4,k=0..1", "--samples", "1"],
         ["search", "--model", "forest", "--n", "3", "--k", "0", "--objective", "cover"],
+        ["search", "--model", "tree", "--n", "6", "--objective", "broadcast"],
     ], ids=["construct-tree-k", "construct-k-over-n", "construct-k-zero",
             "verify-negative-samples", "verify-zero-samples", "verify-empty-n", "verify-empty-k",
             "verify-k-over-n", "verify-unknown-key", "verify-repeated-key", "verify-n-over-64",
-            "verify-n-below-1", "verify-k-below-1", "search-k-zero"])
+            "verify-n-below-1", "verify-k-below-1", "search-k-zero", "search-tree-n6"])
     def test_invalid_request_exits_2(self, argv, tmp_path, capsys):
         out = tmp_path / "c.json"
         argv = argv + ["--out", str(out)] if argv[0] == "construct" else argv
@@ -405,6 +406,14 @@ class TestCliExitCodes:
             main(["simulate", "--seq", tree_file[0], "--objective", "broadcast", "--json"])
         assert exc.value.code == 2
         assert "--json" in capsys.readouterr().err
+
+    def test_search_has_no_allow_large_option(self, capsys):
+        # the n <= 5 guard has no override
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--model", "tree", "--n", "6", "--objective", "broadcast",
+                  "--allow-large"])
+        assert exc.value.code == 2
+        assert "--allow-large" in capsys.readouterr().err
 
     def test_export_dot_has_no_self_loops_option(self, tree_file, capsys):
         # no file round carries a loop, so there is none to select

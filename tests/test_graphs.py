@@ -309,11 +309,17 @@ class TestIntervalNeighborhoods:
 
 
 class TestDot:
-    def test_suppresses_loops_by_default(self):
-        g = with_loops(make_graph(3, [(0, 1)]))
-        text = to_dot(g)
-        assert "0 -> 1;" in text and "0 -> 0;" not in text
-        assert "0 -> 0;" in to_dot(g, include_self_loops=True)
+    def test_prints_the_edges_as_they_are(self):
+        g = make_graph(3, [(0, 1), (2, 1)])
+        assert to_dot(g, name="r") == "\n".join(
+            ["digraph r {", "  0;", "  1;", "  2;", "  0 -> 1;", "  2 -> 1;", "}"]
+        )
+
+    def test_keeps_the_loops_of_a_graph_that_has_them(self):
+        text = to_dot(with_loops(make_graph(3, [(0, 1)])))
+        assert [line for line in text.splitlines() if "->" in line] == [
+            "  0 -> 0;", "  0 -> 1;", "  1 -> 1;", "  2 -> 2;",
+        ]
 
 
 def test_bits_roundtrip():

@@ -133,9 +133,23 @@ class TestExactWorstCase:
             measured = run(cover_lower_bound(4, 2).seq, Objective.cover(2)).time
         assert res.value >= measured
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            exact_worst_case(ModelSpec(Model.TREES, 7), Objective.broadcast())
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(Model.TREES, 6),
+            ModelSpec(Model.K_FORESTS, 6, 2),
+            ModelSpec(Model.K_ROOTED, 6, 2),
+            ModelSpec(Model.TREES, 7),
+        ],
+        ids=["tree-6", "forest-6", "digraph-6", "tree-7"],
+    )
+    def test_guard(self, monkeypatch, spec):
+        def enumerate_moves(spec):
+            pytest.fail("moves enumerated above the guard")
+
+        monkeypatch.setattr(search_module, "family_moves", enumerate_moves)
+        with pytest.raises(ValueError, match="n <= 5"):
+            exact_worst_case(spec, Objective.broadcast())
 
     def test_broadcast_against_forests_stalls(self):
         # a 2-forest whose trees are already saturated adds no product edge
@@ -158,14 +172,14 @@ class TestExactWorstCase:
             )
 
     def test_value_table_over_budget_raises_before_enumerating(self, monkeypatch):
-        # trees at n=7 would need a 2^42-byte value table
+        # trees at n=5 need a 2^20-byte value table, one byte more than the cap
         def enumerate_moves(spec):
             pytest.fail("moves enumerated before the budget check")
 
         monkeypatch.setattr(search_module, "family_moves", enumerate_moves)
-        with pytest.raises(MemoryBudgetExceeded):
+        with pytest.raises(MemoryBudgetExceeded, match="value table: 1048576 bytes"):
             exact_worst_case(
-                ModelSpec(Model.TREES, 7), Objective.broadcast(), allow_large=True
+                ModelSpec(Model.TREES, 5), Objective.broadcast(), mem_cap_bytes=2**20 - 1
             )
 
     def test_charge_covers_successor_and_move_tables(self):
