@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .families import Model, ModelSpec, forest_roots, roots_reaching_all
-from .graphs import ProductTrace, _once, bits, full_mask, row_image
+from .graphs import ProductTrace, _once, bits, compose_in_rows, full_mask, identity, row_image
 
 BETA = (math.pi ** 2 + 6) / 6  # float view; exact comparisons go through P
 
@@ -204,7 +205,8 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
     """Construct the certificate from a trace of rooted rounds; the trace
     must be at least ceil((1+sqrt2) n) + |avoid| rounds long. The chosen
     root of each round is the smallest root outside the avoided set; the
-    roots of a round object that the trace repeats are searched once."""
+    roots of a round object that the trace repeats are searched once, and
+    each round's heard row is read once."""
     n = trace.n
     outside = sorted(v for v in avoid if not 0 <= v < n)
     if outside:
@@ -222,18 +224,19 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
         if not candidates:
             raise ValueError(f"round {t} has no root outside the avoided set")
         roots.append(min(candidates))
-    process_edges = []
-    for t in range(1, round_count + 1):
-        heard = trace.prefix_in_rows[t - 1][roots[t - 1]]
-        for p in bits(heard):
-            if p not in avoid:
-                process_edges.append((p, t))
+    # heard[t-1]: the processes round t's root has heard of before round t
+    heard = [cols[r] for cols, r in zip(trace.prefix_in_rows, roots)]
+    kept = full_mask(n) & ~sum(1 << v for v in avoid)
+    process_edges = [(p, t) for t, h in enumerate(heard, 1) for p in bits(h & kept)]
+    # hearers[r]: the rounds, ascending, whose root has heard of process r
+    hearers = {
+        r: [t2 for t2, h in enumerate(heard, 1) if h >> r & 1]
+        for r in set(roots[: threshold - 1])
+    }
     round_edges = []
     for t in range(1, min(threshold, round_count + 1)):
-        rt = roots[t - 1]
-        for t2 in range(t + 1, round_count + 1):
-            if trace.prefix_in_rows[t2 - 1][roots[t2 - 1]] >> rt & 1:
-                round_edges.append((t, t2))
+        later = hearers[roots[t - 1]]
+        round_edges += [(t, t2) for t2 in later[bisect_right(later, t):]]
     return RoundsGraph(
         n, frozenset(avoid), round_count, threshold, tuple(roots),
         tuple(process_edges), tuple(round_edges),
@@ -308,13 +311,20 @@ def build_strict_sets(trace: ProductTrace, k: int, t_prime: int) -> StrictSetsTr
     # kept sorted so the pivot's (i, j) choice is canonical, not an
     # artifact of earlier removals
     pairs: list[Pair] = sorted((i, t_prime) for i in range(n))
+    in_rows = [g.in_rows for g in trace.rounds[:t_prime]]
     sets = {n: tuple(pairs)}
     t_marks = {n: t_prime}
     pivots: dict[int, int] = {}
     complete = True
     for s in range(n - 1, k - 1, -1):
         t_scan = min(t for _, t in pairs) + 1
-        masks = [trace.in_mask(t_scan, t_i, a_i) for a_i, t_i in pairs]
+        # In(t_scan, t_i, a_i) of every member, composed backwards
+        masks = []
+        for a_i, t_i in pairs:
+            m = 1 << a_i
+            for tau in range(t_i - 1, t_scan - 2, -1):
+                m |= row_image(in_rows[tau], m)
+            masks.append(m)
         found = None
         t = t_scan
         while t >= 1:
@@ -327,7 +337,7 @@ def build_strict_sets(trace: ProductTrace, k: int, t_prime: int) -> StrictSetsTr
                 break
             t -= 1
             if t >= 1:
-                rows = trace.rounds[t - 1].in_rows
+                rows = in_rows[t - 1]
                 masks = [m | row_image(rows, m) for m in masks]
         if found is None:
             complete = False
@@ -435,7 +445,10 @@ def verify_strict_inequalities(
 ) -> VerificationReport:
     """Evaluate every certificate inequality on a concrete strict-sets trace
     and report both sides; a failure falsifies the implementation, not the
-    bound."""
+    bound. The cover unions of every level come from one backward sweep of
+    the suffix out-rows Out(t, t', .) down from t', and each pairwise
+    intersection of levels is the popcount of an AND of their member
+    bitmasks."""
     checks: list[CheckResult] = []
     k, n, trace = tr.k, tr.n, tr.trace
     fm = full_mask(n)
@@ -448,10 +461,26 @@ def verify_strict_inequalities(
             f"cardinality[s={s}]", len(pairs) == s and len(set(pairs)) == s,
             {"size": len(pairs)},
         ))
+    # Out(t_i + 1, t', a_i) of every distinct member, read off the suffix
+    # out-rows Out(t, t', .) of one backward sweep down from t'; a step is
+    # the in-row step of compose_in_rows on the transposed relation
+    starts: dict[int, set[int]] = {}
+    for pairs in tr.sets.values():
+        for a_i, t_i in pairs:
+            if not (0 <= a_i < n and 0 <= t_i <= tr.t_prime):
+                raise ValueError(f"member {(a_i, t_i)} outside [0, {n}) x [0, {tr.t_prime}]")
+            starts.setdefault(t_i + 1, set()).add(a_i)
+    reach: dict[Pair, int] = {}
+    rows = identity(n).out_rows
+    for t in range(tr.t_prime + 1, min(starts, default=tr.t_prime + 1) - 1, -1):
+        if t <= tr.t_prime:
+            rows = compose_in_rows(rows, trace.rounds[t - 1].out_rows)
+        for a_i in starts.get(t, ()):
+            reach[a_i, t - 1] = rows[a_i]
     for s, pairs in sorted(tr.sets.items()):
         covered = 0
-        for a_i, t_i in pairs:
-            covered |= trace.out_mask(t_i + 1, tr.t_prime, a_i)
+        for pair in pairs:
+            covered |= reach[pair]
         checks.append(CheckResult(
             f"cover[s={s}]", covered == fm,
             {"covered": covered.bit_count(), "needed": n},
@@ -470,12 +499,18 @@ def verify_strict_inequalities(
             {"t_mark": marks[s], "max_allowed": min(t for _, t in pairs) + 1 if pairs else None},
         ))
     levels = sorted(tr.sets)
+    # each level as a bitmask over the distinct members of all levels
+    index: dict[Pair, int] = {}
+    member_masks = {
+        s: sum(1 << index.setdefault(pair, len(index)) for pair in set(pairs))
+        for s, pairs in tr.sets.items()
+    }
     bad_pairs = []
     for si in levels:
         for u in levels:
             if si > u:
                 continue
-            inter = len(set(tr.sets[si]) & set(tr.sets[u]))
+            inter = (member_masks[si] & member_masks[u]).bit_count()
             if inter < 2 * si - u:
                 bad_pairs.append({"s": si, "u": u, "have": inter, "need": 2 * si - u})
     checks.append(CheckResult(
@@ -493,16 +528,20 @@ def verify_strict_inequalities(
             checks.append(CheckResult(
                 f"window_sum[s={s}]", lhs <= n, {"lhs": lhs, "rhs": n},
             ))
+        lhs = 0
         for u in range(k + 1, n + 1):
-            lhs = sum(deltas[s] * alpha(s, k) for s in range(k + 1, u + 1))
+            lhs += deltas[u] * alpha(u, k)
             checks.append(CheckResult(
                 f"volume_prefix[u={u}]", lhs <= (u - k) * n,
                 {"lhs": lhs, "rhs": (u - k) * n},
             ))
-        srg = StrictRoundsGraph.from_trace(tr)
-        edge_list = list(srg.edges())
+        # the edge-weighted volume of sources <= u, as a running sum over u
+        by_source = dict.fromkeys(range(k + 1, n + 1), 0)
+        for src, _, w in StrictRoundsGraph.from_trace(tr).edges():
+            by_source[src] += deltas[src] * w
+        lhs = 0
         for u in range(k + 1, n + 1):
-            lhs = sum(deltas[s] * w for s, _, w in edge_list if s <= u)
+            lhs += by_source[u]
             checks.append(CheckResult(
                 f"edge_prefix[u={u}]", lhs <= (u - k) * n,
                 {"lhs": lhs, "rhs": (u - k) * n},

@@ -10,13 +10,15 @@ truncated. No round carries a self-loop: every composition step implies
 them.
 
 The lower-bound schedules repeat a few phase graphs many times, so each
-distinct round is handled once: the writer derives one record per
-distinct Graph object, and the reader builds one Graph per distinct
-record, which ``RoundSequence`` then validates once."""
+distinct round is handled once: the writer derives and JSON-encodes one
+record per distinct Graph object, and the reader builds one Graph per
+distinct record, keyed on the record's ``marshal`` bytes, which
+``RoundSequence`` then validates once."""
 
 from __future__ import annotations
 
 import json
+import marshal
 from functools import partial
 from typing import Optional
 
@@ -27,6 +29,7 @@ from .graphs import Graph, _once, graph_from_parents, make_graph
 FORMAT_KEYS = {"n", "model", "k", "rounds", "repeat", "seed"}
 REPEAT_KEYS = {"from", "to", "times"}
 MAX_ROUNDS = 1 << 20  # rounds a repeat block may expand a file to
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _int(value) -> int:
@@ -58,10 +61,15 @@ def _record_to_round(model: Model, n: int, record) -> Graph:
     return graph_from_parents(n, [_int(p) for p in record])
 
 
+def _record_key(record) -> bytes:
+    return marshal.dumps(record, 0)
+
+
 def sequence_to_json_dict(seq: RoundSequence, seed: Optional[int] = None) -> dict:
     """Rounds are always written out in full; the repeat block is accepted
     on input only. A Graph object that repeats in the sequence gets one
-    record, and every round it fills refers to that same list."""
+    record, and every round it fills refers to that same list. The seed
+    must be an integer, as the reader requires."""
     spec = seq.spec
     record = _once(partial(_round_to_record, spec.model))
     out: dict = {
@@ -71,14 +79,20 @@ def sequence_to_json_dict(seq: RoundSequence, seed: Optional[int] = None) -> dic
         "rounds": [record(g) for g in seq.rounds],
     }
     if seed is not None:
-        out["seed"] = seed
+        out["seed"] = _int(seed)
     return out
 
 
 def dumps(seq: RoundSequence, seed: Optional[int] = None) -> str:
-    """Canonical serialization: sorted keys, no floats, newline-terminated."""
-    return json.dumps(sequence_to_json_dict(seq, seed), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    """Canonical serialization: sorted keys, no floats, newline-terminated;
+    the text of ``json.dumps(sequence_to_json_dict(seq, seed),
+    sort_keys=True, separators=(",", ":"))``. Each distinct record object
+    is encoded once and its text repeated wherever the record is."""
+    doc = sequence_to_json_dict(seq, seed)
+    record = _once(_COMPACT)
+    fields = {key: _COMPACT(value) for key, value in doc.items() if key != "rounds"}
+    fields["rounds"] = "[" + ",".join([record(rec) for rec in doc["rounds"]]) + "]"
+    return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n"
 
 
 def save(path: str, seq: RoundSequence, seed: Optional[int] = None) -> None:
@@ -93,9 +107,12 @@ def from_json_dict(doc: dict) -> RoundSequence:
     where present, must hold an object; ``null`` is refused like any other
     non-object.
 
-    Equal records load as one Graph. They are matched on their ``repr``,
-    which tells ``1`` from ``1.0``, ``True`` and ``"1"``, so a record is
-    reused only where decoding it again would give the same Graph."""
+    Equal records load as one Graph. They are matched on their
+    ``marshal.dumps(record, 0)`` bytes: version 0 writes no
+    back-references, so equal bytes mean equal values of equal types, and
+    ``1``, ``1.0``, ``True`` and ``"1"`` key apart. A record is therefore
+    reused only where decoding it again would give the same Graph. A
+    record holding an object that marshal cannot write raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("sequence file must hold a JSON object")
     unknown = set(doc) - FORMAT_KEYS
@@ -110,7 +127,7 @@ def from_json_dict(doc: dict) -> RoundSequence:
         records = doc["rounds"]
         if not isinstance(records, list):
             raise ValueError(f"rounds must be an array, got {type(records).__name__}")
-        decode = _once(partial(_record_to_round, model, n), key=repr)
+        decode = _once(partial(_record_to_round, model, n), key=_record_key)
         rounds = [decode(rec) for rec in records]
         if "repeat" in doc:
             repeat = doc["repeat"]

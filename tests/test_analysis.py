@@ -8,6 +8,7 @@ from dynnet import seqfile
 from dynnet.analysis import (
     BETA,
     P,
+    RoundsGraph,
     StrictRoundsGraph,
     StrictSetsTrace,
     alpha,
@@ -27,8 +28,17 @@ from dynnet.analysis import (
 )
 from dynnet.constructions import build
 from dynnet.dissemination import RoundSequence
-from dynnet.families import Model, ModelSpec, random_graph, reach_mask
-from dynnet.graphs import ProductTrace, full_mask, graph_from_rows, identity, make_graph, product
+from dynnet.families import Model, ModelSpec, random_graph, reach_mask, roots_reaching_all
+from dynnet.graphs import (
+    ProductTrace,
+    bits,
+    full_mask,
+    graph_from_rows,
+    identity,
+    make_graph,
+    product,
+    row_image,
+)
 
 
 def machin_pi(digits):
@@ -399,6 +409,16 @@ class TestStrictSets:
         gap = [c for c in report.checks if c.name == "total_gap"]
         assert [(c.passed, c.detail["sum"]) for c in gap] == [(passed, total)]
 
+    @pytest.mark.parametrize("member", [(-1, 3), (4, 3), (0, -1), (0, 4)])
+    def test_member_outside_the_run_rejected(self, member):
+        # t' = 3 on a 5-round trace: a member must be a node at a round in [0, t']
+        n, k = 4, 1
+        sets = {s: tuple((i, 3) for i in range(s)) for s in range(k, n + 1)}
+        sets[2] = ((0, 3), member)
+        tr = StrictSetsTrace(k, n, 3, False, sets, {n: 3}, {}, forest_trace(n, k, 5, seed=4))
+        with pytest.raises(ValueError, match="outside"):
+            verify_strict_inequalities(tr, samples=0)
+
     def test_strict_rounds_graph_dot(self):
         n, k = 8, 2
         length = ceil_beta(n) + 1
@@ -428,3 +448,205 @@ def test_check_helpers_clean_on_valid_trace():
     assert check_duality(trace, rnd, 300) == 0
     roots = smallest_roots(trace)
     assert len(roots) == 20
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the certificate builders and checks against plain
+# reference versions that walk every interval query on its own
+# ---------------------------------------------------------------------------
+
+
+def plain_rounds_graph(trace, avoid):
+    """The rounds graph with each heard row read per round pair."""
+    n = trace.n
+    round_count = ceil_one_plus_sqrt2(n) + len(avoid)
+    threshold = ceil_sqrt2(n) + len(avoid)
+    roots = []
+    for t in range(1, round_count + 1):
+        candidates = roots_reaching_all(trace.rounds[t - 1]) - avoid
+        if not candidates:
+            raise ValueError(f"round {t} has no root outside the avoided set")
+        roots.append(min(candidates))
+    process_edges = []
+    for t in range(1, round_count + 1):
+        heard = trace.prefix_in_rows[t - 1][roots[t - 1]]
+        for p in bits(heard):
+            if p not in avoid:
+                process_edges.append((p, t))
+    round_edges = []
+    for t in range(1, min(threshold, round_count + 1)):
+        rt = roots[t - 1]
+        for t2 in range(t + 1, round_count + 1):
+            if trace.prefix_in_rows[t2 - 1][roots[t2 - 1]] >> rt & 1:
+                round_edges.append((t, t2))
+    return RoundsGraph(
+        n, frozenset(avoid), round_count, threshold, tuple(roots),
+        tuple(process_edges), tuple(round_edges),
+    )
+
+
+def plain_strict_sets(trace, k, t_prime):
+    """The backward construction with every in-mask taken through
+    ``ProductTrace.in_mask``."""
+    n = trace.n
+    pairs = sorted((i, t_prime) for i in range(n))
+    sets, t_marks, pivots, complete = {n: tuple(pairs)}, {n: t_prime}, {}, True
+    for s in range(n - 1, k - 1, -1):
+        t_scan = min(t for _, t in pairs) + 1
+        masks = [trace.in_mask(t_scan, t_i, a_i) for a_i, t_i in pairs]
+        found = None
+        t = t_scan
+        while t >= 1:
+            run = dup = 0
+            for m in masks:
+                dup |= run & m
+                run |= m
+            if dup:
+                found = (t, dup)
+                break
+            t -= 1
+            if t >= 1:
+                rows = trace.rounds[t - 1].in_rows
+                masks = [m | row_image(rows, m) for m in masks]
+        if found is None:
+            complete = False
+            break
+        t_mark, dup = found
+        pivot = (dup & -dup).bit_length() - 1
+        hit = [i for i, m in enumerate(masks) if m >> pivot & 1]
+        i, j = hit[0], hit[1]
+        pivot_pair = (pivot, t_mark - 1)
+        new_pairs = list(pairs)
+        if pivot_pair in pairs:
+            new_pairs.remove(pairs[i] if pairs[i] != pivot_pair else pairs[j])
+        else:
+            new_pairs.remove(pairs[i])
+            new_pairs.remove(pairs[j])
+            new_pairs.append(pivot_pair)
+        pairs = sorted(new_pairs)
+        sets[s], t_marks[s], pivots[s] = tuple(pairs), t_mark, pivot
+    return complete, sets, t_marks, pivots
+
+
+def plain_cover_checks(tr):
+    """cover[s], with one out-mask walk per member and level."""
+    out = []
+    for s, pairs in sorted(tr.sets.items()):
+        covered = 0
+        for a_i, t_i in pairs:
+            covered |= tr.trace.out_mask(t_i + 1, tr.t_prime, a_i)
+        out.append({"name": f"cover[s={s}]", "passed": covered == full_mask(tr.n),
+                    "detail": {"covered": covered.bit_count(), "needed": tr.n}})
+    return out
+
+
+def plain_intersections_check(tr):
+    """intersections, with two sets built per pair of levels."""
+    levels = sorted(tr.sets)
+    bad = []
+    for si in levels:
+        for u in levels:
+            if si <= u:
+                inter = len(set(tr.sets[si]) & set(tr.sets[u]))
+                if inter < 2 * si - u:
+                    bad.append({"s": si, "u": u, "have": inter, "need": 2 * si - u})
+    detail = {"pairs_checked": len(levels) * (len(levels) + 1) // 2, "violations": bad}
+    return [{"name": "intersections", "passed": not bad, "detail": detail}]
+
+
+def plain_prefix_checks(tr):
+    """volume_prefix[u] and edge_prefix[u], each sum taken afresh for
+    every u, the second over the whole edge list."""
+    k, n, deltas = tr.k, tr.n, tr.deltas
+    if not tr.complete:
+        return []
+    out = []
+    for u in range(k + 1, n + 1):
+        lhs = sum(deltas[s] * alpha(s, k) for s in range(k + 1, u + 1))
+        out.append({"name": f"volume_prefix[u={u}]", "passed": lhs <= (u - k) * n,
+                    "detail": {"lhs": lhs, "rhs": (u - k) * n}})
+    edge_list = list(StrictRoundsGraph.from_trace(tr).edges())
+    for u in range(k + 1, n + 1):
+        lhs = sum(deltas[s] * w for s, _, w in edge_list if s <= u)
+        out.append({"name": f"edge_prefix[u={u}]", "passed": lhs <= (u - k) * n,
+                    "detail": {"lhs": lhs, "rhs": (u - k) * n}})
+    return out
+
+
+def _checks_named(report, *prefixes):
+    return [c.to_json_dict() for c in report.checks if c.name.split("[")[0] in prefixes]
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+DIFFERENTIAL_SIZES = [*range(3, 21), 32]
+
+
+class TestCertificatesMatchPlainVersions:
+    """Seeded random traces: every set, mark, pivot, root, edge and check
+    equals the plain reference's."""
+
+    @pytest.mark.parametrize("n", DIFFERENTIAL_SIZES)
+    def test_strict_sets_and_checks(self, n):
+        incomplete = 0
+        for k in range(1, min(n, 3) + 1):
+            spec = ModelSpec(Model.K_FORESTS, n, k)
+            horizon = bounds_for(spec).upper_int
+            seed = 1000 * n + k
+            trace = ProductTrace(n, [random_graph(spec, seed + t) for t in range(horizon)])
+            # the horizon, and the longest prefix whose run is incomplete
+            t_primes = [horizon]
+            short = [t for t in range(1, horizon) if not build_strict_sets(trace, k, t).complete]
+            if short:
+                t_primes.append(short[-1])
+                incomplete += 1
+            for t_prime in t_primes:
+                tr = build_strict_sets(trace, k, t_prime)
+                assert (tr.complete, tr.sets, tr.t_marks, tr.pivots) == \
+                    plain_strict_sets(trace, k, t_prime), (n, k, t_prime)
+                report = verify_strict_inequalities(tr, seed=seed)
+                assert _checks_named(report, "cover") == plain_cover_checks(tr)
+                assert _checks_named(report, "intersections") == plain_intersections_check(tr)
+                assert _checks_named(report, "volume_prefix", "edge_prefix") == \
+                    plain_prefix_checks(tr)
+        # on these seeds an incomplete prefix exists for every k from n = 6
+        # on, and for k = 1 only below that
+        assert incomplete == (1 if n < 6 else 3), n
+
+    @pytest.mark.parametrize("n", [3, 8, 13, 32])
+    def test_checks_on_arbitrary_levels(self, n):
+        # random members and marks, so intersections are violated and every
+        # delta differs from zero, which no built trace shows
+        rnd = random.Random(n)
+        for k in range(1, min(n, 3) + 1):
+            t_prime = rnd.randint(1, 2 * n)
+            trace = forest_trace(n, k, t_prime + rnd.randint(0, 3), seed=n + k)
+            pool = [(a, t) for a in range(n) for t in range(t_prime + 1)]
+            sets = {s: tuple(sorted(rnd.sample(pool, s))) for s in range(k, n + 1)}
+            marks = dict(zip(range(k, n + 1), sorted(rnd.sample(range(3 * n * n), n - k + 1))))
+            tr = StrictSetsTrace(k, n, t_prime, True, sets, marks, {}, trace)
+            report = verify_strict_inequalities(tr, samples=0)
+            assert _checks_named(report, "cover") == plain_cover_checks(tr)
+            assert _checks_named(report, "intersections") == plain_intersections_check(tr)
+            assert _checks_named(report, "volume_prefix", "edge_prefix") == \
+                plain_prefix_checks(tr)
+
+    @pytest.mark.parametrize("n", DIFFERENTIAL_SIZES)
+    def test_rounds_graph(self, n):
+        rnd = random.Random(n)
+        for model, k in [(Model.TREES, 1), (Model.K_ROOTED, 1), (Model.K_ROOTED, 2), (Model.K_ROOTED, 3)]:
+            if k > n:
+                continue
+            spec = ModelSpec(model, n, k)
+            # with k = 1 a round's one root is avoided now and then, which both refuse
+            avoid = frozenset(rnd.sample(range(n), rnd.randint(0, k - 1 if k > 1 else 1)))
+            length = ceil_one_plus_sqrt2(n) + len(avoid) + rnd.randint(0, 5)
+            seed = rnd.getrandbits(32)
+            trace = ProductTrace(n, [random_graph(spec, seed + t) for t in range(length)])
+            assert _outcome(build_rounds_graph, trace, avoid) == \
+                _outcome(plain_rounds_graph, trace, avoid), (model, n, k, avoid)

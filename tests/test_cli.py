@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from dynnet.cli import main
 from dynnet.constructions import trees_lower_bound
 from dynnet.dissemination import RoundSequence
 from dynnet.families import Model, ModelSpec, random_graph
-from dynnet.graphs import make_graph
+from dynnet.graphs import graph_from_rows, make_graph
 
 
 @pytest.fixture()
@@ -161,6 +162,52 @@ class TestSequenceFiles:
         assert len(rounds) == 5
         assert len({id(g) for g in rounds}) == 2
         assert rounds[0] is rounds[2] is rounds[4]
+
+    @pytest.mark.parametrize("model,k", [(Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_ROOTED, 2)])
+    def test_dumps_is_the_sorted_key_json(self, model, k):
+        # repeated Graph objects next to equal but distinct ones
+        rnd = random.Random(f"{model.value}/{k}")
+        for n in (3, 5, 16):
+            spec = ModelSpec(model, n, k)
+            pool = [random_graph(spec, rnd.getrandbits(32)) for _ in range(3)]
+            rounds = [rnd.choice(pool) for _ in range(12)]
+            rounds += [graph_from_rows(n, g.out_rows) for g in rounds[:4]]
+            rnd.shuffle(rounds)
+            seq = RoundSequence(spec, rounds)
+            for seed in (None, rnd.getrandbits(40)):
+                want = json.dumps(seqfile.sequence_to_json_dict(seq, seed), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+                assert seqfile.dumps(seq, seed) == want, (model, n, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_writer_refuses_the_seeds_the_reader_refuses(self, seed, tmp_path):
+        seq = trees_lower_bound(4).seq
+        with pytest.raises(ValueError, match="expected an integer"):
+            seqfile.dumps(seq, seed)
+        with pytest.raises(ValueError, match="expected an integer"):
+            seqfile.sequence_to_json_dict(seq, seed)
+        with pytest.raises(ValueError, match="expected an integer"):
+            seqfile.save(str(tmp_path / "s.json"), seq, seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, -1, 2 ** 70])
+    def test_integer_seeds_round_trip(self, seed):
+        text = seqfile.dumps(trees_lower_bound(4).seq, seed)
+        assert (f'"seed":{seed}' in text) is (seed is not None)
+        assert seqfile.dumps(seqfile.loads(text), seed) == text
+
+    def test_equal_edge_lists_share_a_graph_whatever_their_sharing(self):
+        # one record repeats one inner list object, the other spells it twice
+        edge = [0, 1]
+        doc = {"n": 3, "model": "digraph", "k": 1,
+               "rounds": [[edge, edge, [1, 2]], [[0, 1], [0, 1], [1, 2]]]}
+        rounds = seqfile.from_json_dict(doc).rounds
+        assert rounds[0] is rounds[1]
+        assert rounds[0] == make_graph(3, [(0, 1), (1, 2)])
+
+    def test_record_marshal_cannot_write_is_a_value_error(self):
+        doc = {"n": 3, "model": "tree", "rounds": [[-1, 0, 1], [-1, 0, object()]]}
+        with pytest.raises(ValueError):
+            seqfile.from_json_dict(doc)
 
     def test_looped_digraph_round_not_written(self):
         spec = ModelSpec(Model.K_ROOTED, 3, 1)
