@@ -136,6 +136,22 @@ class TestCoverAchieved:
             "d255c83209d8b60ea367b2dc6ea69304fc6c1346d40657cdbaa831927c485bcf"
         )
 
+    def test_products_of_the_forest_schedules(self):
+        # the certify workload's cover traffic: every per-round product of
+        # the paper's k-forest schedules, decided for cover sizes 1 to 4;
+        # mostly infeasible decisions on dense n=64 products
+        digest = hashlib.sha256()
+        for n in (16, 32, 64):
+            for k in (2, 3):
+                trace = constructions.build(Model.K_FORESTS, n, k).seq.trace()
+                for t in range(len(trace) + 1):
+                    rows = trace.product_at(t).out_rows
+                    for size in range(1, 5):
+                        digest.update(repr(cover_achieved(rows, size)).encode())
+        assert digest.hexdigest() == (
+            "246ac1aeb700a195500ec3f340c88c548665ff2c6985f8299a21cedd32393e94"
+        )
+
     @pytest.mark.parametrize("kind", [list, tuple])
     @pytest.mark.parametrize(
         "rows, k, expected",

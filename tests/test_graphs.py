@@ -242,6 +242,49 @@ class TestPrefixDifferential:
             assert trace.prefix_in_rows[t] == ref.in_rows
 
 
+def out_row_prefixes(n: int, rounds: list[Graph]) -> list[tuple[int, ...]]:
+    """Reference prefixes on out-rows: ``compose_rows`` round by round."""
+    rows = identity(n).out_rows
+    prefixes = [rows]
+    for g in rounds:
+        rows = compose_rows(rows, g)
+        prefixes.append(rows)
+    return prefixes
+
+
+class TestPrefixesOnFirstRead:
+    """Whichever is read first, ``prefix_in_rows`` and ``product_at`` give
+    the out-row oracle's prefixes; a bad round fails in the constructor."""
+
+    @pytest.mark.parametrize("model,k", [
+        (Model.TREES, 1), (Model.K_FORESTS, 1), (Model.K_FORESTS, 2), (Model.K_FORESTS, 3),
+        (Model.K_ROOTED, 1), (Model.K_ROOTED, 2), (Model.K_ROOTED, 3),
+    ])
+    @pytest.mark.parametrize("first", ["prefix_in_rows", "product_at"])
+    def test_match_out_row_oracle(self, model, k, first):
+        for n in (1, 3, 8, 33, 64):
+            if k > n:
+                continue
+            spec = ModelSpec(model, n, k)
+            rounds = [random_graph(spec, 500 * n + 7 * k + t) for t in range(n + 5)]
+            ref = out_row_prefixes(n, rounds)
+            trace = ProductTrace(n, rounds)
+            order = list(range(len(ref)))
+            random.Random(n).shuffle(order)
+            for t in order:
+                if first == "product_at":
+                    assert trace.product_at(t).out_rows == ref[t]
+                assert trace.prefix_in_rows[t] == _transpose(n, ref[t])
+                assert trace.product_at(t).out_rows == ref[t]
+            assert len(trace.prefix_in_rows) == len(ref)
+
+    def test_late_round_of_the_wrong_size_raises_at_once(self):
+        spec = ModelSpec(Model.TREES, 5)
+        rounds = [random_graph(spec, t) for t in range(4)] + [identity(6)]
+        with pytest.raises(ValueError, match="node count mismatch"):
+            ProductTrace(5, rounds)
+
+
 class TestLoopedRoundsChangeNothing:
     """Rounds are composed with their implied self-loops, so a trace of the
     raw rounds equals one of looped copies on every prefix and interval."""
