@@ -28,13 +28,12 @@ EXIT_NOT_REACHED = 3
 
 
 def _objective_from_args(name: str, k: int | None) -> Objective:
-    if name == "broadcast":
-        return Objective.broadcast()
+    """The objective ``name`` of size k; broadcast takes no k but 1."""
     if k is None:
-        raise ValueError(f"objective {name!r} needs --k")
-    if name == "cover":
-        return Objective.cover(k)
-    return Objective.k_broadcast(k)
+        if name != "broadcast":
+            raise ValueError(f"objective {name!r} needs --k")
+        k = 1
+    return Objective(name, k)
 
 
 def _print_json(doc: dict) -> None:
@@ -58,7 +57,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     spec = ModelSpec(Model(args.model), args.n, 1 if args.k is None else args.k)
-    objective = _objective_from_args(args.objective, spec.k)
+    # --k is the model's k, and the size of a cover or k-broadcast objective
+    objective = _objective_from_args(args.objective, None if args.objective == "broadcast" else spec.k)
     res = exact_worst_case(spec, objective, mem_cap_bytes=args.mem_cap)
     doc = {
         "value": res.value,

@@ -14,7 +14,6 @@ from .graphs import (
     ProductTrace,
     _once,
     _transpose,
-    bits,
     compose_in_rows,
     full_mask,
     graph_from_rows,
@@ -47,12 +46,15 @@ class Objective:
         if self.kind == "broadcast" and self.k != 1:
             raise ValueError("broadcast has no k parameter")
 
-    def witness(self, rows: Sequence[int]) -> Optional[tuple[int, ...]]:
+    def witness(
+        self, rows: Sequence[int], cols: Optional[Sequence[int]] = None
+    ) -> Optional[tuple[int, ...]]:
         """The objective's witness on the product with out-rows ``rows``, or
         None when it does not hold: the k smallest broadcasters (k = 1 for
-        broadcast), or the cover ``cover_achieved`` reports."""
+        broadcast), or the cover ``cover_achieved`` reports. ``cols``, the
+        product's in-rows if the caller has them, is passed on to it."""
         if self.kind == "cover":
-            w = cover_achieved(rows, self.k)
+            w = cover_achieved(rows, self.k, cols)
             return tuple(w) if w is not None else None
         fm = full_mask(len(rows))
         found = []
@@ -83,65 +85,63 @@ def broadcast_achieved(rows: Sequence[int]) -> set[int]:
     return {x for x, r in enumerate(rows) if r == fm}
 
 
-def _cover_exists(rows: list[int], uncovered: int, budget: int) -> bool:
-    """Exact decision: can ``uncovered`` be covered by <= budget of rows.
+def _cover_exists(
+    rows: Sequence[int], cols: Sequence[int], uncovered: int, budget: int,
+    allowed: int, most: int,
+) -> bool:
+    """Exact decision: can ``uncovered`` be covered by at most ``budget`` of
+    the rows whose indices are set in the mask ``allowed``? ``cols`` is the
+    transpose of ``rows`` and ``most`` the largest bit count of any row.
 
-    Budget 1 is a scan for a row that contains everything uncovered. Above
-    that, it branches on the uncovered element with the fewest candidate
-    rows, which makes infeasibility proofs cheap. A chosen row is disjoint
-    from what it leaves uncovered, so it is never a candidate again and
-    the rows pass down unchanged. Rows are dominance-reduced by the caller.
-    """
-    if uncovered == 0:
-        return True
+    Budget 1 intersects the columns of the uncovered elements. Above that,
+    it branches on the uncovered element with the fewest candidate rows,
+    the allowed set bits of its column, which makes infeasibility proofs
+    cheap. A chosen row is disjoint from what it leaves uncovered, so it is
+    never a candidate again and ``allowed`` passes down unchanged."""
+    if most * budget < uncovered.bit_count():
+        return False  # even perfectly disjoint largest rows fall short
     if budget == 1:
-        return any(r & uncovered == uncovered for r in rows)
-    best = max(rows, key=lambda r: (r & uncovered).bit_count(), default=0)
-    if (best & uncovered).bit_count() * budget < uncovered.bit_count():
-        return False  # even perfectly disjoint best rows fall short
-    # rarest uncovered element
-    pick_cands = None
-    for e in bits(uncovered):
-        cands = [r for r in rows if r >> e & 1]
-        if pick_cands is None or len(cands) < len(pick_cands):
-            pick_cands = cands
-            if len(cands) <= 1:
-                break
-    if not pick_cands:
-        return False
-    for r in sorted(pick_cands, key=lambda r: -(r & uncovered).bit_count()):
-        if _cover_exists(rows, uncovered & ~r, budget - 1):
+        while uncovered:
+            low = uncovered & -uncovered
+            allowed &= cols[low.bit_length() - 1]
+            if not allowed:
+                return False
+            uncovered ^= low
+        return True
+    # the candidates: the allowed rows that hold the rarest uncovered element
+    cands, fewest = allowed, allowed.bit_count()
+    rest = uncovered
+    while rest and fewest > 1:
+        low = rest & -rest
+        col = cols[low.bit_length() - 1] & allowed
+        if col.bit_count() < fewest:
+            cands, fewest = col, col.bit_count()
+        rest ^= low
+    while cands:
+        low = cands & -cands
+        rest = uncovered & ~rows[low.bit_length() - 1]
+        if not rest or _cover_exists(rows, cols, rest, budget - 1, allowed, most):
             return True
+        cands ^= low
     return False
 
 
-def _reduced_rows(rows: tuple[int, ...]) -> list[int]:
-    """Drop dominated rows (contained in another); keep one copy of equals."""
-    kept: list[int] = []
-    for r in sorted(set(rows), key=int.bit_count, reverse=True):
-        # a plain loop: any() over a generator takes twice as long here
-        for q in kept:
-            if r | q == q:
-                break
-        else:
-            kept.append(r)
-    return kept
-
-
 def _first_cover(
-    rows: Sequence[int], uncovered: int, budget: int, lo: int, most: int
+    rows: Sequence[int], cols: Optional[Sequence[int]], uncovered: int, budget: int,
+    lo: int, most: int,
 ) -> Optional[list[int]]:
     """The lexicographically smallest ascending list of ``budget`` >= 2
-    indices >= lo whose rows cover ``uncovered``, or None. ``most`` is the
+    indices >= lo whose rows cover ``uncovered``, or None. ``cols`` is the
+    transpose of ``rows`` (only read above budget 2) and ``most`` the
     largest bit count of any row.
 
     The caller has proven that no smaller budget covers it, so each chosen
     row adds something still uncovered, and a row that leaves more than
     ``(budget - 1) * most`` elements uncovered cannot be completed. With
     these two prunes, budget 2 is one flat loop over pairs, an exact
-    decision by itself. Above budget 2 a row is chosen only once the later
-    rows are decided to complete it, so no dead end is searched through,
-    and the last two rows come from the pair loop."""
+    decision by itself. Above budget 2 a row is chosen only once the rows
+    after it are decided (``_cover_exists``) to complete it, so no dead end
+    is searched through, and the last two rows come from the pair loop."""
     end = len(rows)
     if budget == 2:
         for i in range(lo, end - 1):
@@ -153,31 +153,37 @@ def _first_cover(
                     return [i, j]
         return None
     reach = (budget - 1) * most
+    fm = full_mask(end)
     for i in range(lo, end - budget + 1):
         rest = uncovered & ~rows[i]
         if rest == uncovered or rest.bit_count() > reach:
             continue
-        if not _cover_exists(_reduced_rows(rows[i + 1:]), rest, budget - 1):
+        if not _cover_exists(rows, cols, rest, budget - 1, fm ^ ((2 << i) - 1), most):
             continue
-        found = _first_cover(rows, rest, budget - 1, i + 1, most)
+        found = _first_cover(rows, cols, rest, budget - 1, i + 1, most)
         if found is not None:
             return [i] + found
     return None
 
 
-def cover_achieved(rows: Sequence[int], k: int) -> Optional[list[int]]:
+def cover_achieved(
+    rows: Sequence[int], k: int, cols: Optional[Sequence[int]] = None
+) -> Optional[list[int]]:
     """A set I of at most k nodes whose out-rows ``rows`` jointly cover [n],
     n = len(rows), if one exists; None otherwise. The witness is the
     lexicographically smallest cover of the minimum size. ``rows`` is a list
     or tuple, and no row has a bit at index >= n (``graph_from_rows``
     checks this), so a row covers [n] exactly when it equals the full mask.
+    ``cols``, when given, is the transpose of ``rows`` (the product's
+    in-rows, which ``run`` holds anyway).
 
-    Size 1 is that membership test, a scan in C. Size 2 is the ordered
-    witness search (``_first_cover``), a flat loop over pairs that finds
-    that witness or proves there is none. From size 3 on, the rows are
-    dominance-reduced once, each size is decided exactly by branch and bound
-    on them, and the witness is then found by one ordered search over the
-    original rows."""
+    Size 1 is that membership test, a scan in C. Each larger size is
+    decided exactly by branching on the columns (``_cover_exists``), and
+    the witness is then found by one ordered search (``_first_cover``) at
+    the first size that holds. Without ``cols``, size 2 is decided by the
+    ordered search itself, a flat loop over pairs that finds the witness or
+    proves there is none and needs no transpose; the rows are transposed
+    once only if size 3 is reached."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = len(rows)
@@ -189,13 +195,16 @@ def cover_achieved(rows: Sequence[int], k: int) -> Optional[list[int]]:
     most = max(map(int.bit_count, rows))
     if most * k < n:
         return None  # k rows cannot reach n elements yet
-    found = _first_cover(rows, fm, 2, 0, most)
-    if found is not None or k == 2:
-        return found
-    reduced = _reduced_rows(rows)
-    for size in range(3, min(k, n) + 1):
-        if _cover_exists(reduced, fm, size):
-            return _first_cover(rows, fm, size, 0, most)
+    first = 2
+    if cols is None:
+        found = _first_cover(rows, None, fm, 2, 0, most)
+        if found is not None or k == 2:
+            return found
+        cols = _transpose(n, rows)
+        first = 3
+    for size in range(first, min(k, n) + 1):
+        if _cover_exists(rows, cols, fm, size, fm, most):
+            return _first_cover(rows, cols, fm, size, 0, most)
     return None
 
 
@@ -290,15 +299,16 @@ def _run_rounds(n: int, rounds: Iterable[Graph], objective: Objective) -> RunRes
     """Compose raw rounds onto the identity until the objective holds,
     reading no round past that one. The product is kept as in-rows and
     composed through each round's sparse in-rows; its transpose, the
-    out-rows, is what the objective is decided on."""
+    out-rows, is what the objective is decided on; a cover is decided on
+    both."""
     cols = rows = identity(n).out_rows
-    witness = objective.witness(rows)
+    witness = objective.witness(rows, cols)
     t = 0
     if witness is None:
         for t, raw in enumerate(rounds, start=1):
             cols = compose_in_rows(cols, raw.in_rows)
             rows = _transpose(n, cols)
-            witness = objective.witness(rows)
+            witness = objective.witness(rows, cols)
             if witness is not None:
                 break
         else:

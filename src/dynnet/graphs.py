@@ -8,7 +8,8 @@ the rows into one int and swaps its off-diagonal blocks with log2(size)
 masked delta swaps, so it costs a few big-int operations rather than one per
 edge. All values are immutable after construction (a graph's transpose is
 derived on first read, except a forest's, which is its parent array and is
-stored at once).
+stored at once). A :class:`ProductTrace` composes its prefix products on
+first read.
 
 Rounds are the adversary's raw graphs throughout. A process keeps what it
 has heard, so every composition step with a round implies a self-loop at
@@ -231,25 +232,35 @@ class ProductTrace:
     ``prefix_in_rows[t]`` holds the in-rows of the product of rounds 1..t:
     entry y is the set of processes whose id y has heard after round t.
     Index 0 is the identity (every process knows only itself before
-    round 1). Each prefix is composed from the last one through the sparse
-    round by :func:`compose_in_rows`, the step ``run`` takes too, at one OR
-    per edge of the round. :meth:`product_at` builds the prefix as a Graph
-    on demand, through the delta-swap transpose.
+    round 1). The prefixes are composed when ``prefix_in_rows`` (or
+    :meth:`product_at`) is first read, not at construction: the
+    strict-sets certificate reads only the rounds. Each prefix is composed
+    from the last one through the sparse round by :func:`compose_in_rows`,
+    the step ``run`` takes too, at one OR per edge of the round.
+    :meth:`product_at` builds the prefix as a Graph on demand, through the
+    delta-swap transpose.
     """
 
-    __slots__ = ("n", "rounds", "prefix_in_rows")
+    __slots__ = ("n", "rounds", "_prefixes")
 
     def __init__(self, n: int, rounds: Iterable[Graph]):
         self.n = n
         self.rounds = list(rounds)
         if any(g.n != n for g in self.rounds):
             raise ValueError("round graph node count mismatch")
-        cols = identity(n).out_rows
-        prefixes = [cols]
-        for g in self.rounds:
-            cols = compose_in_rows(cols, g.in_rows)
-            prefixes.append(cols)
-        self.prefix_in_rows = prefixes
+        self._prefixes: list[tuple[int, ...]] | None = None
+
+    @property
+    def prefix_in_rows(self) -> list[tuple[int, ...]]:
+        """The in-rows of every prefix product, composed on first read."""
+        if self._prefixes is None:
+            cols = identity(self.n).out_rows
+            prefixes = [cols]
+            for g in self.rounds:
+                cols = compose_in_rows(cols, g.in_rows)
+                prefixes.append(cols)
+            self._prefixes = prefixes
+        return self._prefixes
 
     def __len__(self) -> int:
         return len(self.rounds)

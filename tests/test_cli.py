@@ -255,6 +255,26 @@ class TestCliExitCodes:
         f.write_text('{"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "seed": %s}\n' % seed)
         assert main(["simulate", "--seq", str(f), "--objective", "broadcast"]) == 2
 
+    @pytest.mark.parametrize("k, message", [
+        ("0", "objective k must be >= 1"),
+        ("2", "broadcast has no k parameter"),
+        ("3", "broadcast has no k parameter"),
+    ])
+    def test_simulate_broadcast_refuses_k(self, tree_file, k, message, capsys):
+        # the refusal is Objective("broadcast", k)'s own
+        path, _ = tree_file
+        assert main(["simulate", "--seq", path, "--objective", "broadcast", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_simulate_broadcast_k1_is_broadcast(self, tree_file, capsys):
+        path, _ = tree_file
+        assert main(["simulate", "--seq", path, "--objective", "broadcast"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["simulate", "--seq", path, "--objective", "broadcast", "--k", "1"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_simulate_table(self, tree_file, capsys):
         path, _ = tree_file
         assert main(["simulate", "--seq", path, "--objective", "broadcast",

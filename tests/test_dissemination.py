@@ -20,7 +20,7 @@ from dynnet.dissemination import (
     sampled_run,
 )
 from dynnet.families import Model, ModelSpec, enumerate_rooted_trees, random_graph
-from dynnet.graphs import compose_rows, full_mask, graph_from_rows, identity, make_graph
+from dynnet.graphs import _transpose, compose_rows, full_mask, graph_from_rows, identity, make_graph
 
 
 def brute_force_cover(g, k):
@@ -34,6 +34,14 @@ def brute_force_cover(g, k):
             if acc == fm:
                 return list(combo)
     return None
+
+
+def both_entries(rows, k):
+    """``cover_achieved`` on the rows alone and on the rows with their
+    transpose, as ``run`` calls it; the two must agree."""
+    found = cover_achieved(rows, k)
+    assert cover_achieved(rows, k, _transpose(len(rows), rows)) == found, (rows, k)
+    return found
 
 
 def random_loopy_graph(n, rnd, density=0.35):
@@ -65,13 +73,13 @@ class TestBroadcastAchieved:
 class TestCoverAchieved:
     def test_identity_covered_by_everyone(self):
         n = 5
-        assert cover_achieved(identity(n).out_rows, n) == list(range(n))
+        assert both_entries(identity(n).out_rows, n) == list(range(n))
 
     def test_k1_matches_broadcast(self):
         rnd = random.Random(0)
         for _ in range(40):
             g = random_loopy_graph(6, rnd)
-            w = cover_achieved(g.out_rows, 1)
+            w = both_entries(g.out_rows, 1)
             bs = broadcast_achieved(g.out_rows)
             if bs:
                 assert w == [min(bs)]
@@ -80,7 +88,7 @@ class TestCoverAchieved:
 
     def test_two_block_example(self):
         g = graph_from_rows(4, [0b0011, 0b0010, 0b1100, 0b1000])
-        assert cover_achieved(g.out_rows, 2) == [0, 2]
+        assert both_entries(g.out_rows, 2) == [0, 2]
 
     def test_matches_brute_force(self):
         rnd = random.Random(1)
@@ -88,13 +96,13 @@ class TestCoverAchieved:
             n = rnd.randint(2, 12)
             g = random_loopy_graph(n, rnd, density=rnd.uniform(0.05, 0.5))
             for k in range(1, n + 1):
-                assert cover_achieved(g.out_rows, k) == brute_force_cover(g, k), (g, k)
+                assert both_entries(g.out_rows, k) == brute_force_cover(g, k), (g, k)
 
     def test_sparse_needs_many(self):
         n = 6
         g = identity(n)
-        assert cover_achieved(g.out_rows, n - 1) is None
-        assert cover_achieved(g.out_rows, n) == list(range(n))
+        assert both_entries(g.out_rows, n - 1) is None
+        assert both_entries(g.out_rows, n) == list(range(n))
 
     def test_witness_search_skips_dead_ends(self):
         # 55 decoy rows each hold half of a 32-element block plus one more of
@@ -104,8 +112,8 @@ class TestCoverAchieved:
         blocks = [(1 << 32) - 1] + [0b1111 << (32 + 4 * j) for j in range(8)]
         decoys = [0xFFFF | 1 << (16 + d % 16) for d in range(n - len(blocks))]
         g = graph_from_rows(n, decoys + blocks)
-        assert cover_achieved(g.out_rows, 8) is None
-        assert cover_achieved(g.out_rows, 9) == list(range(55, 64))
+        assert both_entries(g.out_rows, 8) is None
+        assert both_entries(g.out_rows, 9) == list(range(55, 64))
 
     def test_every_state_of_the_forest_cover_search(self):
         # the products the exact search decides: every state solved by the
@@ -117,7 +125,7 @@ class TestCoverAchieved:
         for key in sorted(solved.memo):
             g = graph_from_rows(4, solved.unpack(key))
             for k in range(1, 5):
-                assert cover_achieved(g.out_rows, k) == brute_force_cover(g, k), (g, k)
+                assert both_entries(g.out_rows, k) == brute_force_cover(g, k), (g, k)
 
     def test_witnesses_of_the_n5_forest_cover_search(self):
         # the benchmark's search-cover traffic: every state solved by the
@@ -136,7 +144,8 @@ class TestCoverAchieved:
             "d255c83209d8b60ea367b2dc6ea69304fc6c1346d40657cdbaa831927c485bcf"
         )
 
-    def test_products_of_the_forest_schedules(self):
+    @pytest.mark.parametrize("entry", ["rows", "rows-and-cols"])
+    def test_products_of_the_forest_schedules(self, entry):
         # the certify workload's cover traffic: every per-round product of
         # the paper's k-forest schedules, decided for cover sizes 1 to 4;
         # mostly infeasible decisions on dense n=64 products
@@ -146,8 +155,9 @@ class TestCoverAchieved:
                 trace = constructions.build(Model.K_FORESTS, n, k).seq.trace()
                 for t in range(len(trace) + 1):
                     rows = trace.product_at(t).out_rows
+                    cols = trace.prefix_in_rows[t] if entry == "rows-and-cols" else None
                     for size in range(1, 5):
-                        digest.update(repr(cover_achieved(rows, size)).encode())
+                        digest.update(repr(cover_achieved(rows, size, cols)).encode())
         assert digest.hexdigest() == (
             "246ac1aeb700a195500ec3f340c88c548665ff2c6985f8299a21cedd32393e94"
         )
@@ -172,7 +182,7 @@ class TestCoverAchieved:
              "no-pair-from-last-but-one"],
     )
     def test_edge_cases(self, kind, rows, k, expected):
-        assert cover_achieved(kind(rows), k) == expected
+        assert both_entries(kind(rows), k) == expected
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -188,7 +198,7 @@ class TestCoverAchieved:
             for t in range(max(0, reached - 3), reached + 1):
                 g = trace.product_at(t)
                 for size in range(1, 4):
-                    w = cover_achieved(g.out_rows, size)
+                    w = both_entries(g.out_rows, size)
                     assert w == brute_force_cover(g, size), (seed, t, size)
 
 
