@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from dynnet import search as search_module
+from dynnet import seqfile
 from dynnet.analysis import bounds_for
 from dynnet.dissemination import Objective, cover_achieved, run
 from dynnet.families import Model, ModelSpec, validate_member
@@ -232,6 +234,56 @@ class TestExactWorstCase:
         res = exact_worst_case(ModelSpec(Model.TREES, 3), Objective.broadcast())
         spec = res.optimal_sequence.spec
         assert all(validate_member(spec, g) for g in res.optimal_sequence.rounds)
+
+
+class TestPinnedTables:
+    """SHA-256 of the solved value table and of the optimal sequence's
+    sequence-file text, from the identity. They pin the engine's output
+    byte for byte, whatever order it solves the states in."""
+
+    CASES = [
+        (ModelSpec(Model.TREES, 4), Objective.broadcast(),
+         "1a1dd42db534dbdc0a5dcc8aa0e603289a82bde80a66e16edbefd3e4d502308f",
+         "d3ca5461793019a4b6f4ec7c9b58444aca233a036bc66b50cba0af7355586c11"),
+        (ModelSpec(Model.TREES, 5), Objective.broadcast(),
+         "a68afe066edfeabd36728c51d2e27d6cb25cd13b227ce53c97cd638a9cbfa992",
+         "f2fd4ae3268028e1013fba7b70cb0b7586842a46dbf5b8a5ad66b8e3c484c434"),
+        (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2),
+         "42468449120c347c0295bfe74aa35fa193d08e0ec4d68af86f9e7aaa85c2e1ff",
+         "fc3d3e13f987a8080c86651ff4aa5c46bdc4d02c0d2fdcaa71f1a01c4702b4dd"),
+        (ModelSpec(Model.K_FORESTS, 5, 2), Objective.cover(2),
+         "7fc6399bf3ed97e6880d49dbea2e138a369749ad4914d8db649a160f62c8575c",
+         "75136ab4a737de822ba6f82f7dcd7205fb8b22224c3268c1ba4cf6523aae8706"),
+        (ModelSpec(Model.K_FORESTS, 5, 3), Objective.cover(3),
+         "c25188755b1c8f47b564e12eb082ef33e89c25c3318edc0527b89f76675a2496",
+         "348f4a7deab28348bcad0eb98652e5d98f43a0396fae411c6d1716326e087072"),
+        (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2),
+         "658886ef73a706799e37cb895157bfea3078208928235b6b9c9a61d96eb50d47",
+         "96cea35333d31d32c9e6cfbeb3cc2154b548aae3c39ebe099d6fda775c46d786"),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec, objective, table_sha, sequence_sha", CASES,
+        ids=["trees-n4", "trees-n5", "forests-cover-n4", "forests-cover-n5",
+             "3-forests-cover-n5", "rooted-kbroadcast-n4"],
+    )
+    def test_value_table_and_sequence(self, monkeypatch, spec, objective, table_sha,
+                                      sequence_sha):
+        built = []
+
+        class Recorded(search_module._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(search_module, "_Search", Recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = exact_worst_case(spec, objective)
+        (solved,) = built
+        assert hashlib.sha256(solved.values.tobytes()).hexdigest() == table_sha
+        text = seqfile.dumps(res.optimal_sequence)
+        assert hashlib.sha256(text.encode()).hexdigest() == sequence_sha
 
 
 class TestSupergraphDominance:
