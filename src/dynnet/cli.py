@@ -64,6 +64,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         "value": res.value,
         "states_visited": res.states_visited,
         "memo_hits": res.memo_hits,
+        "expanded_states": res.expanded_states,
+        "expanded_orbits": res.expanded_orbits,
         "optimal_sequence": seqfile.sequence_to_json_dict(res.optimal_sequence),
     }
     _print_json(doc)

@@ -4,9 +4,9 @@ monotone product-graph state space."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from itertools import product as iproduct
-from math import comb
+from math import comb, factorial
 from typing import Iterator
 
 import numpy as np
@@ -36,6 +36,9 @@ class SearchResult:
     optimal_sequence: RoundSequence
     states_visited: int
     memo_hits: int
+    # expanded states, each orbit weighted by its size, and expanded orbits
+    expanded_states: int
+    expanded_orbits: int
 
 
 def family_moves(spec: ModelSpec) -> list[Graph]:
@@ -125,6 +128,22 @@ def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
     return succ
 
 
+def _relabel_tables(n: int) -> np.ndarray:
+    """[x, c, p] = the key part of state row x with key bits ``c`` after the
+    p-th permutation π of ``permutations(range(n))`` relabels the nodes:
+    the row moves to π(x), each column y to π(y), and the row is shifted to
+    its key position without its diagonal bit π(x). A relabeled key is the
+    OR of one entry per row."""
+    width = n - 1
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).T  # [y, p] = π(y)
+    compressed = np.arange(1 << width, dtype=np.int64)
+    rows = np.stack([_insert_bit(compressed, x) for x in range(n)])
+    # moved[x, c, p] = the full row with every column y at π(y)
+    moved = ((rows[..., None] >> np.arange(n)) & 1) @ (1 << perms)
+    target = perms[:, None, :]
+    return (_drop_bit(moved, target) << (target * width)).astype(KEY_DTYPE)
+
+
 def _popcounts(bits: int) -> np.ndarray:
     """Set-bit count of every integer below ``2**bits``."""
     counts = np.zeros(1, dtype=np.uint8)
@@ -133,12 +152,26 @@ def _popcounts(bits: int) -> np.ndarray:
     return counts
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the flat array ``keys``, which is sorted in
+    place."""
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 # a table entry holds the value plus 1; 0 is unsolved, PENDING reached but
-# not yet valued
+# not yet valued and the smallest key of its orbit, REACHED reached, not yet
+# valued and valued with that smallest key
 PENDING = 255
-# bytes of one batch's child keys; bounds the batch buffers
+REACHED = 254
+# bytes of one batch's child keys, and of one chunk's relabelings; bounds
+# the batch and orbit buffers
 BATCH_BYTES = 1 << 17
-SLICE_BITS = 16
+# keys per slice when a whole-table pass is cut to bound its temporaries
+SLICE = 1 << 16
 
 
 class _Search:
@@ -155,32 +188,49 @@ class _Search:
     a row of its own table, and the child key is the sum of the ceil(n/2)
     picks.
 
-    A child is a strict superset of its parent, so it has a larger key and
-    more set bits. The table is cut into slices of 2^16 consecutive keys
-    (one slice when it is smaller), and inside a slice the keys are grouped
-    by bit count; walking slices by ascending key and, inside each, groups
-    by ascending bit count visits every parent before its children.
-    ``_solve`` makes two sweeps in that order:
+    Every family is closed under relabeling the nodes, and every objective
+    is invariant under it (a broadcaster, k full rows and a cover of size k
+    are all moved to ones of the same kind). The relabeled state's children
+    are the relabeled children, so a state's value, its terminal decision
+    and its number of distinct children are the same across its orbit.
+    Since the identity start is fixed by every relabeling, the states
+    reached from it form whole orbits. Children are gathered, sorted and
+    looked up only for the smallest key of each orbit, its representative;
+    ``_relabel_tables`` relabels a key under all n! permutations with n
+    lookups.
 
-    - ascending: each group's PENDING states are expanded in batches. Their
-      fresh children are deduplicated and decided once each against the
-      objective (``_terminal``): a terminal child gets entry 1, any other
-      child PENDING, to be expanded when the sweep reaches its group. A
-      state whose children are then all terminal needs one round and gets
-      entry 2 at once (132,120 of the 200,661 expanded states of trees at
-      n=5);
-    - descending: the same groups in reverse order, each state still
-      PENDING gets 1 + the largest entry among its children, which are all
-      valued by then.
+    A child is a strict superset of its parent, so it has more set bits,
+    and a relabeling keeps the bit count. Walking the whole table in layers
+    of ascending bit count therefore visits every parent, and every
+    relabeling of it, before its children. ``_solve`` makes two sweeps in
+    that order:
 
+    - ascending: each layer's PENDING representatives are expanded in
+      batches. Their fresh children are relabeled in chunks and each fresh
+      orbit is marked reached as a whole; every member is decided once
+      against the objective (``_terminal``). A terminal orbit gets entry 1;
+      otherwise its representative gets PENDING, to be expanded when the
+      sweep reaches its layer, and the other members REACHED. A
+      representative whose children are then all terminal needs one round,
+      and its whole orbit gets entry 2 at once (132,120 of the 200,661
+      expanded states of trees at n=5, in 1,161 of their 1,757 orbits);
+    - descending: the same layers in reverse order, each representative
+      still PENDING gets 1 + the largest entry among its children, which
+      are all valued by then, and the entry is written to its whole orbit.
+
+    So the value table is the one a sweep over every state would fill,
+    byte for byte, and the counts are those of every state, too: an
+    expanded representative stands for its orbit's size in
+    ``expanded_states`` (``expanded_orbits`` counts representatives), and
     ``memo_hits`` counts each distinct child of an expanded state that was
-    already solved or reached, which is the sum over expanded states of
-    their distinct children minus the states reached for the first time.
+    already solved or reached, which is the sum over expanded
+    representatives of orbit size times distinct children minus the states
+    reached for the first time.
 
     Before anything is allocated, the tables are charged against
     ``mem_cap_bytes``: the value table before any move is enumerated, then
-    the value table plus the move table, the successor tables and the
-    batch buffers before those are built."""
+    the value table plus the move, successor and relabeling tables and the
+    batch and orbit buffers before those are built."""
 
     def __init__(self, spec: ModelSpec, objective: Objective, mem_cap_bytes: int):
         n = spec.n
@@ -194,17 +244,22 @@ class _Search:
         self.moves = family_moves(spec)
         itemsize = KEY_DTYPE.itemsize
         moves = len(self.moves)
-        self.slice_bits = min(SLICE_BITS, key_bits)
-        # a batch comes from one bit-count group, and the middle one is largest
-        largest_group = comb(self.slice_bits, self.slice_bits // 2)
-        self.batch = max(1, min(BATCH_BYTES // (moves * itemsize), largest_group))
+        perms = factorial(n)
+        # a batch comes from one bit-count layer, and the middle one is largest
+        self.batch = max(1, min(BATCH_BYTES // (moves * itemsize), comb(key_bits, key_bits // 2)))
+        # a chunk of keys whose relabelings fill at most BATCH_BYTES, and at
+        # most every key
+        self.chunk = max(1, min(BATCH_BYTES // (perms * itemsize), table_bytes))
         _charge(
-            "value, move and successor tables and batch buffers",
+            "value, move, successor and relabeling tables and batch and orbit buffers",
             table_bytes
             + moves * (1 << n) * 8
             + _successor_rows(n) * moves * itemsize
+            + n * (1 << self.width) * perms * itemsize
             # two key buffers and at most four key-sized temporaries per entry
-            + self.batch * moves * 6 * itemsize,
+            + self.batch * moves * 6 * itemsize
+            # two orbit buffers and at most three orbit-sized temporaries
+            + self.chunk * perms * 5 * itemsize,
             mem_cap_bytes,
         )
         self.succ = _successor_tables(self.moves, n)
@@ -213,13 +268,23 @@ class _Search:
         self.part_mask = full_mask(2 * self.width)
         self.kids = np.empty((self.batch, moves), dtype=KEY_DTYPE)
         self.gathered = np.empty((self.batch, moves), dtype=KEY_DTYPE)
+        self.relabel = _relabel_tables(n)
+        self.perms = perms
+        self.orbit = np.empty((self.chunk, perms), dtype=KEY_DTYPE)
+        self.orbit_part = np.empty((self.chunk, perms), dtype=KEY_DTYPE)
         # (full row x for every compressed row, key shift of row x)
         compressed = np.arange(1 << self.width, dtype=np.int64)
         self.row_lookup = [(_insert_bit(compressed, x), x * self.width) for x in range(n)]
         self.full_rows = [self.row_mask << (x * self.width) for x in range(n)]
-        self.set_bits = _popcounts(self.slice_bits)
+        # a key's bit count is the sum of its two halves'
+        self.half_bits = (key_bits + 1) // 2
+        self.set_bits = _popcounts(self.half_bits)
         self.values = np.zeros(table_bytes, dtype=np.uint8)
+        # the representatives queued in each layer, by bit count
+        self.layers: list[list[np.ndarray]] = []
         self.memo_hits = 0
+        self.expanded_states = 0
+        self.expanded_orbits = 0
 
     def pack(self, rows: tuple[int, ...]) -> int:
         key = 0
@@ -270,57 +335,104 @@ class _Search:
             full += (keys & row) == row
         return full >= k
 
+    def _relabelings(self, keys: np.ndarray) -> np.ndarray:
+        """out[i, p] = keys[i] under the p-th permutation, in the orbit
+        buffer; at most ``chunk`` keys."""
+        mask = self.row_mask
+        out, part = self.orbit[: keys.size], self.orbit_part[: keys.size]
+        np.take(self.relabel[0], keys & mask, axis=0, out=out)
+        for x in range(1, self.n):
+            np.take(self.relabel[x], (keys >> x * self.width) & mask, axis=0, out=part)
+            out |= part
+        return out
+
+    def _chunks(self, keys: np.ndarray):
+        for i in range(0, keys.size, self.chunk):
+            yield keys[i : i + self.chunk]
+
+    def _bit_counts(self, keys: np.ndarray) -> np.ndarray:
+        half = self.half_bits
+        return self.set_bits[keys & ((1 << half) - 1)] + self.set_bits[keys >> half]
+
+    def _reach(self, fresh: np.ndarray) -> int:
+        """Mark the orbit of every unsolved key in ``fresh`` reached, decide
+        each member once and queue the non-terminal representatives in
+        their layers. Returns the number of states reached."""
+        values = self.values
+        reached = 0
+        for keys in self._chunks(fresh):
+            # an earlier chunk may have reached some of these orbits
+            keys = keys[values.take(keys) == 0]
+            if not keys.size:
+                continue
+            orbits = self._relabelings(keys)
+            reps = _distinct(orbits.min(axis=1))
+            members = _distinct(orbits.reshape(-1))
+            values[members] = np.where(self._terminal(members), 1, REACHED)
+            reps = reps[values.take(reps) == REACHED]
+            values[reps] = PENDING
+            layers = self._bit_counts(reps)
+            for c in set(layers.tolist()):
+                self.layers[c].append(reps[layers == c])
+            reached += members.size
+        return reached
+
+    def _orbit_sizes(self, keys: np.ndarray) -> np.ndarray:
+        """Orbit size of each key: n! over the relabelings that fix it."""
+        return np.concatenate([
+            self.perms // np.count_nonzero(self._relabelings(part) == part[:, None], axis=1)
+            for part in self._chunks(keys)
+        ])
+
+    def _spread(self, keys: np.ndarray) -> None:
+        """Write the entry of each key to every relabeling of it."""
+        values = self.values
+        for part in self._chunks(keys):
+            values[self._relabelings(part)] = values.take(part)[:, None]
+
     def value(self, key: int) -> int:
         entry = int(self.values[key])
         if entry:
             self.memo_hits += 1
             return entry - 1
-        if self._terminal(np.array([key]))[0]:
-            self.values[key] = 1
-            return 0
         self._solve(key)
         return int(self.values[key]) - 1
-
-    def _group(self, base: int, c: int) -> np.ndarray:
-        """The PENDING keys with ``c`` set bits in the slice at ``base``."""
-        offsets = np.flatnonzero(self.values[base : base + self.set_bits.size] == PENDING)
-        offsets = offsets[self.set_bits[offsets] == c]
-        return (offsets + base).astype(KEY_DTYPE)
 
     def _batches(self, keys: np.ndarray):
         for i in range(0, keys.size, self.batch):
             yield keys[i : i + self.batch]
 
     def _solve(self, start: int) -> None:
-        """Value every state reachable from the unsolved, non-terminal state
-        ``start`` through non-terminal states."""
+        """Value every state reachable from the orbit of the unsolved state
+        ``start`` through non-terminal states; a terminal ``start`` is only
+        decided."""
         values = self.values
-        values[start] = PENDING
-        size = self.set_bits.size
+        self.layers = [[] for _ in range(self.n * self.width + 1)]
         expanded = []
         try:
-            for base in range(start - start % size, values.size, size):
-                if not (values[base : base + size] == PENDING).any():
-                    continue
-                for c in range(self.slice_bits + 1):
-                    keys = self._group(base, c)
-                    if keys.size:
-                        expanded.append((base, c))
-                        for batch in self._batches(keys):
-                            self._expand(batch)
+            self._reach(np.array([start], dtype=KEY_DTYPE))
+            for layer in self.layers:
+                if layer:
+                    keys = np.sort(np.concatenate(layer))
+                    layer.clear()
+                    for batch in self._batches(keys):
+                        self._expand(batch)
+                    expanded.append(keys[values.take(keys) == PENDING])
         except SearchStalled:
             # a stalled search leaves the states it reached unsolved, except
-            # the terminal and one-round ones, whose values are exact
-            for base in range(0, values.size, size):
-                part = values[base : base + size]
-                part[part == PENDING] = 0
+            # the terminal and one-round orbits, whose values are exact
+            for base in range(0, values.size, SLICE):
+                part = values[base : base + SLICE]
+                part[part >= REACHED] = 0
             raise
-        for base, c in reversed(expanded):
-            for batch in self._batches(self._group(base, c)):
+        for keys in reversed(expanded):
+            for batch in self._batches(keys):
                 values[batch] = values.take(self._gather(batch)).max(axis=1) + 1
+            self._spread(keys)
 
     def _expand(self, keys: np.ndarray) -> None:
-        """Decide the fresh children of PENDING, non-terminal states."""
+        """Decide the fresh children of PENDING, non-terminal
+        representatives."""
         values = self.values
         kids = self._gather(keys)
         kids.sort(axis=1)
@@ -329,18 +441,17 @@ class _Search:
             raise SearchStalled(
                 "adversary move without progress; family is not rooted enough"
             )
-        distinct = keys.size + np.count_nonzero(kids[:, 1:] != kids[:, :-1])
-        fresh = kids[values.take(kids) == 0]
-        fresh.sort()
-        first = np.empty(fresh.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
-        fresh = fresh[first]
-        self.memo_hits += int(distinct) - fresh.size
-        values[fresh] = np.where(self._terminal(fresh), 1, PENDING)
-        # every child is now valued or PENDING; with all of them terminal,
-        # the state needs one round and the descending sweep skips it
-        values[keys[values.take(kids).max(axis=1) == 1]] = 2
+        distinct = 1 + np.count_nonzero(kids[:, 1:] != kids[:, :-1], axis=1)
+        sizes = self._orbit_sizes(keys)
+        reached = self._reach(_distinct(kids[values.take(kids) == 0]))
+        self.memo_hits += int(sizes @ distinct) - reached
+        self.expanded_states += int(sizes.sum())
+        self.expanded_orbits += keys.size
+        # every child is now valued, PENDING or REACHED; with all of them
+        # terminal, the orbit needs one round and the descending sweep skips it
+        one_round = keys[values.take(kids).max(axis=1) == 1]
+        values[one_round] = 2
+        self._spread(one_round)
 
 
 def _charge(what: str, nbytes: int, mem_cap_bytes: int) -> None:
@@ -361,15 +472,24 @@ def exact_worst_case(
 
     value = f(G(0)) where f(G) is 0 once the objective holds and otherwise
     1 + max over family members H of f(G o H). Every move adds at least one
-    product edge while the objective is unmet, so a child has a larger key
+    product edge while the objective is unmet, so a child has more set bits
     than its parent and the search runs as two sweeps over the dense value
-    table (see ``_Search``): an ascending one that reaches every state and
-    decides each one once against the objective, and a descending one that
-    values the states that were expanded. ``states_visited`` counts the
-    solved states and ``memo_hits`` the distinct children of expanded
-    states that were already reached, the sum of distinct children over
-    expanded states minus (``states_visited`` - 1); a depth-first memoized
-    recursion counts the same.
+    table in layers of bit count (see ``_Search``): an ascending one that
+    reaches every state and decides each one once against the objective,
+    and a descending one that values the states that were expanded.
+
+    Every family is closed under relabeling the nodes, every objective is
+    invariant under it and the identity is fixed by it, so the reached
+    states form whole orbits and f is constant on each. The sweeps gather
+    children only for the smallest key of each orbit and write its entry to
+    every relabeling, so the table is the one every state's expansion would
+    fill. The counts are still of states: ``states_visited`` counts the
+    solved states, ``expanded_states`` the expanded ones (each expanded
+    orbit counted by its size; ``expanded_orbits`` counts the orbits) and
+    ``memo_hits`` the distinct children of expanded states that were
+    already reached, the sum of distinct children over expanded states
+    minus (``states_visited`` - 1); a depth-first memoized recursion counts
+    the same.
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
     (5) in any family. Raises MemoryBudgetExceeded, before enumerating any
@@ -377,12 +497,15 @@ def exact_worst_case(
     ``mem_cap_bytes``, and before building the successor tables when the
     value table plus the move table (``moves * 2^n * 8`` bytes), the
     successor tables (``floor(n/2) * 2^(2(n-1)) * moves * 4`` bytes for the
-    row pairs, plus ``2^(n-1) * moves * 4`` for the last row when n is odd)
-    and the batch buffers (``6 * batch * moves * 4`` bytes) do. A batch is as
-    many states as keep its ``batch * moves`` child keys within
-    ``BATCH_BYTES``, at least one and at most the largest bit-count group of
-    a slice. The search runs on one thread; ``threads`` is accepted for
-    callers that pass 1, and any other value raises ValueError. Raises
+    row pairs, plus ``2^(n-1) * moves * 4`` for the last row when n is odd),
+    the relabeling tables (``n * 2^(n-1) * n! * 4`` bytes), the batch
+    buffers (``6 * batch * moves * 4`` bytes) and the orbit buffers
+    (``5 * chunk * n! * 4`` bytes) do. A batch is as many states as keep its
+    ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and at
+    most the largest bit-count layer; a chunk is as many keys as keep their
+    ``chunk * n!`` relabelings within ``BATCH_BYTES``, at least one and at
+    most 2^(n(n-1)). The search runs on one thread; ``threads`` is accepted
+    for callers that pass 1, and any other value raises ValueError. Raises
     SearchStalled when a move leaves a state the objective does not hold on
     unchanged.
     """
@@ -399,7 +522,9 @@ def exact_worst_case(
     seq_rounds = _reconstruct(search, start)
     seq = RoundSequence(spec, seq_rounds)
     states = int(np.count_nonzero(search.values))
-    return SearchResult(value, seq, states, search.memo_hits)
+    return SearchResult(
+        value, seq, states, search.memo_hits, search.expanded_states, search.expanded_orbits
+    )
 
 
 def _reconstruct(search: _Search, start: int) -> list[Graph]:

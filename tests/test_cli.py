@@ -295,6 +295,9 @@ class TestCliExitCodes:
                      "--objective", "broadcast"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == 2
+        # 7 expanded states in 2 orbits: the identity, and the 6 relabelings
+        # of a path's product
+        assert (doc["expanded_states"], doc["expanded_orbits"]) == (7, 2)
         parsed = seqfile.from_json_dict(doc["optimal_sequence"])
         assert len(parsed) == 2
 

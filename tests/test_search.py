@@ -1,6 +1,7 @@
 import hashlib
 import random
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -187,9 +188,10 @@ class TestExactWorstCase:
     def test_charge_covers_successor_and_move_tables(self):
         # trees at n=4: 4,096 table bytes + 64 moves * 2^4 * 8 for the move
         # table + 2 * 2^6 * 64 * 4 for the int32 row-pair successor tables
-        # + 6 * 512 rows * 64 * 4 for the batch buffers
+        # + 4 * 2^3 * 4! * 4 for the relabeling tables + 6 * 512 rows * 64 * 4
+        # for the batch buffers + 5 * 1,365 keys * 4! * 4 for the orbit buffers
         res = exact_worst_case(
-            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=831_488
+            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_489_760
         )
         assert (res.value, res.states_visited) == (4, 2044)
 
@@ -200,24 +202,40 @@ class TestExactWorstCase:
         monkeypatch.setattr(search_module, "_successor_tables", build_tables)
         with pytest.raises(MemoryBudgetExceeded):
             exact_worst_case(
-                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=831_487
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_489_759
+            )
+
+    def test_relabel_tables_over_budget_raise_before_building(self, monkeypatch):
+        def build_tables(n):
+            pytest.fail("relabeling tables built before the budget check")
+
+        monkeypatch.setattr(search_module, "_relabel_tables", build_tables)
+        with pytest.raises(MemoryBudgetExceeded, match="relabeling tables"):
+            exact_worst_case(
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_489_759
             )
 
     @pytest.mark.parametrize(
-        "n, total, succ_bytes",
+        "n, total, succ_bytes, orbit_bytes",
         [
             # 64 table bytes + 9 moves * 2^3 * 8 + (2^4 + 2^2) * 9 * 4 for the
-            # pair table and the last row's + 6 * 20 rows * 9 * 4
-            (3, 5_680, 720),
+            # pair table and the last row's + 3 * 2^2 * 3! * 4 + 6 * 20 rows
+            # * 9 * 4 + 5 * 64 keys * 3! * 4: a chunk is at most every key
+            (3, 13_648, 720, 1_536),
             # the README's sum for the 625 trees: 2^20 + 625 * 2^5 * 8
-            # + (2 * 2^8 + 2^4) * 625 * 4 + 6 * 52 * 625 * 4
-            (5, 3_308_576, 1_320_000),
+            # + (2 * 2^8 + 2^4) * 625 * 4 + 5 * 2^4 * 5! * 4 + 6 * 52 * 625 * 4
+            # + 5 * 273 keys * 5! * 4
+            (5, 4_002_176, 1_320_000, 131_040),
         ],
+        ids=["n3", "n5"],
     )
-    def test_odd_n_charges_the_last_row_alone(self, monkeypatch, n, total, succ_bytes):
+    def test_odd_n_charges_the_last_row_alone(self, monkeypatch, n, total, succ_bytes,
+                                              orbit_bytes):
         spec = ModelSpec(Model.TREES, n)
         built = search_module._Search(spec, Objective.broadcast(), total)
         assert built.succ.nbytes == succ_bytes
+        assert built.orbit.nbytes == built.orbit_part.nbytes == orbit_bytes
+        assert built.orbit.nbytes <= search_module.BATCH_BYTES
 
         def build_tables(moves, n):
             pytest.fail("successor tables built before the budget check")
@@ -376,6 +394,116 @@ class TestGatherMatchesCompose:
         keys = np.array([search.pack(rows) for rows in states], dtype=search.kids.dtype)
         expected = [[search.pack(compose_rows(rows, mv)) for mv in moves] for rows in states]
         assert search._gather(keys).tolist() == expected
+
+
+def relabel_rows(rows, perm):
+    """``rows`` with every edge (x, y) moved to (perm[x], perm[y])."""
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
+        for y in range(len(rows)):
+            if row >> y & 1:
+                out[perm[x]] |= 1 << perm[y]
+    return tuple(out)
+
+
+def orbit_closed(search):
+    """Whether every entry of the value table equals the entries of all the
+    relabelings of its key."""
+    values = search.values
+    keys = np.flatnonzero(values).astype(search.orbit.dtype)
+    return all(
+        (values[search._relabelings(part)] == values[part][:, None]).all()
+        for part in search._chunks(keys)
+    )
+
+
+class TestRelabeling:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tables_equal_per_edge_relabeling(self, n):
+        search = search_module._Search(ModelSpec(Model.TREES, n), Objective.broadcast(), 2 << 30)
+        perms = list(permutations(range(n)))
+        width = n - 1
+        # entry [x, c, p]: the key of the state whose only edges off the
+        # diagonal are row x's, relabeled by the p-th permutation
+        for x in range(n):
+            for c in range(1 << width):
+                rows = [1 << y for y in range(n)]
+                rows[x] = search_module._insert_bit(c, x)
+                expected = [search.pack(relabel_rows(rows, perm)) for perm in perms]
+                assert search.relabel[x, c].tolist() == expected
+        # whole keys, drawn from the key range
+        rnd = random.Random(n)
+        keys = np.array([rnd.getrandbits(n * width) for _ in range(16)], dtype=search.orbit.dtype)
+        expected = [[search.pack(relabel_rows(search.unpack(key), perm)) for perm in perms]
+                    for key in keys.tolist()]
+        got = [row for part in search._chunks(keys) for row in search._relabelings(part).tolist()]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(Model.TREES, 3),
+            ModelSpec(Model.K_FORESTS, 4, 2),
+            ModelSpec(Model.K_ROOTED, 4, 2),
+            ModelSpec(Model.TREES, 5),
+            ModelSpec(Model.K_FORESTS, 5, 3),
+        ],
+        ids=["trees-n3", "forests-n4", "rooted-n4", "trees-n5", "3-forests-n5"],
+    )
+    def test_relabeling_commutes_with_the_step(self, spec):
+        # relabel(G o H) = relabel(G) o relabel(H), and relabel(H) is a move
+        n = spec.n
+        search = search_module._Search(spec, Objective.broadcast(), 2 << 30)
+        moves = {g.out_rows for g in search.moves}
+        perms = list(permutations(range(n)))
+        rnd = random.Random(n)
+        for _ in range(64):
+            rows = identity(n).out_rows
+            for _ in range(rnd.randrange(n + 1)):
+                rows = compose_rows(rows, rnd.choice(search.moves))
+            mv = rnd.choice(search.moves)
+            p = rnd.randrange(len(perms))
+            moved = relabel_rows(mv.out_rows, perms[p])
+            assert moved in moves
+            child = search.pack(compose_rows(rows, mv))
+            expected = search.pack(
+                compose_rows(relabel_rows(rows, perms[p]), graph_from_rows(n, moved))
+            )
+            assert search._relabelings(np.array([child], dtype=search.orbit.dtype))[0, p] == expected
+
+    def test_trees_n5_values_constant_on_orbits(self):
+        solved = search_module._Search(ModelSpec(Model.TREES, 5), Objective.broadcast(), 2 << 30)
+        solved.value(solved.pack(identity(5).out_rows))
+        assert np.count_nonzero(solved.values) == 442_702
+        assert orbit_closed(solved)
+
+    @pytest.mark.parametrize(
+        "spec, states, orbits",
+        [(ModelSpec(Model.TREES, 4), 613, 30), (ModelSpec(Model.TREES, 5), 200_661, 1_757)],
+        ids=["trees-n4", "trees-n5"],
+    )
+    def test_expanded_states_and_orbits(self, spec, states, orbits):
+        res = exact_worst_case(spec, Objective.broadcast())
+        assert (res.expanded_states, res.expanded_orbits) == (states, orbits)
+
+    def test_stall_resets_reached_orbits(self, monkeypatch):
+        # 2-rooted digraphs at n=4 stall a 3-broadcast after reaching
+        # orbits; the terminal and one-round orbits stay whole
+        markers = []
+        expand = search_module._Search._expand
+
+        def counted(self, keys):
+            markers.append(np.count_nonzero(self.values == search_module.REACHED))
+            return expand(self, keys)
+
+        monkeypatch.setattr(search_module._Search, "_expand", counted)
+        spec = ModelSpec(Model.K_ROOTED, 4, 3)
+        solved = search_module._Search(spec, Objective.k_broadcast(4), 2 << 30)
+        with pytest.raises(RuntimeError, match="without progress"):
+            solved.value(solved.pack(identity(4).out_rows))
+        assert markers[-1] > 0
+        assert np.bincount(solved.values).tolist() == [4096 - 58, 1, 57]
+        assert orbit_closed(solved)
 
 
 class TestSweepsMatchRecursion:
