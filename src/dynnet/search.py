@@ -162,9 +162,9 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-# a table entry holds the value plus 1; 0 is unsolved, PENDING reached but
-# not yet valued and the smallest key of its orbit, REACHED reached, not yet
-# valued and valued with that smallest key
+# a table entry holds the value plus 1; 0 is unsolved. A state reached but
+# not yet valued holds PENDING when it is the smallest key of its orbit, to
+# be expanded, and REACHED otherwise, to take that key's entry
 PENDING = 255
 REACHED = 254
 # bytes of one batch's child keys, and of one chunk's relabelings; bounds
