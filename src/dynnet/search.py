@@ -152,6 +152,12 @@ def _popcounts(bits: int) -> np.ndarray:
     return counts
 
 
+def _parts(size: int, keys: np.ndarray) -> Iterator[np.ndarray]:
+    """``keys`` in consecutive slices of at most ``size``."""
+    for i in range(0, keys.size, size):
+        yield keys[i : i + size]
+
+
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct values of the flat array ``keys``, which is sorted in
     place."""
@@ -346,10 +352,6 @@ class _Search:
             out |= part
         return out
 
-    def _chunks(self, keys: np.ndarray):
-        for i in range(0, keys.size, self.chunk):
-            yield keys[i : i + self.chunk]
-
     def _bit_counts(self, keys: np.ndarray) -> np.ndarray:
         half = self.half_bits
         return self.set_bits[keys & ((1 << half) - 1)] + self.set_bits[keys >> half]
@@ -360,7 +362,7 @@ class _Search:
         their layers. Returns the number of states reached."""
         values = self.values
         reached = 0
-        for keys in self._chunks(fresh):
+        for keys in _parts(self.chunk, fresh):
             # an earlier chunk may have reached some of these orbits
             keys = keys[values.take(keys) == 0]
             if not keys.size:
@@ -381,13 +383,13 @@ class _Search:
         """Orbit size of each key: n! over the relabelings that fix it."""
         return np.concatenate([
             self.perms // np.count_nonzero(self._relabelings(part) == part[:, None], axis=1)
-            for part in self._chunks(keys)
+            for part in _parts(self.chunk, keys)
         ])
 
     def _spread(self, keys: np.ndarray) -> None:
         """Write the entry of each key to every relabeling of it."""
         values = self.values
-        for part in self._chunks(keys):
+        for part in _parts(self.chunk, keys):
             values[self._relabelings(part)] = values.take(part)[:, None]
 
     def value(self, key: int) -> int:
@@ -397,10 +399,6 @@ class _Search:
             return entry - 1
         self._solve(key)
         return int(self.values[key]) - 1
-
-    def _batches(self, keys: np.ndarray):
-        for i in range(0, keys.size, self.batch):
-            yield keys[i : i + self.batch]
 
     def _solve(self, start: int) -> None:
         """Value every state reachable from the orbit of the unsolved state
@@ -415,18 +413,17 @@ class _Search:
                 if layer:
                     keys = np.sort(np.concatenate(layer))
                     layer.clear()
-                    for batch in self._batches(keys):
+                    for batch in _parts(self.batch, keys):
                         self._expand(batch)
                     expanded.append(keys[values.take(keys) == PENDING])
         except SearchStalled:
             # a stalled search leaves the states it reached unsolved, except
             # the terminal and one-round orbits, whose values are exact
-            for base in range(0, values.size, SLICE):
-                part = values[base : base + SLICE]
+            for part in _parts(SLICE, values):
                 part[part >= REACHED] = 0
             raise
         for keys in reversed(expanded):
-            for batch in self._batches(keys):
+            for batch in _parts(self.batch, keys):
                 values[batch] = values.take(self._gather(batch)).max(axis=1) + 1
             self._spread(keys)
 

@@ -413,7 +413,7 @@ def orbit_closed(search):
     keys = np.flatnonzero(values).astype(search.orbit.dtype)
     return all(
         (values[search._relabelings(part)] == values[part][:, None]).all()
-        for part in search._chunks(keys)
+        for part in search_module._parts(search.chunk, keys)
     )
 
 
@@ -436,7 +436,8 @@ class TestRelabeling:
         keys = np.array([rnd.getrandbits(n * width) for _ in range(16)], dtype=search.orbit.dtype)
         expected = [[search.pack(relabel_rows(search.unpack(key), perm)) for perm in perms]
                     for key in keys.tolist()]
-        got = [row for part in search._chunks(keys) for row in search._relabelings(part).tolist()]
+        parts = search_module._parts(search.chunk, keys)
+        got = [row for part in parts for row in search._relabelings(part).tolist()]
         assert got == expected
 
     @pytest.mark.parametrize(
