@@ -93,38 +93,17 @@ def _insert_bit(row, x: int):
     return (row & ((1 << x) - 1)) | ((row >> x) << (x + 1)) | (1 << x)
 
 
-def _successor_rows(n: int) -> int:
-    """Rows of the stacked successor tables: 2^(2(n-1)) for each row pair
-    and 2^(n-1) for the last row when n is odd."""
-    return (n // 2 << 2 * (n - 1)) + (n % 2 << (n - 1))
-
-
 def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
-    """Child key parts, one table per row pair (x, x+1) for even x and one
-    for the last row alone when n is odd, stacked in that order.
-
-    A part's index is its key bits: 2(n-1) consecutive bits for a pair,
-    n-1 for the last row. Entry (part offset + index, j) is that part of
-    the child's key under move j, shifted to its key position, so the child
-    key is the sum of one entry per part."""
+    """[x, c, j] = row x of the child under move j when row x of the state
+    has key bits ``c``, without its diagonal bit x and shifted to its key
+    position. A child key is the OR of one entry per row."""
     table = _move_table(moves, n)
     width = n - 1
     compressed = np.arange(1 << width, dtype=np.uint64)
-
-    def row_table(x: int) -> np.ndarray:
-        """[c, j] = row x of the child under move j when row x of the state
-        is ``c``, both without the diagonal, shifted to its key position."""
+    succ = np.empty((n, 1 << width, len(moves)), dtype=KEY_DTYPE)
+    for x in range(n):
         child_rows = table[:, _insert_bit(compressed, x)].T
-        return (_drop_bit(child_rows, x) << (x * width)).astype(KEY_DTYPE)
-
-    pairs = n // 2
-    succ = np.empty((_successor_rows(n), len(moves)), dtype=KEY_DTYPE)
-    for p in range(pairs):
-        # index high * 2^width + low for the state rows (2p + 1, 2p) = (high, low)
-        part = succ[p << 2 * width : (p + 1) << 2 * width].reshape(1 << width, 1 << width, -1)
-        np.add(row_table(2 * p + 1)[:, None], row_table(2 * p)[None], out=part)
-    if n % 2:
-        succ[pairs << 2 * width :] = row_table(n - 1)
+        succ[x] = _drop_bit(child_rows, x) << (x * width)
     return succ
 
 
@@ -188,11 +167,9 @@ class _Search:
 
     Values live in a dense uint8 table indexed by key that holds the value
     plus 1; 0 means not solved yet. The children of a batch of states under
-    every move are gathered at once from ``_successor_tables``: each row
-    pair (x, x+1), x even, is 2(n-1) consecutive key bits (one key byte at
-    n=5) and picks a row of its pair table, the last row of an odd n picks
-    a row of its own table, and the child key is the sum of the ceil(n/2)
-    picks.
+    every move are gathered at once from ``_successor_tables``: each state
+    row's key bits pick an entry of that row's table, and the child key is
+    the OR of the n picks.
 
     Every family is closed under relabeling the nodes, and every objective
     is invariant under it (a broadcaster, k full rows and a cover of size k
@@ -202,8 +179,8 @@ class _Search:
     Since the identity start is fixed by every relabeling, the states
     reached from it form whole orbits. Children are gathered, sorted and
     looked up only for the smallest key of each orbit, its representative;
-    ``_relabel_tables`` relabels a key under all n! permutations with n
-    lookups.
+    ``_relabel_tables`` relabels a key under all n! permutations by the same
+    OR of one entry per row (``_lookup``).
 
     A child is a strict superset of its parent, so it has more set bits,
     and a relabeling keeps the bit count. Walking the whole table in layers
@@ -260,8 +237,9 @@ class _Search:
             "value, move, successor and relabeling tables and batch and orbit buffers",
             table_bytes
             + moves * (1 << n) * 8
-            + _successor_rows(n) * moves * itemsize
-            + n * (1 << self.width) * perms * itemsize
+            # one successor and one relabeling entry per row, row key and
+            # move or permutation
+            + n * (1 << self.width) * (moves + perms) * itemsize
             # two key buffers and at most four key-sized temporaries per entry
             + self.batch * moves * 6 * itemsize
             # two orbit buffers and at most three orbit-sized temporaries
@@ -269,9 +247,6 @@ class _Search:
             mem_cap_bytes,
         )
         self.succ = _successor_tables(self.moves, n)
-        # (table offset, key shift) of every part after the first
-        self.parts = [(p << 2 * self.width, 2 * p * self.width) for p in range(1, (n + 1) // 2)]
-        self.part_mask = full_mask(2 * self.width)
         self.kids = np.empty((self.batch, moves), dtype=KEY_DTYPE)
         self.gathered = np.empty((self.batch, moves), dtype=KEY_DTYPE)
         self.relabel = _relabel_tables(n)
@@ -312,15 +287,22 @@ class _Search:
         keys = np.flatnonzero(self.values)
         return dict(zip(keys.tolist(), (self.values[keys] - 1).tolist()))
 
+    def _lookup(
+        self, tables: np.ndarray, keys: np.ndarray, out: np.ndarray, part: np.ndarray
+    ) -> np.ndarray:
+        """out[i] = the OR over rows x of tables[x, row x's key bits in
+        keys[i]]; ``part`` is a buffer shaped like ``out``."""
+        mask = self.row_mask
+        np.take(tables[0], keys & mask, axis=0, out=out)
+        for x in range(1, self.n):
+            np.take(tables[x], (keys >> x * self.width) & mask, axis=0, out=part)
+            out |= part
+        return out
+
     def _gather(self, keys: np.ndarray) -> np.ndarray:
         """out[i, j] = the child of keys[i] under move j, in the batch buffer."""
-        mask = self.part_mask
-        out, part = self.kids[: keys.size], self.gathered[: keys.size]
-        np.take(self.succ, keys & mask, axis=0, out=out)
-        for offset, shift in self.parts:
-            np.take(self.succ, offset | ((keys >> shift) & mask), axis=0, out=part)
-            out += part
-        return out
+        size = keys.size
+        return self._lookup(self.succ, keys, self.kids[:size], self.gathered[:size])
 
     def _terminal(self, keys: np.ndarray) -> np.ndarray:
         """Whether the objective holds on each state in ``keys``.
@@ -344,13 +326,8 @@ class _Search:
     def _relabelings(self, keys: np.ndarray) -> np.ndarray:
         """out[i, p] = keys[i] under the p-th permutation, in the orbit
         buffer; at most ``chunk`` keys."""
-        mask = self.row_mask
-        out, part = self.orbit[: keys.size], self.orbit_part[: keys.size]
-        np.take(self.relabel[0], keys & mask, axis=0, out=out)
-        for x in range(1, self.n):
-            np.take(self.relabel[x], (keys >> x * self.width) & mask, axis=0, out=part)
-            out |= part
-        return out
+        size = keys.size
+        return self._lookup(self.relabel, keys, self.orbit[:size], self.orbit_part[:size])
 
     def _bit_counts(self, keys: np.ndarray) -> np.ndarray:
         half = self.half_bits
@@ -493,10 +470,9 @@ def exact_worst_case(
     move, when the dense value table (2^(n(n-1)) bytes) exceeds
     ``mem_cap_bytes``, and before building the successor tables when the
     value table plus the move table (``moves * 2^n * 8`` bytes), the
-    successor tables (``floor(n/2) * 2^(2(n-1)) * moves * 4`` bytes for the
-    row pairs, plus ``2^(n-1) * moves * 4`` for the last row when n is odd),
-    the relabeling tables (``n * 2^(n-1) * n! * 4`` bytes), the batch
-    buffers (``6 * batch * moves * 4`` bytes) and the orbit buffers
+    successor and relabeling tables (``n * 2^(n-1) * (moves + n!) * 4``
+    bytes, one int32 entry per row, row key and move or permutation), the
+    batch buffers (``6 * batch * moves * 4`` bytes) and the orbit buffers
     (``5 * chunk * n! * 4`` bytes) do. A batch is as many states as keep its
     ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and at
     most the largest bit-count layer; a chunk is as many keys as keep their

@@ -187,11 +187,11 @@ class TestExactWorstCase:
 
     def test_charge_covers_successor_and_move_tables(self):
         # trees at n=4: 4,096 table bytes + 64 moves * 2^4 * 8 for the move
-        # table + 2 * 2^6 * 64 * 4 for the int32 row-pair successor tables
-        # + 4 * 2^3 * 4! * 4 for the relabeling tables + 6 * 512 rows * 64 * 4
-        # for the batch buffers + 5 * 1,365 keys * 4! * 4 for the orbit buffers
+        # table + 4 * 2^3 * (64 + 4!) * 4 for the int32 successor and
+        # relabeling tables + 6 * 512 rows * 64 * 4 for the batch buffers
+        # + 5 * 1,365 keys * 4! * 4 for the orbit buffers
         res = exact_worst_case(
-            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_489_760
+            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_465_184
         )
         assert (res.value, res.states_visited) == (4, 2044)
 
@@ -202,7 +202,7 @@ class TestExactWorstCase:
         monkeypatch.setattr(search_module, "_successor_tables", build_tables)
         with pytest.raises(MemoryBudgetExceeded):
             exact_worst_case(
-                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_489_759
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_465_183
             )
 
     def test_relabel_tables_over_budget_raise_before_building(self, monkeypatch):
@@ -212,28 +212,28 @@ class TestExactWorstCase:
         monkeypatch.setattr(search_module, "_relabel_tables", build_tables)
         with pytest.raises(MemoryBudgetExceeded, match="relabeling tables"):
             exact_worst_case(
-                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_489_759
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_465_183
             )
 
     @pytest.mark.parametrize(
-        "n, total, succ_bytes, orbit_bytes",
+        "n, total, orbit_bytes",
         [
-            # 64 table bytes + 9 moves * 2^3 * 8 + (2^4 + 2^2) * 9 * 4 for the
-            # pair table and the last row's + 3 * 2^2 * 3! * 4 + 6 * 20 rows
-            # * 9 * 4 + 5 * 64 keys * 3! * 4: a chunk is at most every key
-            (3, 13_648, 720, 1_536),
+            # 64 table bytes + 9 moves * 2^3 * 8 + 3 * 2^2 * (9 + 3!) * 4
+            # + 6 * 20 rows * 9 * 4 + 5 * 64 keys * 3! * 4: a chunk is at most
+            # every key
+            (3, 13_360, 1_536),
+            (4, 1_465_184, 131_040),
             # the README's sum for the 625 trees: 2^20 + 625 * 2^5 * 8
-            # + (2 * 2^8 + 2^4) * 625 * 4 + 5 * 2^4 * 5! * 4 + 6 * 52 * 625 * 4
+            # + 5 * 2^4 * 625 * 4 + 5 * 2^4 * 5! * 4 + 6 * 52 * 625 * 4
             # + 5 * 273 keys * 5! * 4
-            (5, 4_002_176, 1_320_000, 131_040),
+            (5, 2_882_176, 131_040),
         ],
-        ids=["n3", "n5"],
+        ids=["n3", "n4", "n5"],
     )
-    def test_odd_n_charges_the_last_row_alone(self, monkeypatch, n, total, succ_bytes,
-                                              orbit_bytes):
+    def test_charges_one_successor_table_per_row(self, monkeypatch, n, total, orbit_bytes):
         spec = ModelSpec(Model.TREES, n)
         built = search_module._Search(spec, Objective.broadcast(), total)
-        assert built.succ.nbytes == succ_bytes
+        assert built.succ.nbytes == n * 2 ** (n - 1) * len(built.moves) * 4
         assert built.orbit.nbytes == built.orbit_part.nbytes == orbit_bytes
         assert built.orbit.nbytes <= search_module.BATCH_BYTES
 
@@ -244,6 +244,23 @@ class TestExactWorstCase:
         with pytest.raises(MemoryBudgetExceeded):
             search_module._Search(spec, Objective.broadcast(), total - 1)
 
+    def test_k_rooted_n5_charge(self, monkeypatch):
+        # 2-rooted at n=5, 54,244 moves: 2^20 + 54,244 * 2^5 * 8
+        # + 5 * 2^4 * (54,244 + 5!) * 4 + 6 * 1 row * 54,244 * 4
+        # + 5 * 273 keys * 5! * 4; a batch is at least one state
+        class Built(Exception):
+            pass
+
+        def build_tables(moves, n):
+            raise Built
+
+        monkeypatch.setattr(search_module, "_successor_tables", build_tables)
+        spec = ModelSpec(Model.K_ROOTED, 5, 2)
+        with pytest.raises(Built):
+            search_module._Search(spec, Objective.k_broadcast(2), 34_288_576)
+        with pytest.raises(MemoryBudgetExceeded):
+            search_module._Search(spec, Objective.k_broadcast(2), 34_288_575)
+
     def test_more_than_one_thread_rejected(self):
         with pytest.raises(ValueError, match="one thread"):
             exact_worst_case(ModelSpec(Model.TREES, 3), Objective.broadcast(), threads=2)
@@ -252,6 +269,23 @@ class TestExactWorstCase:
         res = exact_worst_case(ModelSpec(Model.TREES, 3), Objective.broadcast())
         spec = res.optimal_sequence.spec
         assert all(validate_member(spec, g) for g in res.optimal_sequence.rounds)
+
+
+def solve_recorded(monkeypatch, spec, objective):
+    """``exact_worst_case`` and the ``_Search`` it solved in."""
+    built = []
+
+    class Recorded(search_module._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with monkeypatch.context() as patched, warnings.catch_warnings():
+        patched.setattr(search_module, "_Search", Recorded)
+        warnings.simplefilter("ignore")
+        res = exact_worst_case(spec, objective)
+    (solved,) = built
+    return res, solved
 
 
 class TestPinnedTables:
@@ -287,21 +321,31 @@ class TestPinnedTables:
     )
     def test_value_table_and_sequence(self, monkeypatch, spec, objective, table_sha,
                                       sequence_sha):
-        built = []
-
-        class Recorded(search_module._Search):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
-
-        monkeypatch.setattr(search_module, "_Search", Recorded)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = exact_worst_case(spec, objective)
-        (solved,) = built
+        res, solved = solve_recorded(monkeypatch, spec, objective)
         assert hashlib.sha256(solved.values.tobytes()).hexdigest() == table_sha
         text = seqfile.dumps(res.optimal_sequence)
         assert hashlib.sha256(text.encode()).hexdigest() == sequence_sha
+
+
+class TestOneRootedIsTrees:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_moves_table_and_sequence(self, monkeypatch, n):
+        # a 1-rooted graph contains a spanning tree, and a 1-broadcast is a
+        # broadcast, so the two searches are one search
+        rooted, rooted_search = solve_recorded(
+            monkeypatch, ModelSpec(Model.K_ROOTED, n, 1), Objective.k_broadcast(1)
+        )
+        trees, trees_search = solve_recorded(
+            monkeypatch, ModelSpec(Model.TREES, n), Objective.broadcast()
+        )
+        assert [g.out_rows for g in rooted_search.moves] == [g.out_rows for g in trees_search.moves]
+        assert (hashlib.sha256(rooted_search.values.tobytes()).digest()
+                == hashlib.sha256(trees_search.values.tobytes()).digest())
+        assert ([g.out_rows for g in rooted.optimal_sequence.rounds]
+                == [g.out_rows for g in trees.optimal_sequence.rounds])
+        assert (rooted.value, rooted.states_visited, rooted.memo_hits) == (
+            trees.value, trees.states_visited, trees.memo_hits
+        )
 
 
 class TestSupergraphDominance:
@@ -368,6 +412,9 @@ class TestGatherMatchesCompose:
     @pytest.mark.parametrize(
         "spec",
         [
+            # a row takes one key bit
+            ModelSpec(Model.TREES, 2),
+            ModelSpec(Model.K_ROOTED, 2, 2),
             ModelSpec(Model.TREES, 3),
             ModelSpec(Model.K_FORESTS, 3, 2),
             ModelSpec(Model.K_ROOTED, 3, 2),
@@ -376,12 +423,11 @@ class TestGatherMatchesCompose:
             ModelSpec(Model.K_ROOTED, 4, 2),
             ModelSpec(Model.TREES, 5),
         ],
-        ids=["trees-n3", "forests-n3", "rooted-n3", "trees-n4", "forests-n4", "rooted-n4",
-             "trees-n5"],
+        ids=["trees-n2", "rooted-n2", "trees-n3", "forests-n3", "rooted-n3", "trees-n4",
+             "forests-n4", "rooted-n4", "trees-n5"],
     )
     def test_every_move_on_sampled_states(self, spec):
-        # states reached by random play from the identity; odd n gathers the
-        # last row from a table of its own
+        # states reached by random play from the identity
         search = search_module._Search(spec, Objective.broadcast(), 2 << 30)
         moves = search.moves
         rnd = random.Random(spec.n)
@@ -393,7 +439,9 @@ class TestGatherMatchesCompose:
             states.append(rows)
         keys = np.array([search.pack(rows) for rows in states], dtype=search.kids.dtype)
         expected = [[search.pack(compose_rows(rows, mv)) for mv in moves] for rows in states]
-        assert search._gather(keys).tolist() == expected
+        # a batch is at most the largest bit-count layer, 2 states at n=2
+        parts = search_module._parts(search.batch, keys)
+        assert [row for part in parts for row in search._gather(part).tolist()] == expected
 
 
 def relabel_rows(rows, perm):
