@@ -7,17 +7,19 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from itertools import product as iproduct
 from math import comb, factorial
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .dissemination import Objective, RoundSequence, cover_achieved
 from .families import Model, ModelSpec, enumerate_k_forests, enumerate_rooted_trees, union_rows
 from .graphs import Graph, compose_rows, full_mask, graph_from_rows, identity
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # n <= 5 keeps the dense value table at 1 MiB and every key in 20 bits
 SEARCH_GUARD = 5
-KEY_DTYPE = np.dtype(np.int32)
+KEY_DTYPE = "int32"
+KEY_BYTES = 4
 DEFAULT_MEM_CAP = 2 << 30  # bytes
 
 
@@ -72,11 +74,13 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
 
 
 def _move_table(moves: list[Graph], n: int) -> np.ndarray:
-    """table[j, mask] = OR of move j's loop-added out-rows over ``mask``."""
-    rows = np.array(
-        [[r | 1 << i for i, r in enumerate(g.out_rows)] for g in moves], dtype=np.uint64
-    )
-    table = np.zeros((len(moves), 1 << n), dtype=np.uint64)
+    """table[j, mask] = OR of move j's loop-added out-rows over ``mask``;
+    a row has n <= ``SEARCH_GUARD`` bits, so one byte holds it."""
+    import numpy as np
+
+    rows = np.array([g.out_rows for g in moves], dtype=np.uint8)
+    rows |= 1 << np.arange(n, dtype=np.uint8)
+    table = np.zeros((len(moves), 1 << n), dtype=np.uint8)
     for mask in range(1, 1 << n):
         low = mask & -mask
         table[:, mask] = table[:, mask ^ low] | rows[:, low.bit_length() - 1]
@@ -96,14 +100,18 @@ def _insert_bit(row, x: int):
 def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
     """[x, c, j] = row x of the child under move j when row x of the state
     has key bits ``c``, without its diagonal bit x and shifted to its key
-    position. A child key is the OR of one entry per row."""
+    position. A child key is the OR of one entry per row. Each row is
+    dropped in uint8 and shifted in place, so the temporaries stay at four
+    uint8 arrays of one row's entries."""
+    import numpy as np
+
     table = _move_table(moves, n)
     width = n - 1
     compressed = np.arange(1 << width, dtype=np.uint64)
     succ = np.empty((n, 1 << width, len(moves)), dtype=KEY_DTYPE)
     for x in range(n):
-        child_rows = table[:, _insert_bit(compressed, x)].T
-        succ[x] = _drop_bit(child_rows, x) << (x * width)
+        succ[x] = _drop_bit(table[:, _insert_bit(compressed, x)].T, x)
+        succ[x] <<= x * width
     return succ
 
 
@@ -113,6 +121,8 @@ def _relabel_tables(n: int) -> np.ndarray:
     the row moves to π(x), each column y to π(y), and the row is shifted to
     its key position without its diagonal bit π(x). A relabeled key is the
     OR of one entry per row."""
+    import numpy as np
+
     width = n - 1
     perms = np.array(list(permutations(range(n))), dtype=np.int64).T  # [y, p] = π(y)
     compressed = np.arange(1 << width, dtype=np.int64)
@@ -125,6 +135,8 @@ def _relabel_tables(n: int) -> np.ndarray:
 
 def _popcounts(bits: int) -> np.ndarray:
     """Set-bit count of every integer below ``2**bits``."""
+    import numpy as np
+
     counts = np.zeros(1, dtype=np.uint8)
     for _ in range(bits):
         counts = np.concatenate([counts, counts + 1])
@@ -140,6 +152,8 @@ def _parts(size: int, keys: np.ndarray) -> Iterator[np.ndarray]:
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct values of the flat array ``keys``, which is sorted in
     place."""
+    import numpy as np
+
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
@@ -216,6 +230,8 @@ class _Search:
     batch and orbit buffers before those are built."""
 
     def __init__(self, spec: ModelSpec, objective: Objective, mem_cap_bytes: int):
+        import numpy as np
+
         n = spec.n
         key_bits = n * (n - 1)
         table_bytes = 1 << key_bits
@@ -225,7 +241,7 @@ class _Search:
         self.row_mask = full_mask(n - 1)
         self.objective = objective
         self.moves = family_moves(spec)
-        itemsize = KEY_DTYPE.itemsize
+        itemsize = KEY_BYTES
         moves = len(self.moves)
         perms = factorial(n)
         # a batch comes from one bit-count layer, and the middle one is largest
@@ -236,10 +252,13 @@ class _Search:
         _charge(
             "value, move, successor and relabeling tables and batch and orbit buffers",
             table_bytes
-            + moves * (1 << n) * 8
+            # one uint8 move table entry per move and row subset
+            + moves * (1 << n)
             # one successor and one relabeling entry per row, row key and
             # move or permutation
             + n * (1 << self.width) * (moves + perms) * itemsize
+            # four uint8 temporaries per entry of the successor row being built
+            + 4 * (1 << self.width) * moves
             # two key buffers and at most four key-sized temporaries per entry
             + self.batch * moves * 6 * itemsize
             # two orbit buffers and at most three orbit-sized temporaries
@@ -274,6 +293,8 @@ class _Search:
         return key
 
     def unpack(self, key: int) -> list[int]:
+        import numpy as np
+
         return list(next(self.unpack_all(np.array([key]))))
 
     def unpack_all(self, keys: np.ndarray) -> Iterator[tuple[int, ...]]:
@@ -284,6 +305,8 @@ class _Search:
     @property
     def memo(self) -> dict[int, int]:
         """Snapshot of the solved states, key -> value."""
+        import numpy as np
+
         keys = np.flatnonzero(self.values)
         return dict(zip(keys.tolist(), (self.values[keys] - 1).tolist()))
 
@@ -292,6 +315,8 @@ class _Search:
     ) -> np.ndarray:
         """out[i] = the OR over rows x of tables[x, row x's key bits in
         keys[i]]; ``part`` is a buffer shaped like ``out``."""
+        import numpy as np
+
         mask = self.row_mask
         np.take(tables[0], keys & mask, axis=0, out=out)
         for x in range(1, self.n):
@@ -310,6 +335,8 @@ class _Search:
         A cover is decided by one ``cover_achieved`` call per key, on the
         row tuples that ``unpack_all`` restores for the whole array at once;
         most keys end in its size-1 membership test or size-2 pair loop."""
+        import numpy as np
+
         k = self.objective.k
         if self.objective.kind == "cover":
             return np.fromiter(
@@ -337,6 +364,8 @@ class _Search:
         """Mark the orbit of every unsolved key in ``fresh`` reached, decide
         each member once and queue the non-terminal representatives in
         their layers. Returns the number of states reached."""
+        import numpy as np
+
         values = self.values
         reached = 0
         for keys in _parts(self.chunk, fresh):
@@ -358,6 +387,8 @@ class _Search:
 
     def _orbit_sizes(self, keys: np.ndarray) -> np.ndarray:
         """Orbit size of each key: n! over the relabelings that fix it."""
+        import numpy as np
+
         return np.concatenate([
             self.perms // np.count_nonzero(self._relabelings(part) == part[:, None], axis=1)
             for part in _parts(self.chunk, keys)
@@ -381,6 +412,8 @@ class _Search:
         """Value every state reachable from the orbit of the unsolved state
         ``start`` through non-terminal states; a terminal ``start`` is only
         decided."""
+        import numpy as np
+
         values = self.values
         self.layers = [[] for _ in range(self.n * self.width + 1)]
         expanded = []
@@ -407,6 +440,8 @@ class _Search:
     def _expand(self, keys: np.ndarray) -> None:
         """Decide the fresh children of PENDING, non-terminal
         representatives."""
+        import numpy as np
+
         values = self.values
         kids = self._gather(keys)
         kids.sort(axis=1)
@@ -469,10 +504,11 @@ def exact_worst_case(
     (5) in any family. Raises MemoryBudgetExceeded, before enumerating any
     move, when the dense value table (2^(n(n-1)) bytes) exceeds
     ``mem_cap_bytes``, and before building the successor tables when the
-    value table plus the move table (``moves * 2^n * 8`` bytes), the
+    value table plus the uint8 move table (``moves * 2^n`` bytes), the
     successor and relabeling tables (``n * 2^(n-1) * (moves + n!) * 4``
     bytes, one int32 entry per row, row key and move or permutation), the
-    batch buffers (``6 * batch * moves * 4`` bytes) and the orbit buffers
+    uint8 temporaries that build one successor row
+    (``4 * 2^(n-1) * moves`` bytes), the batch buffers (``6 * batch * moves * 4`` bytes) and the orbit buffers
     (``5 * chunk * n! * 4`` bytes) do. A batch is as many states as keep its
     ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and at
     most the largest bit-count layer; a chunk is as many keys as keep their
@@ -481,6 +517,9 @@ def exact_worst_case(
     for callers that pass 1, and any other value raises ValueError. Raises
     SearchStalled when a move leaves a state the objective does not hold on
     unchanged.
+
+    numpy is imported on the first call, not with this module, so ``import
+    dynnet.cli`` and every command that does not search run without it.
     """
     if spec.n > SEARCH_GUARD:
         raise ValueError(f"exact search guarded to n <= {SEARCH_GUARD}, got n={spec.n}")
@@ -488,6 +527,8 @@ def exact_worst_case(
         raise ValueError(f"exact search runs on one thread, got threads={threads}")
     if objective.k > spec.n:
         raise ValueError("objective k exceeds n")
+    import numpy as np
+
     search = _Search(spec, objective, mem_cap_bytes)
     start = search.pack(identity(spec.n).out_rows)
     value = search.value(start)
@@ -503,6 +544,8 @@ def exact_worst_case(
 def _reconstruct(search: _Search, start: int) -> list[Graph]:
     """One maximizing play: at each state pick the first (smallest
     serialized) move whose child still needs value-1 rounds."""
+    import numpy as np
+
     out: list[Graph] = []
     key = start
     remaining = int(search.values[key]) - 1

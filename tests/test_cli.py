@@ -493,10 +493,41 @@ class TestCliExitCodes:
         assert "--self-loops" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_mpmath_out():
-    # the bounds are exact in integers; a fresh interpreter shows what loads
+def fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this package."""
     env = {**os.environ, "PYTHONPATH": str(Path(dynnet.__file__).parents[1])}
-    code = "import sys, dynnet.cli; print('mpmath' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+# the bounds are exact in integers, and numpy is loaded only by the exact
+# search and the k-rooted draws; a fresh interpreter shows what loads
+@pytest.mark.parametrize("module", ["mpmath", "numpy"])
+def test_cli_import_leaves_module_out(module):
+    out = fresh_interpreter(f"import sys, dynnet.cli; print({module!r} in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_numpy_loads_with_the_first_search(tmp_path):
+    code = f"""
+import contextlib, io, sys
+from dynnet.cli import main
+d = {str(tmp_path)!r}
+commands = [
+    ["construct", "--model", "tree", "--n", "12", "--out", d + "/tree.json"],
+    ["simulate", "--seq", d + "/tree.json", "--objective", "broadcast"],
+    ["analyze", "--seq", d + "/tree.json", "--certificate", "rounds-graph"],
+    ["construct", "--model", "forest", "--n", "12", "--k", "2", "--out", d + "/forest.json"],
+    ["simulate", "--seq", d + "/forest.json", "--objective", "cover", "--k", "2"],
+    ["analyze", "--seq", d + "/forest.json", "--certificate", "strict-sets"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+print(codes, "numpy" in sys.modules)
+from dynnet.dissemination import Objective
+from dynnet.families import Model, ModelSpec
+from dynnet.search import exact_worst_case
+res = exact_worst_case(ModelSpec(Model.TREES, 3), Objective.broadcast())
+print(res.value, "numpy" in sys.modules)
+"""
+    assert fresh_interpreter(code).splitlines() == ["[0, 0, 0, 0, 0, 0] False", "2 True"]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 import warnings
 from itertools import permutations
 
@@ -186,12 +187,13 @@ class TestExactWorstCase:
             )
 
     def test_charge_covers_successor_and_move_tables(self):
-        # trees at n=4: 4,096 table bytes + 64 moves * 2^4 * 8 for the move
-        # table + 4 * 2^3 * (64 + 4!) * 4 for the int32 successor and
-        # relabeling tables + 6 * 512 rows * 64 * 4 for the batch buffers
+        # trees at n=4: 4,096 table bytes + 64 moves * 2^4 for the uint8
+        # move table + 4 * 2^3 * (64 + 4!) * 4 for the int32 successor and
+        # relabeling tables + 4 * 2^3 * 64 for one successor row's uint8
+        # temporaries + 6 * 512 rows * 64 * 4 for the batch buffers
         # + 5 * 1,365 keys * 4! * 4 for the orbit buffers
         res = exact_worst_case(
-            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_465_184
+            ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_460_064
         )
         assert (res.value, res.states_visited) == (4, 2044)
 
@@ -202,7 +204,7 @@ class TestExactWorstCase:
         monkeypatch.setattr(search_module, "_successor_tables", build_tables)
         with pytest.raises(MemoryBudgetExceeded):
             exact_worst_case(
-                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_465_183
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_460_063
             )
 
     def test_relabel_tables_over_budget_raise_before_building(self, monkeypatch):
@@ -212,21 +214,21 @@ class TestExactWorstCase:
         monkeypatch.setattr(search_module, "_relabel_tables", build_tables)
         with pytest.raises(MemoryBudgetExceeded, match="relabeling tables"):
             exact_worst_case(
-                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_465_183
+                ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_460_063
             )
 
     @pytest.mark.parametrize(
         "n, total, orbit_bytes",
         [
-            # 64 table bytes + 9 moves * 2^3 * 8 + 3 * 2^2 * (9 + 3!) * 4
-            # + 6 * 20 rows * 9 * 4 + 5 * 64 keys * 3! * 4: a chunk is at most
-            # every key
-            (3, 13_360, 1_536),
-            (4, 1_465_184, 131_040),
-            # the README's sum for the 625 trees: 2^20 + 625 * 2^5 * 8
-            # + 5 * 2^4 * 625 * 4 + 5 * 2^4 * 5! * 4 + 6 * 52 * 625 * 4
-            # + 5 * 273 keys * 5! * 4
-            (5, 2_882_176, 131_040),
+            # 64 table bytes + 9 moves * 2^3 + 3 * 2^2 * (9 + 3!) * 4
+            # + 4 * 2^2 * 9 + 6 * 20 rows * 9 * 4 + 5 * 64 keys * 3! * 4: a
+            # chunk is at most every key
+            (3, 13_000, 1_536),
+            (4, 1_460_064, 131_040),
+            # the README's sum for the 625 trees: 2^20 + 625 * 2^5
+            # + 5 * 2^4 * 625 * 4 + 5 * 2^4 * 5! * 4 + 4 * 2^4 * 625
+            # + 6 * 52 * 625 * 4 + 5 * 273 keys * 5! * 4
+            (5, 2_782_176, 131_040),
         ],
         ids=["n3", "n4", "n5"],
     )
@@ -245,9 +247,10 @@ class TestExactWorstCase:
             search_module._Search(spec, Objective.broadcast(), total - 1)
 
     def test_k_rooted_n5_charge(self, monkeypatch):
-        # 2-rooted at n=5, 54,244 moves: 2^20 + 54,244 * 2^5 * 8
-        # + 5 * 2^4 * (54,244 + 5!) * 4 + 6 * 1 row * 54,244 * 4
-        # + 5 * 273 keys * 5! * 4; a batch is at least one state
+        # 2-rooted at n=5, 54,244 moves: 2^20 + 54,244 * 2^5
+        # + 5 * 2^4 * (54,244 + 5!) * 4 + 4 * 2^4 * 54,244
+        # + 6 * 1 row * 54,244 * 4 + 5 * 273 keys * 5! * 4; a batch is at
+        # least one state
         class Built(Exception):
             pass
 
@@ -257,9 +260,30 @@ class TestExactWorstCase:
         monkeypatch.setattr(search_module, "_successor_tables", build_tables)
         spec = ModelSpec(Model.K_ROOTED, 5, 2)
         with pytest.raises(Built):
-            search_module._Search(spec, Objective.k_broadcast(2), 34_288_576)
+            search_module._Search(spec, Objective.k_broadcast(2), 25_609_536)
         with pytest.raises(MemoryBudgetExceeded):
-            search_module._Search(spec, Objective.k_broadcast(2), 34_288_575)
+            search_module._Search(spec, Objective.k_broadcast(2), 25_609_535)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec(Model.TREES, 5), ModelSpec(Model.K_ROOTED, 4, 2)],
+        ids=["tree-5", "digraph-4"],
+    )
+    def test_successor_tables_peak_within_charge(self, spec):
+        # the move table, the successor tables and one row's four uint8
+        # temporaries, as charged; array headers and the uint64 row-key
+        # index arrays are a few hundred bytes each
+        moves = family_moves(spec)
+        n, count = spec.n, len(moves)
+        charged = count * 2**n + n * 2 ** (n - 1) * count * 4 + 4 * 2 ** (n - 1) * count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            search_module._successor_tables(moves, n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert charged <= peak <= charged + 4096
 
     def test_more_than_one_thread_rejected(self):
         with pytest.raises(ValueError, match="one thread"):
