@@ -241,14 +241,13 @@ class _Search:
         self.row_mask = full_mask(n - 1)
         self.objective = objective
         self.moves = family_moves(spec)
-        itemsize = KEY_BYTES
         moves = len(self.moves)
         perms = factorial(n)
         # a batch comes from one bit-count layer, and the middle one is largest
-        self.batch = max(1, min(BATCH_BYTES // (moves * itemsize), comb(key_bits, key_bits // 2)))
+        self.batch = max(1, min(BATCH_BYTES // (moves * KEY_BYTES), comb(key_bits, key_bits // 2)))
         # a chunk of keys whose relabelings fill at most BATCH_BYTES, and at
         # most every key
-        self.chunk = max(1, min(BATCH_BYTES // (perms * itemsize), table_bytes))
+        self.chunk = max(1, min(BATCH_BYTES // (perms * KEY_BYTES), table_bytes))
         _charge(
             "value, move, successor and relabeling tables and batch and orbit buffers",
             table_bytes
@@ -256,13 +255,13 @@ class _Search:
             + moves * (1 << n)
             # one successor and one relabeling entry per row, row key and
             # move or permutation
-            + n * (1 << self.width) * (moves + perms) * itemsize
+            + n * (1 << self.width) * (moves + perms) * KEY_BYTES
             # four uint8 temporaries per entry of the successor row being built
             + 4 * (1 << self.width) * moves
             # two key buffers and at most four key-sized temporaries per entry
-            + self.batch * moves * 6 * itemsize
+            + self.batch * moves * 6 * KEY_BYTES
             # two orbit buffers and at most three orbit-sized temporaries
-            + self.chunk * perms * 5 * itemsize,
+            + self.chunk * perms * 5 * KEY_BYTES,
             mem_cap_bytes,
         )
         self.succ = _successor_tables(self.moves, n)
@@ -508,7 +507,8 @@ def exact_worst_case(
     successor and relabeling tables (``n * 2^(n-1) * (moves + n!) * 4``
     bytes, one int32 entry per row, row key and move or permutation), the
     uint8 temporaries that build one successor row
-    (``4 * 2^(n-1) * moves`` bytes), the batch buffers (``6 * batch * moves * 4`` bytes) and the orbit buffers
+    (``4 * 2^(n-1) * moves`` bytes), the batch buffers
+    (``6 * batch * moves * 4`` bytes) and the orbit buffers
     (``5 * chunk * n! * 4`` bytes) do. A batch is as many states as keep its
     ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and at
     most the largest bit-count layer; a chunk is as many keys as keep their
