@@ -184,6 +184,23 @@ class TestCoverAchieved:
     def test_edge_cases(self, kind, rows, k, expected):
         assert both_entries(kind(rows), k) == expected
 
+    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize(
+        "n, diagonal", [(1, False), (2, False), (3, False), (4, True)],
+        ids=["n1", "n2", "n3", "n4-diagonal"],
+    )
+    def test_every_small_matrix(self, kind, n, diagonal):
+        # every row matrix at n <= 3, with or without its diagonal, and every
+        # n = 4 matrix with its diagonal set, for every cover size up to n + 1;
+        # all-zero rows and rows without their own bit are among them
+        choices = [
+            [r for r in range(1 << n) if not diagonal or r >> x & 1] for x in range(n)
+        ]
+        for rows in itertools.product(*choices):
+            g = graph_from_rows(n, rows)
+            for k in range(1, n + 2):
+                assert both_entries(kind(rows), k) == brute_force_cover(g, k), (rows, k)
+
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_late_rounds_of_sampled_forests(self, n, k):
