@@ -141,7 +141,11 @@ def _first_cover(
     these two prunes, budget 2 is one flat loop over pairs, an exact
     decision by itself. Above budget 2 a row is chosen only once the rows
     after it are decided (``_cover_exists``) to complete it, so no dead end
-    is searched through, and the last two rows come from the pair loop."""
+    is searched through, and the last two rows come from the pair loop.
+
+    ``cover_achieved`` writes out its own copy of the pair loop, without
+    the prunes, for callers that pass no columns: there the prunes and the
+    call cost more than they save on the exact search's five-row states."""
     end = len(rows)
     if budget == 2:
         for i in range(lo, end - 1):
@@ -177,31 +181,36 @@ def cover_achieved(
     ``cols``, when given, is the transpose of ``rows`` (the product's
     in-rows, which ``run`` holds anyway).
 
-    Size 1 is that membership test, a scan in C. Each larger size is
+    Size 1 is that membership test, a scan in C. Without ``cols``, size 2
+    is one flat loop over pairs in lexicographic order, written out here:
+    the first pair it meets is the witness, and when it meets none there is
+    no cover of size 2. It reads no bit counts and needs no transpose; the
+    rows are transposed only if size 3 is reached. Each other size is
     decided exactly by branching on the columns (``_cover_exists``), and
     the witness is then found by one ordered search (``_first_cover``) at
-    the first size that holds. Without ``cols``, size 2 is decided by the
-    ordered search itself, a flat loop over pairs that finds the witness or
-    proves there is none and needs no transpose; the rows are transposed
-    once only if size 3 is reached."""
+    the first size that holds."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = len(rows)
-    fm = full_mask(n)
+    fm = (1 << n) - 1  # full_mask(n), without the call
     if fm in rows:
         return [rows.index(fm)]
     if k == 1:
         return None
+    first = 2
+    if cols is None:
+        for i in range(n - 1):
+            rest = fm ^ rows[i]
+            for j in range(i + 1, n):
+                if rows[j] & rest == rest:
+                    return [i, j]
+        if k == 2:
+            return None
+        cols = _transpose(n, rows)
+        first = 3
     most = max(map(int.bit_count, rows))
     if most * k < n:
         return None  # k rows cannot reach n elements yet
-    first = 2
-    if cols is None:
-        found = _first_cover(rows, None, fm, 2, 0, most)
-        if found is not None or k == 2:
-            return found
-        cols = _transpose(n, rows)
-        first = 3
     for size in range(first, min(k, n) + 1):
         if _cover_exists(rows, cols, fm, size, fm, most):
             return _first_cover(rows, cols, fm, size, 0, most)

@@ -332,8 +332,9 @@ class _Search:
         """Whether the objective holds on each state in ``keys``.
 
         A cover is decided by one ``cover_achieved`` call per key, on the
-        row tuples that ``unpack_all`` restores for the whole array at once;
-        most keys end in its size-1 membership test or size-2 pair loop."""
+        row tuples that ``unpack_all`` restores for the whole array at once.
+        No columns are passed, so most keys end in its size-1 membership
+        test or its rows-only size-2 pair loop, which reads no bit counts."""
         import numpy as np
 
         k = self.objective.k
