@@ -192,7 +192,7 @@ def cover_achieved(
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = len(rows)
-    fm = (1 << n) - 1  # full_mask(n), without the call
+    fm = (1 << n) - 1  # full_mask(n), inlined: the search calls this once a state
     if fm in rows:
         return [rows.index(fm)]
     if k == 1:
