@@ -14,7 +14,10 @@ from dynnet.families import (
     Model,
     ModelSpec,
     _forest_from_code,
+    _forest_parents_from_code,
+    _prufer_parents,
     _random_k_rooted,
+    _rooted_tree_parents,
     enumerate_k_forests,
     enumerate_rooted_trees,
     forest_parents,
@@ -193,6 +196,78 @@ class TestEnumeration:
             list(enumerate_k_forests(ENUM_GUARD + 1, 1))
         with pytest.raises(ValueError):
             list(enumerate_k_forests(4, 5))
+
+
+def _reference_prufer_parents(n: int, code) -> list[int]:
+    """Smallest-leaf elimination with a degree decrement and re-test at
+    every step, rooted at label n-1."""
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    parents = [-1] * n
+    ptr = 0
+    leaf = -1
+    for v in code:
+        if leaf < 0:
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+        parents[leaf] = v
+        degree[leaf] -= 1
+        degree[v] -= 1
+        leaf = v if degree[v] == 1 and v < ptr else -1
+    if leaf < 0:
+        while degree[ptr] != 1:
+            ptr += 1
+        leaf = ptr
+    parents[leaf] = n - 1
+    return parents
+
+
+def _reference_forest_parents(n: int, code) -> list[int]:
+    """The forest on [n] cut from the tree on n+1 labels with ``code``:
+    re-rooted at label 0, which is dropped."""
+    parents = _reference_prufer_parents(n + 1, code)
+    prev, v = -1, 0
+    while v != -1:
+        parents[v], prev, v = prev, v, parents[v]
+    return [p - 1 for p in parents[1:]]
+
+
+def _reference_rooted_tree_parents(n: int, root: int, code) -> list[int]:
+    """The tree rooted at ``root`` with code ``code``, as the forest code
+    ``(root+1, code+1)``: label 0 hangs below label root+1."""
+    return _reference_forest_parents(n, (root + 1,) + tuple(v + 1 for v in code))
+
+
+def _random_codes(labels: int, length: int, count: int, seed: int):
+    rnd = random.Random(f"codes/{labels}/{length}/{seed}")
+    return [tuple(rnd.randrange(labels) for _ in range(length)) for _ in range(count)]
+
+
+class TestDecoders:
+    """The decoders give the parent arrays of the plain references, on
+    every code for n <= 6 and on seeded codes up to n = 64."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_code(self, n):
+        for code in itertools.product(range(n), repeat=n - 2):
+            assert _prufer_parents(n, code) == _reference_prufer_parents(n, code), code
+            for root in range(n):
+                assert (_rooted_tree_parents(n, root, code)
+                        == _reference_rooted_tree_parents(n, root, code)), (root, code)
+        for code in itertools.product(range(n + 1), repeat=n - 1):
+            assert _forest_parents_from_code(n, code) == _reference_forest_parents(n, code), code
+
+    @pytest.mark.parametrize("n", [7, 8, 11, 16, 24, 32, 47, 63, 64])
+    def test_seeded_codes(self, n):
+        for code in _random_codes(n, n - 2, 60, 0):
+            assert _prufer_parents(n, code) == _reference_prufer_parents(n, code), code
+            for root in (0, n // 2, n - 1, code[0]):
+                assert (_rooted_tree_parents(n, root, code)
+                        == _reference_rooted_tree_parents(n, root, code)), (root, code)
+        for code in _random_codes(n + 1, n - 1, 60, 1):
+            assert _forest_parents_from_code(n, code) == _reference_forest_parents(n, code), code
 
 
 def is_rooted_tree_root(rows: tuple[int, ...]) -> int:
