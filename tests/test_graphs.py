@@ -12,6 +12,7 @@ from dynnet.graphs import (
     bits,
     compose_rows,
     full_mask,
+    graph_from_parents,
     graph_from_rows,
     identity,
     in_set,
@@ -84,6 +85,42 @@ class TestMakeGraph:
         assert hash(g) == hash(fresh)
         assert len({g, fresh}) == 1
         assert g != make_graph(5, [(0, 1)])
+
+
+class TestConstructorRejections:
+    """Each malformed input raises ValueError with its message; where an
+    input has several faults, the first node or row in order is named."""
+
+    @pytest.mark.parametrize("n,parents,message", [
+        (3, [-1, 0], "parent array has length 2, expected 3"),
+        (3, [-1, 0, 1, 1], "parent array has length 4, expected 3"),
+        (0, [], "node count must be in [1, 64], got 0"),
+        (65, [-1] + list(range(64)), "node count must be in [1, 64], got 65"),
+        (4, [-1, 0, -2, 1], "node 2 has parent -2, not -1 or another node's id"),
+        (4, [-1, 4, 0, 1], "node 1 has parent 4, not -1 or another node's id"),
+        (4, [-1, 0, 2, 1], "node 2 has parent 2, not -1 or another node's id"),
+        (4, [-1, 1, -2, 4], "node 1 has parent 1, not -1 or another node's id"),
+        (4, [-1, 0, 9, -5], "node 2 has parent 9, not -1 or another node's id"),
+    ])
+    def test_graph_from_parents(self, n, parents, message):
+        with pytest.raises(ValueError) as exc:
+            graph_from_parents(n, parents)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n,rows,message", [
+        (4, [0, 1 << 4, 0, 0], "row 1 has bits beyond node 3"),
+        (4, [0, 0, -1, 0], "row 2 has bits beyond node 3"),
+        (4, [1, -8, 1 << 70, 0], "row 1 has bits beyond node 3"),
+        (64, [0] * 63 + [1 << 64], "row 63 has bits beyond node 63"),
+        (4, [0, 0, 0], "expected 4 rows, got 3"),
+        (4, [0] * 5, "expected 4 rows, got 5"),
+        (0, [], "node count must be in [1, 64], got 0"),
+        (65, [0] * 65, "node count must be in [1, 64], got 65"),
+    ])
+    def test_graph_from_rows(self, n, rows, message):
+        with pytest.raises(ValueError) as exc:
+            graph_from_rows(n, rows)
+        assert str(exc.value) == message
 
 
 def per_bit_transpose(n: int, rows) -> tuple[int, ...]:
