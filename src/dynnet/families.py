@@ -128,30 +128,28 @@ def validate_member(spec: ModelSpec, g: Graph) -> bool:
 def _prufer_parents(n: int, code: Sequence[int]) -> list[int]:
     """Parent array of the labeled tree on [n] with the length n-2 ``code``,
     rooted at label n-1: smallest-leaf elimination hangs each leaf below the
-    label that removes it."""
+    label that removes it.
+
+    Linear: ``ptr`` is the last leaf found by scanning upward, and every
+    removed leaf is at or below it, so the scan resumes past it and a
+    removed leaf needs no degree decrement. A label that its last letter
+    turns into a leaf below ``ptr`` is the smallest leaf, removed next."""
     degree = [1] * n
     for v in code:
         degree[v] += 1
     parents = [-1] * n
-    # smallest-leaf elimination, done with a pointer + "back edges" trick
-    ptr = 0
-    leaf = -1
+    ptr = degree.index(1)
+    leaf = ptr
     for v in code:
-        if leaf < 0:
+        parents[leaf] = v
+        degree[v] -= 1
+        if v < ptr and degree[v] == 1:
+            leaf = v
+        else:
+            ptr += 1
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-        parents[leaf] = v
-        degree[leaf] -= 1
-        degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    if leaf < 0:
-        while degree[ptr] != 1:
-            ptr += 1
-        leaf = ptr
     parents[leaf] = n - 1
     return parents
 
@@ -176,10 +174,13 @@ def _forest_from_code(n: int, code: Sequence[int]) -> Graph:
 
 def _rooted_tree_parents(n: int, root: int, code: Sequence[int]) -> list[int]:
     """Parent array of the tree on n >= 2 nodes with the n-label ``code``,
-    rooted at ``root``. Its forest code puts label 0 as a leaf below label
-    root+1; that leaf is removed first, and the rest decodes as ``code``
-    shifted by one."""
-    return _forest_parents_from_code(n, (root + 1,) + tuple(v + 1 for v in code))
+    rooted at ``root``: decoded rooted at label n-1, then re-rooted by
+    reversing the path from ``root`` up to it."""
+    parents = _prufer_parents(n, code)
+    prev, v = -1, root
+    while v != -1:
+        parents[v], prev, v = prev, v, parents[v]
+    return parents
 
 
 def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph]:
@@ -190,10 +191,11 @@ def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph
     """
     if not 1 <= n <= ENUM_GUARD:
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}, got {n}")
+    if root is not None and not 0 <= root < n:
+        raise ValueError(f"root must be in [0, {n}), got {root}")
     roots = range(n) if root is None else (root,)
     if n == 1:
-        if 0 in roots:
-            yield make_graph(1, [])
+        yield make_graph(1, [])
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         for r in roots:
@@ -257,10 +259,13 @@ def _randbelow(rnd: random.Random, n: int, count: int) -> list[int]:
 
 def _random_k_forest(n: int, k: int, rnd: random.Random) -> Graph:
     """Uniform forest of k rooted trees: a uniform code on n+1 labels that
-    holds label 0 exactly k-1 times."""
-    positions = set(rnd.sample(range(n - 1), k - 1))
-    letters = iter(_randbelow(rnd, n, n - k))
-    code = tuple(0 if i in positions else next(letters) + 1 for i in range(n - 1))
+    holds label 0 exactly k-1 times. The other letters are drawn from
+    range(n) and shifted up by one; the zeros go in at their positions in
+    ascending order."""
+    positions = sorted(rnd.sample(range(n - 1), k - 1))
+    code = [v + 1 for v in _randbelow(rnd, n, n - k)]
+    for i in positions:
+        code.insert(i, 0)
     return _forest_from_code(n, code)
 
 
@@ -302,10 +307,11 @@ def _random_k_rooted(n: int, k: int, rnd: random.Random) -> Graph:
     hits = ((lanes & 0xFFFFFFFF) >> 5 << 26 | lanes >> 38) < EXTRA_EDGE_THRESHOLD
     rows = (hits.reshape(n, n - 1) * _cell_bits(n)).sum(axis=1).tolist()
     if n > 1:
+        rows.append(0)  # row -1: where each root's missing parent points
         for i, r in enumerate(roots):
             for v, p in enumerate(_rooted_tree_parents(n, r, letters[i * (n - 2):(i + 1) * (n - 2)])):
-                if p >= 0:
-                    rows[p] |= 1 << v
+                rows[p] |= 1 << v
+        rows.pop()
     return graph_from_rows(n, rows)
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import ne, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_NODES = 64
@@ -145,6 +146,11 @@ def _transpose(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return layout.unpack(x.to_bytes(layout.size, "little"))
 
 
+# the single-node sets, shared by every forest's in-rows; entry -1 is the
+# empty set, the in-row of a root
+_BITS = tuple(1 << x for x in range(MAX_NODES)) + (0,)
+
+
 def graph_from_rows(n: int, out_rows: Iterable[int]) -> Graph:
     """Build a Graph from out-adjacency masks."""
     if not 1 <= n <= MAX_NODES:
@@ -152,10 +158,9 @@ def graph_from_rows(n: int, out_rows: Iterable[int]) -> Graph:
     rows = tuple(out_rows)
     if len(rows) != n:
         raise ValueError(f"expected {n} rows, got {len(rows)}")
-    fm = full_mask(n)
-    for x, row in enumerate(rows):
-        if row & ~fm:
-            raise ValueError(f"row {x} has bits beyond node {n - 1}")
+    if reduce(or_, rows) >> n:  # a negative row shifts to -1
+        x = next(x for x, row in enumerate(rows) if row >> n)
+        raise ValueError(f"row {x} has bits beyond node {n - 1}")
     return Graph(n, rows)
 
 
@@ -165,15 +170,21 @@ def graph_from_parents(n: int, parents: Sequence[int]) -> Graph:
     are stored with the graph instead of derived from the out-rows."""
     if len(parents) != n:
         raise ValueError(f"parent array has length {len(parents)}, expected {n}")
-    rows = [0] * n
-    cols = [0] * n
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
+    if min(parents) < -1 or max(parents) >= n or not all(map(ne, parents, range(n))):
+        v, p = next((v, p) for v, p in enumerate(parents) if not -1 <= p < n or p == v)
+        raise ValueError(f"node {v} has parent {p}, not -1 or another node's id")
+    # a root's parent -1 reads the bit 0 and ORs its own bit into a spare
+    # row at index -1, which is dropped; every other bit is a node's, so
+    # the rows need no check of their own
+    rows = [0] * (n + 1)
+    cols = []
     for v, p in enumerate(parents):
-        if p != -1:
-            if not 0 <= p < n or p == v:
-                raise ValueError(f"node {v} has parent {p}, not -1 or another node's id")
-            rows[p] |= 1 << v
-            cols[v] = 1 << p
-    g = graph_from_rows(n, rows)
+        rows[p] |= _BITS[v]
+        cols.append(_BITS[p])
+    rows.pop()
+    g = Graph(n, tuple(rows))
     g.__dict__["in_rows"] = tuple(cols)  # the slot ``in_rows`` fills on first read
     return g
 

@@ -508,6 +508,20 @@ def test_cli_import_leaves_module_out(module):
     assert out.strip() == "False"
 
 
+def test_numpy_loads_with_the_first_k_rooted_draw():
+    code = """
+import sys
+from dynnet.families import Model, ModelSpec, random_graph
+for n in range(3, 65):
+    random_graph(ModelSpec(Model.TREES, n), n)
+    random_graph(ModelSpec(Model.K_FORESTS, n, 2), n)
+print("numpy" in sys.modules)
+random_graph(ModelSpec(Model.K_ROOTED, 3, 1), 0)
+print("numpy" in sys.modules)
+"""
+    assert fresh_interpreter(code).split() == ["False", "True"]
+
+
 def test_numpy_loads_with_the_first_search(tmp_path):
     code = f"""
 import contextlib, io, sys

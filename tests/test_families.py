@@ -189,6 +189,14 @@ class TestEnumeration:
             assert ({g.out_rows for g in enumerate_k_forests(n, 1)}
                     == {g.out_rows for g in enumerate_rooted_trees(n)})
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("shift", [-1, 0, 3], ids=["minus-one", "n", "n-plus-3"])
+    def test_root_outside_the_nodes(self, n, shift):
+        # -1 is a list index but no node, and n and beyond are neither
+        root = -1 if shift < 0 else n + shift
+        with pytest.raises(ValueError, match=rf"root must be in \[0, {n}\), got {root}"):
+            list(enumerate_rooted_trees(n, root))
+
     def test_guard(self):
         with pytest.raises(ValueError):
             list(enumerate_rooted_trees(ENUM_GUARD + 1))
