@@ -7,14 +7,12 @@ from .dissemination import (
     ObjectiveNotReached,
     RoundSequence,
     RunResult,
-    broadcast_achieved,
     cover_achieved,
-    k_broadcast_achieved,
     run,
     sampled_run,
 )
 from .families import Model, ModelSpec, random_graph
-from .graphs import Graph, ProductTrace, in_set, make_graph, out_set, product
+from .graphs import Graph, ProductTrace, make_graph, product
 
 __all__ = [
     "Graph",
@@ -25,12 +23,8 @@ __all__ = [
     "ProductTrace",
     "RoundSequence",
     "RunResult",
-    "broadcast_achieved",
     "cover_achieved",
-    "in_set",
-    "k_broadcast_achieved",
     "make_graph",
-    "out_set",
     "product",
     "random_graph",
     "run",

@@ -712,6 +712,8 @@ def check_root_counting(
 
 
 def smallest_roots(trace: ProductTrace) -> list[int]:
-    """Smallest root of each round, the deterministic root choice used by
-    every certificate builder here."""
+    """Smallest root of each round: the root ``build_rounds_graph`` picks
+    when it avoids nothing. The lemma spot checks (``check_propagation``,
+    ``check_root_counting``) read it; the strict-sets checks read
+    ``forest_roots`` instead."""
     return [min(roots_reaching_all(g)) for g in trace.rounds]

@@ -79,12 +79,6 @@ class ObjectiveNotReached(Exception):
         self.final_product = final_product
 
 
-def broadcast_achieved(rows: Sequence[int]) -> set[int]:
-    """All nodes whose out-row covers every node (the broadcasters)."""
-    fm = full_mask(len(rows))
-    return {x for x, r in enumerate(rows) if r == fm}
-
-
 def _cover_exists(
     rows: Sequence[int], cols: Sequence[int], uncovered: int, budget: int,
     allowed: int, most: int,
@@ -215,13 +209,6 @@ def cover_achieved(
         if _cover_exists(rows, cols, fm, size, fm, most):
             return _first_cover(rows, cols, fm, size, 0, most)
     return None
-
-
-def k_broadcast_achieved(rows: Sequence[int], k: int) -> Optional[list[int]]:
-    """The k smallest broadcaster ids if at least k of the out-rows ``rows``
-    are full; None otherwise. Raises ValueError when k < 1."""
-    w = Objective.k_broadcast(k).witness(rows)
-    return list(w) if w is not None else None
 
 
 def _members(spec: ModelSpec, rounds: Iterable[Graph]) -> Iterator[Graph]:

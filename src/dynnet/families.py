@@ -63,23 +63,6 @@ def forest_parents(g: Graph) -> Optional[list[int]]:
     return parents
 
 
-def is_rooted_tree(g: Graph) -> tuple[bool, Optional[int]]:
-    """True plus the root if g is a tree directed away from a single root."""
-    parents = forest_parents(g)
-    if parents is None or parents.count(-1) != 1:
-        return (False, None)
-    return (True, parents.index(-1))
-
-
-def is_k_forest(g: Graph, k: int) -> tuple[bool, Optional[list[int]]]:
-    """True plus the sorted tree roots if g is exactly k node-disjoint
-    rooted trees spanning all nodes."""
-    parents = forest_parents(g)
-    if parents is None or parents.count(-1) != k:
-        return (False, None)
-    return (True, [v for v, p in enumerate(parents) if p == -1])
-
-
 def reach_mask(g: Graph, x: int) -> int:
     """Bitmask of nodes reachable from x (including x), self-loops ignored."""
     seen = frontier = 1 << x
@@ -117,6 +100,9 @@ def is_k_rooted(g: Graph, k: int) -> bool:
 
 
 def validate_member(spec: ModelSpec, g: Graph) -> bool:
+    """Whether g is a round of spec's family on spec.n nodes: a forest of
+    exactly spec.k trees (a rooted tree when k = 1), or for k-rooted
+    digraphs a graph in which at least spec.k nodes reach every node."""
     if g.n != spec.n:
         return False
     if spec.model is Model.K_ROOTED:
@@ -160,12 +146,7 @@ def _forest_parents_from_code(n: int, code: Sequence[int]) -> list[int]:
     which is then dropped, so its neighbors become the forest's roots and
     label v+1 is node v. Label 0 has degree ``code.count(0) + 1``, the
     number of trees."""
-    parents = _prufer_parents(n + 1, code)
-    # re-root from label n at label 0 by reversing the path between them
-    prev, v = -1, 0
-    while v != -1:
-        parents[v], prev, v = prev, v, parents[v]
-    return [p - 1 for p in parents[1:]]
+    return [p - 1 for p in _rooted_tree_parents(n + 1, 0, code)[1:]]
 
 
 def _forest_from_code(n: int, code: Sequence[int]) -> Graph:
@@ -183,23 +164,19 @@ def _rooted_tree_parents(n: int, root: int, code: Sequence[int]) -> list[int]:
     return parents
 
 
-def enumerate_rooted_trees(n: int, root: Optional[int] = None) -> Iterator[Graph]:
-    """All labeled rooted trees on [n], edges directed away from the root.
-
-    Yields each of the n^(n-1) trees exactly once (n^(n-2) codes times n
-    roots). Pass ``root`` to restrict to the trees rooted at that node.
-    """
+def enumerate_rooted_trees(n: int, root: int) -> Iterator[Graph]:
+    """All labeled trees on [n] rooted at ``root``, edges directed away
+    from it: n^(n-2) trees, one per code. The rooted trees of every root
+    are ``enumerate_k_forests(n, 1)``."""
     if not 1 <= n <= ENUM_GUARD:
         raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}, got {n}")
-    if root is not None and not 0 <= root < n:
+    if not 0 <= root < n:
         raise ValueError(f"root must be in [0, {n}), got {root}")
-    roots = range(n) if root is None else (root,)
     if n == 1:
         yield make_graph(1, [])
         return
     for seq in itertools.product(range(n), repeat=n - 2):
-        for r in roots:
-            yield graph_from_parents(n, _rooted_tree_parents(n, r, seq))
+        yield graph_from_parents(n, _rooted_tree_parents(n, root, seq))
 
 
 def _codes_with_zeros(length: int, zeros: int, labels: int) -> Iterator[tuple[int, ...]]:

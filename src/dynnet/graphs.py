@@ -73,12 +73,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.out_rows[u] >> v & 1)
 
-    def out_set(self, x: int) -> set[int]:
-        return set(bits(self.out_rows[x]))
-
-    def in_set(self, x: int) -> set[int]:
-        return set(bits(self.in_rows[x]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in bits(self.out_rows[u]):
@@ -289,7 +283,11 @@ class ProductTrace:
             )
 
     def in_mask(self, t: int, t2: int, x: int) -> int:
-        """Bitmask form of :func:`in_set`."""
+        """Bitmask of the nodes with a path to x through rounds t..t2
+        (1-based, inclusive), each round with its implied self-loops.
+
+        Degenerate intervals follow the usual conventions: only x when
+        t == t2+1, empty when t > t2+1."""
         self._check_query(t, t2, x)
         if t > t2 + 1:
             return 0
@@ -306,7 +304,8 @@ class ProductTrace:
         return m
 
     def out_mask(self, t: int, t2: int, x: int) -> int:
-        """Bitmask form of :func:`out_set`."""
+        """Bitmask of the nodes reachable from x through rounds t..t2;
+        conventions as in :meth:`in_mask`."""
         self._check_query(t, t2, x)
         if t > t2 + 1:
             return 0
@@ -316,21 +315,6 @@ class ProductTrace:
         for tau in range(max(t, 1), t2 + 1):
             m |= row_image(self.rounds[tau - 1].out_rows, m)
         return m
-
-
-def in_set(trace: ProductTrace, t: int, t2: int, x: int) -> set[int]:
-    """Nodes with a path to x through rounds t..t2 (1-based, inclusive).
-
-    Degenerate intervals follow the usual conventions: {x} when t == t2+1,
-    empty when t > t2+1.
-    """
-    return set(bits(trace.in_mask(t, t2, x)))
-
-
-def out_set(trace: ProductTrace, t: int, t2: int, x: int) -> set[int]:
-    """Nodes reachable from x through rounds t..t2; conventions as in
-    :func:`in_set`."""
-    return set(bits(trace.out_mask(t, t2, x)))
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

@@ -133,16 +133,6 @@ def _relabel_tables(n: int) -> np.ndarray:
     return (_drop_bit(moved, target) << (target * width)).astype(KEY_DTYPE)
 
 
-def _popcounts(bits: int) -> np.ndarray:
-    """Set-bit count of every integer below ``2**bits``."""
-    import numpy as np
-
-    counts = np.zeros(1, dtype=np.uint8)
-    for _ in range(bits):
-        counts = np.concatenate([counts, counts + 1])
-    return counts
-
-
 def _parts(size: int, keys: np.ndarray) -> Iterator[np.ndarray]:
     """``keys`` in consecutive slices of at most ``size``."""
     for i in range(0, keys.size, size):
@@ -275,9 +265,6 @@ class _Search:
         compressed = np.arange(1 << self.width, dtype=np.int64)
         self.row_lookup = [(_insert_bit(compressed, x), x * self.width) for x in range(n)]
         self.full_rows = [self.row_mask << (x * self.width) for x in range(n)]
-        # a key's bit count is the sum of its two halves'
-        self.half_bits = (key_bits + 1) // 2
-        self.set_bits = _popcounts(self.half_bits)
         self.values = np.zeros(table_bytes, dtype=np.uint8)
         # the representatives queued in each layer, by bit count
         self.layers: list[list[np.ndarray]] = []
@@ -356,10 +343,6 @@ class _Search:
         size = keys.size
         return self._lookup(self.relabel, keys, self.orbit[:size], self.orbit_part[:size])
 
-    def _bit_counts(self, keys: np.ndarray) -> np.ndarray:
-        half = self.half_bits
-        return self.set_bits[keys & ((1 << half) - 1)] + self.set_bits[keys >> half]
-
     def _reach(self, fresh: np.ndarray) -> int:
         """Mark the orbit of every unsolved key in ``fresh`` reached, decide
         each member once and queue the non-terminal representatives in
@@ -379,7 +362,7 @@ class _Search:
             values[members] = np.where(self._terminal(members), 1, REACHED)
             reps = reps[values.take(reps) == REACHED]
             values[reps] = PENDING
-            layers = self._bit_counts(reps)
+            layers = np.bitwise_count(reps)
             for c in set(layers.tolist()):
                 self.layers[c].append(reps[layers == c])
             reached += members.size

@@ -493,6 +493,20 @@ class TestCliExitCodes:
         assert "--self-loops" in capsys.readouterr().err
 
 
+def test_public_names():
+    # one public name per definition: families are told apart by
+    # ``validate_member`` and objectives by ``Objective.witness``, and the
+    # interval queries are ``ProductTrace.in_mask`` and ``out_mask``
+    assert sorted(dynnet.__all__) == [
+        "Graph", "Model", "ModelSpec", "Objective", "ObjectiveNotReached", "ProductTrace",
+        "RoundSequence", "RunResult", "cover_achieved", "make_graph", "product",
+        "random_graph", "run", "sampled_run",
+    ]
+    namespace = {}
+    exec("from dynnet import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dynnet.__all__)
+
+
 def fresh_interpreter(code: str) -> str:
     """Standard output of ``code`` run in a new interpreter on this package."""
     env = {**os.environ, "PYTHONPATH": str(Path(dynnet.__file__).parents[1])}

@@ -15,8 +15,8 @@ from dynnet.constructions import (
     trees_lower_bound,
 )
 from dynnet.dissemination import Objective, RoundSequence, run
-from dynnet.families import (Model, ModelSpec, is_k_forest, is_k_rooted, is_rooted_tree,
-                             random_graph, roots_reaching_all)
+from dynnet.families import (Model, ModelSpec, is_k_rooted, random_graph, roots_reaching_all,
+                             validate_member)
 
 
 class TestClaimedTime:
@@ -51,7 +51,7 @@ class TestTreesLowerBound:
     def test_all_rounds_are_rooted_trees(self):
         for n in (3, 4, 7, 12):
             out = trees_lower_bound(n)
-            assert all(is_rooted_tree(g)[0] for g in out.seq.rounds)
+            assert all(validate_member(ModelSpec(Model.TREES, n), g) for g in out.seq.rounds)
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -69,7 +69,8 @@ class TestCoverLowerBound:
     def test_smallest_instance_validates(self):
         for k in (1, 2, 3):
             out = cover_lower_bound(k + 2, k)
-            assert all(is_k_forest(g, k)[0] for g in out.seq.rounds)
+            spec = ModelSpec(Model.K_FORESTS, k + 2, k)
+            assert all(validate_member(spec, g) for g in out.seq.rounds)
 
     def test_isolated_vertices_forced_into_witness(self):
         n, k = 8, 3

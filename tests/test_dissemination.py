@@ -13,13 +13,11 @@ from dynnet.dissemination import (
     Objective,
     ObjectiveNotReached,
     RoundSequence,
-    broadcast_achieved,
     cover_achieved,
-    k_broadcast_achieved,
     run,
     sampled_run,
 )
-from dynnet.families import Model, ModelSpec, enumerate_rooted_trees, random_graph
+from dynnet.families import Model, ModelSpec, enumerate_k_forests, random_graph
 from dynnet.graphs import _transpose, compose_rows, full_mask, graph_from_rows, identity, make_graph
 
 
@@ -53,21 +51,31 @@ def random_loopy_graph(n, rnd, density=0.35):
     return graph_from_rows(n, rows)
 
 
+def broadcasters(rows):
+    """Every node whose out-row is full, by a plain scan."""
+    return [x for x, r in enumerate(rows) if r == full_mask(len(rows))]
+
+
+BROADCAST = Objective.broadcast()
+
+
 class TestBroadcastAchieved:
     def test_identity_has_none(self):
-        assert broadcast_achieved(identity(3).out_rows) == set()
+        assert BROADCAST.witness(identity(3).out_rows) is None
 
     def test_complete_has_all(self):
         n = 4
         g = make_graph(n, [(u, v) for u in range(n) for v in range(n)])
-        assert broadcast_achieved(g.out_rows) == set(range(n))
+        assert BROADCAST.witness(g.out_rows) == (0,)
+        assert Objective.k_broadcast(n).witness(g.out_rows) == tuple(range(n))
 
     def test_star_after_one_round(self):
         star = make_graph(4, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)])
-        assert broadcast_achieved(star.out_rows) == {0}
+        assert BROADCAST.witness(star.out_rows) == (0,)
+        assert Objective.k_broadcast(2).witness(star.out_rows) is None
 
     def test_n_equals_one(self):
-        assert broadcast_achieved(identity(1).out_rows) == {0}
+        assert BROADCAST.witness(identity(1).out_rows) == (0,)
 
 
 class TestCoverAchieved:
@@ -80,11 +88,8 @@ class TestCoverAchieved:
         for _ in range(40):
             g = random_loopy_graph(6, rnd)
             w = both_entries(g.out_rows, 1)
-            bs = broadcast_achieved(g.out_rows)
-            if bs:
-                assert w == [min(bs)]
-            else:
-                assert w is None
+            bs = broadcasters(g.out_rows)
+            assert w == (bs[:1] or None)
 
     def test_two_block_example(self):
         g = graph_from_rows(4, [0b0011, 0b0010, 0b1100, 0b1000])
@@ -223,18 +228,20 @@ class TestKBroadcastAchieved:
     def test_complete(self):
         n = 4
         g = make_graph(n, [(u, v) for u in range(n) for v in range(n)])
-        assert k_broadcast_achieved(g.out_rows, n) == list(range(n))
+        assert Objective.k_broadcast(n).witness(g.out_rows) == tuple(range(n))
 
     def test_k1_matches_broadcast(self):
         rnd = random.Random(2)
         for _ in range(40):
             g = random_loopy_graph(5, rnd)
-            w = k_broadcast_achieved(g.out_rows, 1)
-            bs = broadcast_achieved(g.out_rows)
-            assert (w == [min(bs)]) if bs else (w is None)
+            bs = broadcasters(g.out_rows)
+            assert Objective.k_broadcast(1).witness(g.out_rows) == BROADCAST.witness(g.out_rows)
+            for k in range(1, 6):
+                w = Objective.k_broadcast(k).witness(g.out_rows)
+                assert w == (tuple(bs[:k]) if len(bs) >= k else None)
 
     def test_identity_absent(self):
-        assert k_broadcast_achieved(identity(3).out_rows, 1) is None
+        assert Objective.k_broadcast(1).witness(identity(3).out_rows) is None
 
 
 def tree_seq(n, rounds):
@@ -293,7 +300,7 @@ class TestRun:
         assert res.time == 1
 
     def test_n2_all_sequences_take_one(self):
-        trees = list(enumerate_rooted_trees(2))
+        trees = list(enumerate_k_forests(2, 1))
         for a in trees:
             for b in trees:
                 assert run(tree_seq(2, [a, b]), Objective.broadcast()).time == 1
@@ -316,9 +323,9 @@ class TestRun:
             rounds = [random_graph(spec, trial * 100 + t) for t in range(3 * n)]
             res = run(RoundSequence(spec, rounds), Objective.broadcast())
             trace = RoundSequence(spec, rounds).trace()
-            assert broadcast_achieved(trace.product_at(res.time).out_rows)
+            assert BROADCAST.witness(trace.product_at(res.time).out_rows) is not None
             if res.time >= 1:
-                assert not broadcast_achieved(trace.product_at(res.time - 1).out_rows)
+                assert BROADCAST.witness(trace.product_at(res.time - 1).out_rows) is None
 
     def test_witness_recheck_on_final_product(self):
         spec = ModelSpec(Model.K_FORESTS, 6, 2)

@@ -22,9 +22,7 @@ from dynnet.families import (
     enumerate_rooted_trees,
     forest_parents,
     forest_roots,
-    is_k_forest,
     is_k_rooted,
-    is_rooted_tree,
     random_graph,
     reach_mask,
     roots_reaching_all,
@@ -43,47 +41,58 @@ def _digest(graphs) -> str:
     return hashlib.sha256(repr([g.out_rows for g in graphs]).encode()).hexdigest()
 
 
+def tree_root(g):
+    """The root of g if g is a rooted tree, else None: the one definition,
+    ``validate_member``, then the one parentless node."""
+    if not validate_member(ModelSpec(Model.TREES, g.n), g):
+        return None
+    [root] = forest_roots(g)
+    return root
+
+
 class TestRootedTreeValidator:
     def test_star(self):
-        ok, root = is_rooted_tree(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
-        assert ok and root == 0
+        assert tree_root(make_graph(4, [(0, 1), (0, 2), (0, 3)])) == 0
 
     def test_cycle_rejected(self):
-        ok, root = is_rooted_tree(make_graph(3, [(0, 1), (1, 2), (2, 0)]))
-        assert not ok and root is None
+        assert tree_root(make_graph(3, [(0, 1), (1, 2), (2, 0)])) is None
 
     def test_cycle_beside_a_root_rejected(self):
         # every in-degree is at most 1 and node 0 is the one root
         g = make_graph(3, [(1, 2), (2, 1)])
         assert forest_parents(g) is None
-        assert not is_rooted_tree(g)[0]
+        assert tree_root(g) is None
 
     def test_disconnected_rejected(self):
-        assert not is_rooted_tree(make_graph(4, [(0, 1), (2, 3)]))[0]
+        assert tree_root(make_graph(4, [(0, 1), (2, 3)])) is None
 
     def test_self_loop_rejected(self):
         g = make_graph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
-        assert not is_rooted_tree(g)[0]
+        assert tree_root(g) is None
 
     def test_single_node(self):
-        assert is_rooted_tree(make_graph(1, [])) == (True, 0)
+        assert tree_root(make_graph(1, [])) == 0
 
     def test_wrong_direction_rejected(self):
         # edges toward the root give in-degree 0 at a leaf and 2 elsewhere
-        assert not is_rooted_tree(make_graph(3, [(1, 0), (1, 2), (2, 0)]))[0]
+        assert tree_root(make_graph(3, [(1, 0), (1, 2), (2, 0)])) is None
+
+
+def is_forest(g, k) -> bool:
+    return validate_member(ModelSpec(Model.K_FORESTS, g.n, k), g)
 
 
 class TestForestValidator:
     def test_two_paths(self):
-        ok, roots = is_k_forest(make_graph(4, [(0, 1), (2, 3)]), 2)
-        assert ok and roots == [0, 2]
+        g = make_graph(4, [(0, 1), (2, 3)])
+        assert is_forest(g, 2) and forest_roots(g) == [0, 2]
 
     def test_single_tree_is_not_two_forest(self):
-        assert not is_k_forest(make_graph(3, [(0, 1), (0, 2)]), 2)[0]
+        assert not is_forest(make_graph(3, [(0, 1), (0, 2)]), 2)
 
     def test_all_singletons(self):
-        ok, roots = is_k_forest(make_graph(4, []), 4)
-        assert ok and roots == [0, 1, 2, 3]
+        g = make_graph(4, [])
+        assert is_forest(g, 4) and forest_roots(g) == [0, 1, 2, 3]
 
     def test_edge_count_invariant(self):
         rnd = random.Random(3)
@@ -98,7 +107,9 @@ class TestForestValidator:
         rnd = random.Random(5)
         for k in (1, 2, 3):
             g = random_graph(ModelSpec(Model.K_FORESTS, 9, k), rnd.randrange(1 << 30))
-            assert forest_roots(g) == is_k_forest(g, k)[1]
+            parents = forest_parents(g)
+            assert forest_roots(g) == [v for v, p in enumerate(parents) if p == -1]
+            assert len(forest_roots(g)) == k
 
 
 class TestRootsReachingAll:
@@ -118,9 +129,7 @@ class TestRootsReachingAll:
         for _ in range(30):
             n = rnd.randint(2, 9)
             g = random_graph(ModelSpec(Model.TREES, n), rnd.randrange(10**6))
-            ok, root = is_rooted_tree(g)
-            assert ok
-            assert roots_reaching_all(g) == {root}
+            assert roots_reaching_all(g) == {tree_root(g)}
 
     def test_matches_search_from_every_node(self):
         rnd = random.Random(11)
@@ -150,22 +159,21 @@ class TestRootsReachingAll:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625), (6, 7776)])
     def test_cayley_counts(self, n, count):
-        seen = {g.out_rows for g in enumerate_rooted_trees(n)}
-        assert len(seen) == count
+        trees = [g.out_rows for r in range(n) for g in enumerate_rooted_trees(n, r)]
+        assert len(trees) == len(set(trees)) == count
 
     def test_all_members_valid(self):
         for n in (2, 3, 4, 5):
-            for g in enumerate_rooted_trees(n):
-                assert is_rooted_tree(g)[0]
+            for r in range(n):
+                for g in enumerate_rooted_trees(n, r):
+                    assert tree_root(g) == r
 
     def test_root_split_partitions(self):
-        full = {g.out_rows for g in enumerate_rooted_trees(4)}
-        split = set()
+        # the trees of root r are exactly the 1-forests rooted at r
+        forests = list(enumerate_k_forests(4, 1))
         for r in range(4):
-            part = {g.out_rows for g in enumerate_rooted_trees(4, root=r)}
-            assert all(is_rooted_tree_root(rows) == r for rows in part)
-            split |= part
-        assert split == full
+            part = {g.out_rows for g in enumerate_rooted_trees(4, r)}
+            assert part == {g.out_rows for g in forests if forest_roots(g) == [r]}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_k_forest_counts(self, n):
@@ -173,7 +181,7 @@ class TestEnumeration:
             forests = list(enumerate_k_forests(n, k))
             assert len({g.out_rows for g in forests}) == len(forests)
             assert len(forests) == math.comb(n - 1, k - 1) * n ** (n - k)
-            assert all(is_k_forest(g, k)[0] for g in forests)
+            assert all(is_forest(g, k) for g in forests)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_k_forests_follow_the_filtered_codes(self, n):
@@ -187,7 +195,7 @@ class TestEnumeration:
     def test_one_forests_are_the_rooted_trees(self):
         for n in (1, 2, 3, 4, 5):
             assert ({g.out_rows for g in enumerate_k_forests(n, 1)}
-                    == {g.out_rows for g in enumerate_rooted_trees(n)})
+                    == {g.out_rows for r in range(n) for g in enumerate_rooted_trees(n, r)})
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize("shift", [-1, 0, 3], ids=["minus-one", "n", "n-plus-3"])
@@ -199,7 +207,7 @@ class TestEnumeration:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            list(enumerate_rooted_trees(ENUM_GUARD + 1))
+            list(enumerate_rooted_trees(ENUM_GUARD + 1, 0))
         with pytest.raises(ValueError):
             list(enumerate_k_forests(ENUM_GUARD + 1, 1))
         with pytest.raises(ValueError):
@@ -276,12 +284,6 @@ class TestDecoders:
                         == _reference_rooted_tree_parents(n, root, code)), (root, code)
         for code in _random_codes(n + 1, n - 1, 60, 1):
             assert _forest_parents_from_code(n, code) == _reference_forest_parents(n, code), code
-
-
-def is_rooted_tree_root(rows: tuple[int, ...]) -> int:
-    from dynnet.graphs import graph_from_rows
-
-    return is_rooted_tree(graph_from_rows(len(rows), rows))[1]
 
 
 class TestRandomGraph:

@@ -15,9 +15,7 @@ from dynnet.graphs import (
     graph_from_parents,
     graph_from_rows,
     identity,
-    in_set,
     make_graph,
-    out_set,
     product,
     to_dot,
 )
@@ -49,9 +47,8 @@ def random_digraph(n: int, rnd: random.Random, density: float = 0.3) -> Graph:
 class TestMakeGraph:
     def test_basic(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert g.out_set(0) == {1}
-        assert g.out_set(1) == {2}
-        assert g.in_set(2) == {1}
+        assert g.out_rows == (0b010, 0b100, 0)
+        assert g.in_rows == (0, 0b001, 0b010)
 
     def test_single_node(self):
         g = make_graph(1, [])
@@ -348,24 +345,24 @@ class TestIntervalNeighborhoods:
     def test_empty_and_singleton_conventions(self):
         trace = random_tree_trace(5, 6, 4)
         for x in range(5):
-            assert in_set(trace, 4, 3, x) == {x}
-            assert out_set(trace, 4, 3, x) == {x}
-            assert in_set(trace, 5, 3, x) == set()
-            assert out_set(trace, 6, 3, x) == set()
+            assert trace.in_mask(4, 3, x) == 1 << x
+            assert trace.out_mask(4, 3, x) == 1 << x
+            assert trace.in_mask(5, 3, x) == 0
+            assert trace.out_mask(6, 3, x) == 0
 
     def test_star_single_round(self):
         star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
         trace = ProductTrace(4, [star])
         for x in range(1, 4):
-            assert in_set(trace, 1, 1, x) == {x, 0}
-        assert in_set(trace, 1, 1, 0) == {0}
+            assert set(bits(trace.in_mask(1, 1, x))) == {x, 0}
+        assert set(bits(trace.in_mask(1, 1, 0))) == {0}
 
     def test_path_flooding(self):
         n = 6
         path = make_graph(n, [(i, i + 1) for i in range(n - 1)])
         trace = ProductTrace(n, [path] * (n - 1))
-        assert out_set(trace, 1, n - 1, 0) == set(range(n))
-        assert out_set(trace, 1, n - 2, 0) == set(range(n - 1))
+        assert set(bits(trace.out_mask(1, n - 1, 0))) == set(range(n))
+        assert set(bits(trace.out_mask(1, n - 2, 0))) == set(range(n - 1))
 
     def test_matches_prefix_products(self):
         trace = random_tree_trace(6, 10, 5)
