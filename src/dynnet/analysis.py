@@ -206,7 +206,8 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
     must be at least ceil((1+sqrt2) n) + |avoid| rounds long. The chosen
     root of each round is the smallest root outside the avoided set; the
     roots of a round object that the trace repeats are searched once, and
-    each round's heard row is read once."""
+    each round's heard row is read once. Only the trace's prefixes before
+    round_count are read, so after ``run`` only the later ones are composed."""
     n = trace.n
     outside = sorted(v for v in avoid if not 0 <= v < n)
     if outside:
@@ -225,7 +226,7 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
             raise ValueError(f"round {t} has no root outside the avoided set")
         roots.append(min(candidates))
     # heard[t-1]: the processes round t's root has heard of before round t
-    heard = [cols[r] for cols, r in zip(trace.prefix_in_rows, roots)]
+    heard = [trace.prefix(t)[r] for t, r in enumerate(roots)]
     kept = full_mask(n) & ~sum(1 << v for v in avoid)
     process_edges = [(p, t) for t, h in enumerate(heard, 1) for p in bits(h & kept)]
     # hearers[r]: the rounds, ascending, whose root has heard of process r

@@ -14,10 +14,9 @@ from .graphs import (
     ProductTrace,
     _once,
     _transpose,
-    compose_in_rows,
     full_mask,
     graph_from_rows,
-    identity,
+    prefix_products,
 )
 
 
@@ -224,17 +223,19 @@ def _members(spec: ModelSpec, rounds: Iterable[Graph]) -> Iterator[Graph]:
 class RoundSequence:
     """A validated sequence of raw adversary graphs under one model."""
 
-    __slots__ = ("spec", "rounds")
+    __slots__ = ("spec", "rounds", "_trace")
 
     def __init__(self, spec: ModelSpec, rounds: list[Graph]):
         self.spec = spec
         self.rounds = list(_members(spec, rounds))
+        self._trace = ProductTrace(spec.n, self.rounds)
 
     def __len__(self) -> int:
         return len(self.rounds)
 
     def trace(self) -> ProductTrace:
-        return ProductTrace(self.spec.n, self.rounds)
+        """The sequence's one trace: ``run`` and the certificates share its prefixes."""
+        return self._trace
 
 
 @dataclass(frozen=True)
@@ -281,32 +282,23 @@ def run(seq: RoundSequence, objective: Objective) -> RunResult:
             f"objective k={objective.k} exceeds the model parameter k={seq.spec.k}",
             stacklevel=2,
         )
-    return _run_rounds(n, seq.rounds, objective)
+    return _first_hit(n, map(seq.trace().prefix, range(len(seq) + 1)), objective)
 
 
 def sampled_run(spec: ModelSpec, seeds: Iterable[int]) -> RunResult:
     """``run`` of spec's own objective on ``random_graph(spec, s)`` for s in
     seeds, drawing and checking each round only when the run reaches it."""
     rounds = _members(spec, (random_graph(spec, s) for s in seeds))
-    return _run_rounds(spec.n, rounds, Objective(_CANONICAL[spec.model], spec.k))
+    objective = Objective(_CANONICAL[spec.model], spec.k)
+    return _first_hit(spec.n, prefix_products(spec.n, rounds), objective)
 
 
-def _run_rounds(n: int, rounds: Iterable[Graph], objective: Objective) -> RunResult:
-    """Compose raw rounds onto the identity until the objective holds,
-    reading no round past that one. The product is kept as in-rows and
-    composed through each round's sparse in-rows; its transpose, the
-    out-rows, is what the objective is decided on; a cover is decided on
-    both."""
-    cols = rows = identity(n).out_rows
-    witness = objective.witness(rows, cols)
-    t = 0
-    if witness is None:
-        for t, raw in enumerate(rounds, start=1):
-            cols = compose_in_rows(cols, raw.in_rows)
-            rows = _transpose(n, cols)
-            witness = objective.witness(rows, cols)
-            if witness is not None:
-                break
-        else:
-            raise ObjectiveNotReached(objective, t, graph_from_rows(n, rows))
-    return RunResult(objective, t, witness, graph_from_rows(n, rows))
+def _first_hit(n: int, prefixes: Iterable[tuple[int, ...]], objective: Objective) -> RunResult:
+    """The first prefix product, given as in-rows from the identity on, whose
+    out-rows (and in-rows, for a cover) meet the objective; none is read past it."""
+    for t, cols in enumerate(prefixes):
+        rows = _transpose(n, cols)
+        witness = objective.witness(rows, cols)
+        if witness is not None:
+            return RunResult(objective, t, witness, graph_from_rows(n, rows))
+    raise ObjectiveNotReached(objective, t, graph_from_rows(n, rows))

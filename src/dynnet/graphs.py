@@ -8,8 +8,8 @@ the rows into one int and swaps its off-diagonal blocks with log2(size)
 masked delta swaps, so it costs a few big-int operations rather than one per
 edge. All values are immutable after construction (a graph's transpose is
 derived on first read, except a forest's, which is its parent array and is
-stored at once). A :class:`ProductTrace` composes its prefix products on
-first read.
+stored at once). :func:`prefix_products` is the one walk of a product through
+the rounds; a :class:`ProductTrace` keeps the prefixes it yields.
 
 Rounds are the adversary's raw graphs throughout. A process keeps what it
 has heard, so every composition step with a round implies a self-loop at
@@ -228,51 +228,56 @@ def compose_in_rows(cols: Sequence[int], in_rows: Sequence[int]) -> tuple[int, .
     return tuple([c | row_image(cols, m) for c, m in zip(cols, in_rows)])
 
 
+def prefix_products(n: int, rounds: Iterable[Graph]) -> Iterator[tuple[int, ...]]:
+    """The in-rows of the identity, then of each prefix product of
+    ``rounds``, composed from the one before; a round is read only when its
+    prefix is asked for."""
+    cols = identity(n).out_rows
+    yield cols
+    for g in rounds:
+        cols = compose_in_rows(cols, g.in_rows)
+        yield cols
+
+
 class ProductTrace:
     """A round sequence together with its cumulative products.
 
     ``rounds[t-1]`` is the adversary's round-t graph as given (rounds are
     1-based throughout); every step below composes it with its implied
     self-loops, so a round that carries the loops gives the same trace.
-    ``prefix_in_rows[t]`` holds the in-rows of the product of rounds 1..t:
-    entry y is the set of processes whose id y has heard after round t.
-    Index 0 is the identity (every process knows only itself before
-    round 1). The prefixes are composed when ``prefix_in_rows`` (or
-    :meth:`product_at`) is first read, not at construction: the
-    strict-sets certificate reads only the rounds. Each prefix is composed
-    from the last one through the sparse round by :func:`compose_in_rows`,
-    the step ``run`` takes too, at one OR per edge of the round.
-    :meth:`product_at` builds the prefix as a Graph on demand, through the
-    delta-swap transpose.
+    ``prefix(t)`` holds the in-rows of the product of rounds 1..t: entry y
+    is the set of processes whose id y has heard after round t. Index 0 is
+    the identity (every process knows only itself before round 1). The
+    trace walks :func:`prefix_products` only as far as a prefix is read and
+    keeps what it composed, so ``run`` and the rounds-graph certificate
+    share one walk; the strict-sets certificate reads only the rounds.
+    :meth:`product_at` builds a prefix as a Graph, through the transpose.
     """
 
-    __slots__ = ("n", "rounds", "_prefixes")
+    __slots__ = ("n", "rounds", "_prefixes", "_walk")
 
     def __init__(self, n: int, rounds: Iterable[Graph]):
         self.n = n
         self.rounds = list(rounds)
         if any(g.n != n for g in self.rounds):
             raise ValueError("round graph node count mismatch")
-        self._prefixes: list[tuple[int, ...]] | None = None
-
-    @property
-    def prefix_in_rows(self) -> list[tuple[int, ...]]:
-        """The in-rows of every prefix product, composed on first read."""
-        if self._prefixes is None:
-            cols = identity(self.n).out_rows
-            prefixes = [cols]
-            for g in self.rounds:
-                cols = compose_in_rows(cols, g.in_rows)
-                prefixes.append(cols)
-            self._prefixes = prefixes
-        return self._prefixes
+        self._prefixes: list[tuple[int, ...]] = []
+        self._walk = prefix_products(n, self.rounds)
 
     def __len__(self) -> int:
         return len(self.rounds)
 
+    def prefix(self, t: int) -> tuple[int, ...]:
+        """In-rows of the cumulative product after round t (t=0 gives the identity)."""
+        if not 0 <= t <= len(self.rounds):
+            raise ValueError(f"round {t} outside trace of length {len(self.rounds)}")
+        while len(self._prefixes) <= t:
+            self._prefixes.append(next(self._walk))
+        return self._prefixes[t]
+
     def product_at(self, t: int) -> Graph:
         """Cumulative product after round t (t=0 gives the identity)."""
-        return graph_from_rows(self.n, _transpose(self.n, self.prefix_in_rows[t]))
+        return graph_from_rows(self.n, _transpose(self.n, self.prefix(t)))
 
     def _check_query(self, t: int, t2: int, x: int) -> None:
         if not 0 <= x < self.n:

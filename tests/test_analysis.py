@@ -1,10 +1,11 @@
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
-from dynnet import seqfile
+from dynnet import graphs, seqfile
 from dynnet.analysis import (
     BETA,
     P,
@@ -27,7 +28,7 @@ from dynnet.analysis import (
     verify_strict_inequalities,
 )
 from dynnet.constructions import build
-from dynnet.dissemination import RoundSequence
+from dynnet.dissemination import Objective, RoundSequence, run
 from dynnet.families import Model, ModelSpec, random_graph, reach_mask, roots_reaching_all
 from dynnet.graphs import (
     ProductTrace,
@@ -275,6 +276,31 @@ def test_rounds_graph_matches_product_chain(model, k, avoid):
     assert (rg.roots, rg.process_edges, rg.round_edges) == reference_rounds_graph(trace, avoid)
 
 
+@pytest.mark.parametrize("model,k,objective,time", [
+    (Model.TREES, 1, Objective.broadcast(), 94),
+    (Model.K_ROOTED, 3, Objective.k_broadcast(3), 85),
+], ids=["trees", "3-rooted"])
+def test_run_and_rounds_graph_compose_each_prefix_once(monkeypatch, model, k, objective, time):
+    # run reads the prefixes 0..time of the sequence's trace and the
+    # certificate 0..round_count-1 of the same trace, so max(time,
+    # round_count - 1) prefixes are composed, each once
+    calls = []
+    compose = graphs.compose_in_rows
+
+    def counted(cols, in_rows):
+        calls.append(None)
+        return compose(cols, in_rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dynnet") and vars(module).get("compose_in_rows") is compose:
+            monkeypatch.setattr(module, "compose_in_rows", counted)
+    seq = build(model, 64, k).seq
+    assert seq.trace() is seq.trace()
+    assert run(seq, objective).time == time
+    rg = build_rounds_graph(seq.trace())
+    assert (rg.round_count, len(calls)) == (155, 154)
+
+
 def certificate_digest(trace, model, k):
     """SHA-256 of the strict-sets certificate (its report, sets, marks and
     pivots) of a k-forest trace, or of the rounds graph (roots and edges,
@@ -469,7 +495,7 @@ def plain_rounds_graph(trace, avoid):
         roots.append(min(candidates))
     process_edges = []
     for t in range(1, round_count + 1):
-        heard = trace.prefix_in_rows[t - 1][roots[t - 1]]
+        heard = trace.prefix(t - 1)[roots[t - 1]]
         for p in bits(heard):
             if p not in avoid:
                 process_edges.append((p, t))
@@ -477,7 +503,7 @@ def plain_rounds_graph(trace, avoid):
     for t in range(1, min(threshold, round_count + 1)):
         rt = roots[t - 1]
         for t2 in range(t + 1, round_count + 1):
-            if trace.prefix_in_rows[t2 - 1][roots[t2 - 1]] >> rt & 1:
+            if trace.prefix(t2 - 1)[roots[t2 - 1]] >> rt & 1:
                 round_edges.append((t, t2))
     return RoundsGraph(
         n, frozenset(avoid), round_count, threshold, tuple(roots),

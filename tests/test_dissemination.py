@@ -160,7 +160,7 @@ class TestCoverAchieved:
                 trace = constructions.build(Model.K_FORESTS, n, k).seq.trace()
                 for t in range(len(trace) + 1):
                     rows = trace.product_at(t).out_rows
-                    cols = trace.prefix_in_rows[t] if entry == "rows-and-cols" else None
+                    cols = trace.prefix(t) if entry == "rows-and-cols" else None
                     for size in range(1, 5):
                         digest.update(repr(cover_achieved(rows, size, cols)).encode())
         assert digest.hexdigest() == (

@@ -240,6 +240,14 @@ class TestProductTrace:
         with pytest.raises(ValueError):
             ProductTrace(3, [identity(4)])
 
+    # 8 rounds have the prefixes 0..8; a negative t must not index from the end
+    @pytest.mark.parametrize("read", ["prefix", "product_at"])
+    @pytest.mark.parametrize("t", [-1, 9])
+    def test_rejects_rounds_outside_the_trace(self, read, t):
+        trace = random_tree_trace(5, 8, 0)
+        with pytest.raises(ValueError, match=f"round {t} outside trace of length 8"):
+            getattr(trace, read)(t)
+
 
 def product_chain(trace: ProductTrace) -> list[Graph]:
     """Reference prefixes: the plain ``product`` fold over the rounds, each
@@ -270,10 +278,10 @@ class TestPrefixDifferential:
         seed = 1000 * n + 10 * k + length
         trace = ProductTrace(n, [random_graph(spec, seed + t) for t in range(length)])
         chain = product_chain(trace)
-        assert len(trace.prefix_in_rows) == len(chain) == length + 1
+        assert len(trace) + 1 == len(chain) == length + 1
         for t, ref in enumerate(chain):
             assert trace.product_at(t) == ref
-            assert trace.prefix_in_rows[t] == ref.in_rows
+            assert trace.prefix(t) == ref.in_rows
 
 
 def out_row_prefixes(n: int, rounds: list[Graph]) -> list[tuple[int, ...]]:
@@ -287,13 +295,15 @@ def out_row_prefixes(n: int, rounds: list[Graph]) -> list[tuple[int, ...]]:
 
 
 class TestPrefixesOnFirstRead:
-    """Whichever is read first, ``prefix_in_rows`` and ``product_at`` give
-    the out-row oracle's prefixes; a bad round fails in the constructor."""
+    """Whichever is read first, a prefix's in-rows (``prefix``) or its Graph
+    (``product_at``), both give the out-row oracle's prefixes, in any order
+    of reads; a bad round fails in the constructor."""
 
     @pytest.mark.parametrize("model,k", [
         (Model.TREES, 1), (Model.K_FORESTS, 1), (Model.K_FORESTS, 2), (Model.K_FORESTS, 3),
         (Model.K_ROOTED, 1), (Model.K_ROOTED, 2), (Model.K_ROOTED, 3),
     ])
+    # "prefix_in_rows": the in-rows, through ``prefix``, are read first
     @pytest.mark.parametrize("first", ["prefix_in_rows", "product_at"])
     def test_match_out_row_oracle(self, model, k, first):
         for n in (1, 3, 8, 33, 64):
@@ -308,9 +318,9 @@ class TestPrefixesOnFirstRead:
             for t in order:
                 if first == "product_at":
                     assert trace.product_at(t).out_rows == ref[t]
-                assert trace.prefix_in_rows[t] == _transpose(n, ref[t])
+                assert trace.prefix(t) == _transpose(n, ref[t])
                 assert trace.product_at(t).out_rows == ref[t]
-            assert len(trace.prefix_in_rows) == len(ref)
+            assert len(trace) + 1 == len(ref)
 
     def test_late_round_of_the_wrong_size_raises_at_once(self):
         spec = ModelSpec(Model.TREES, 5)
@@ -332,8 +342,9 @@ class TestLoopedRoundsChangeNothing:
         raw = ProductTrace(n, rounds)
         looped = ProductTrace(n, [with_loops(g) for g in rounds])
         assert raw.rounds == rounds
-        assert raw.prefix_in_rows == looped.prefix_in_rows
         T = len(rounds)
+        for t in range(T + 1):
+            assert raw.prefix(t) == looped.prefix(t), t
         for t in range(T + 2):
             for t2 in range(-1, T + 1):
                 for x in range(n):
