@@ -39,6 +39,14 @@ class TestFamilyMoves:
         assert all(validate_member(spec, g) for g in moves)
         assert len({g.out_rows for g in moves}) == len(moves)
 
+    @pytest.mark.parametrize(
+        "n, k, count", [(3, 2, 20), (3, 3, 18), (4, 2, 792), (4, 3, 1875)],
+        ids=["n3-k2", "n3-k3", "n4-k2", "n4-k3"],
+    )
+    def test_k_rooted_move_count(self, n, k, count):
+        # distinct unions of k rooted trees with distinct roots
+        assert len(family_moves(ModelSpec(Model.K_ROOTED, n, k))) == count
+
     def test_moves_sorted_by_serialization(self):
         moves = family_moves(ModelSpec(Model.TREES, 3))
         assert [g.out_rows for g in moves] == sorted(g.out_rows for g in moves)
@@ -551,12 +559,22 @@ class TestRelabeling:
         assert orbit_closed(solved)
 
     @pytest.mark.parametrize(
-        "spec, states, orbits",
-        [(ModelSpec(Model.TREES, 4), 613, 30), (ModelSpec(Model.TREES, 5), 200_661, 1_757)],
-        ids=["trees-n4", "trees-n5"],
+        "spec, objective, states, orbits",
+        [
+            (ModelSpec(Model.TREES, 4), Objective.broadcast(), 613, 30),
+            (ModelSpec(Model.TREES, 5), Objective.broadcast(), 200_661, 1_757),
+            (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2), 25, 2),
+            (ModelSpec(Model.K_FORESTS, 5, 2), Objective.cover(2), 8_941, 81),
+            (ModelSpec(Model.K_FORESTS, 5, 3), Objective.cover(3), 61, 2),
+            (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2), 1_272, 64),
+        ],
+        ids=["trees-n4", "trees-n5", "forests-cover-n4", "forests-cover-n5",
+             "3-forests-cover-n5", "rooted-kbroadcast-n4"],
     )
-    def test_expanded_states_and_orbits(self, spec, states, orbits):
-        res = exact_worst_case(spec, Objective.broadcast())
+    def test_expanded_states_and_orbits(self, spec, objective, states, orbits):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = exact_worst_case(spec, objective)
         assert (res.expanded_states, res.expanded_orbits) == (states, orbits)
 
     def test_stall_resets_reached_orbits(self, monkeypatch):
