@@ -12,8 +12,7 @@ from enum import Enum
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import (MAX_NODES, Graph, full_mask, graph_from_parents, graph_from_rows,
-                     make_graph, row_image)
+from .graphs import MAX_NODES, Graph, full_mask, graph_from_parents, graph_from_rows, row_image
 
 ENUM_GUARD = 8  # rooted-tree enumeration is n^(n-1); keep it desk-scale
 EXTRA_EDGE_DENSITY = 0.1  # chance of each extra edge in a random k-rooted graph
@@ -162,21 +161,6 @@ def _rooted_tree_parents(n: int, root: int, code: Sequence[int]) -> list[int]:
     while v != -1:
         parents[v], prev, v = prev, v, parents[v]
     return parents
-
-
-def enumerate_rooted_trees(n: int, root: int) -> Iterator[Graph]:
-    """All labeled trees on [n] rooted at ``root``, edges directed away
-    from it: n^(n-2) trees, one per code. The rooted trees of every root
-    are ``enumerate_k_forests(n, 1)``."""
-    if not 1 <= n <= ENUM_GUARD:
-        raise ValueError(f"enumeration guarded to n <= {ENUM_GUARD}, got {n}")
-    if not 0 <= root < n:
-        raise ValueError(f"root must be in [0, {n}), got {root}")
-    if n == 1:
-        yield make_graph(1, [])
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield graph_from_parents(n, _rooted_tree_parents(n, root, seq))
 
 
 def _codes_with_zeros(length: int, zeros: int, labels: int) -> Iterator[tuple[int, ...]]:

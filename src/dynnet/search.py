@@ -10,7 +10,7 @@ from math import comb, factorial
 from typing import TYPE_CHECKING, Iterator
 
 from .dissemination import Objective, RoundSequence, cover_achieved
-from .families import Model, ModelSpec, enumerate_k_forests, enumerate_rooted_trees, union_rows
+from .families import Model, ModelSpec, enumerate_k_forests, forest_roots, union_rows
 from .graphs import Graph, compose_rows, full_mask, graph_from_rows, identity
 
 if TYPE_CHECKING:
@@ -50,9 +50,10 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
     Trees and k-forests are every member of the family, from
     ``enumerate_k_forests`` (a tree is a 1-forest). For k-rooted networks
     the moves are every distinct union of k spanning trees with distinct
-    roots. Every k-rooted graph contains such a union, and extra edges only
-    help dissemination, so restricting the adversary to them does not lower
-    the worst-case time. The unions are deduplicated but not reduced to the
+    roots, the trees of each root being the 1-forests with that root. Every
+    k-rooted graph contains such a union, and extra edges only help
+    dissemination, so restricting the adversary to them does not lower the
+    worst-case time. The unions are deduplicated but not reduced to the
     inclusion-minimal ones: many contain another union (at n=5, k=2 there
     are 54,244 moves, of which 944 are minimal).
     """
@@ -60,9 +61,11 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
     if spec.model is not Model.K_ROOTED:
         moves = list(enumerate_k_forests(n, k))
     else:
+        trees_by_root: list[list[Graph]] = [[] for _ in range(n)]
+        for tree in enumerate_k_forests(n, 1):
+            trees_by_root[forest_roots(tree)[0]].append(tree)
         seen: set[tuple[int, ...]] = set()
         moves = []
-        trees_by_root = [list(enumerate_rooted_trees(n, root=r)) for r in range(n)]
         for roots in combinations(range(n), k):
             for combo in iproduct(*(trees_by_root[r] for r in roots)):
                 key = tuple(union_rows(n, combo))
@@ -73,21 +76,21 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
     return moves
 
 
-def _move_table(moves: list[Graph], n: int) -> np.ndarray:
-    """table[j, mask] = OR of move j's loop-added out-rows over ``mask``;
-    a row has n <= ``SEARCH_GUARD`` bits, so one byte holds it."""
+def _image_table(rows: np.ndarray) -> np.ndarray:
+    """table[j, mask] = OR of rows[j, y] over the set bits y of ``mask``,
+    the image of a node set under map j; a row has n <= ``SEARCH_GUARD``
+    bits, so one byte holds it."""
     import numpy as np
 
-    rows = np.array([g.out_rows for g in moves], dtype=np.uint8)
-    rows |= 1 << np.arange(n, dtype=np.uint8)
-    table = np.zeros((len(moves), 1 << n), dtype=np.uint8)
+    maps, n = rows.shape
+    table = np.zeros((maps, 1 << n), dtype=np.uint8)
     for mask in range(1, 1 << n):
         low = mask & -mask
         table[:, mask] = table[:, mask ^ low] | rows[:, low.bit_length() - 1]
     return table
 
 
-def _drop_bit(row, x: int):
+def _drop_bit(row, x):
     """Row ``row`` without bit ``x``; higher bits move down by one."""
     return (row & ((1 << x) - 1)) | ((row >> (x + 1)) << x)
 
@@ -97,40 +100,46 @@ def _insert_bit(row, x: int):
     return (row & ((1 << x) - 1)) | ((row >> x) << (x + 1)) | (1 << x)
 
 
-def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
-    """[x, c, j] = row x of the child under move j when row x of the state
-    has key bits ``c``, without its diagonal bit x and shifted to its key
-    position. A child key is the OR of one entry per row. Each row is
-    dropped in uint8 and shifted in place, so the temporaries stay at four
-    uint8 arrays of one row's entries."""
+def _row_tables(table: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """[x, c, j] = the key part of state row x with key bits ``c`` under map
+    j: the image of the full row (``table``) put at row ``targets[x]``, which
+    broadcasts over the maps, without that row's diagonal bit and shifted to
+    its key position. A key under a map is the OR of one entry per row. Each
+    row is dropped in uint8 and shifted in place, so the temporaries stay at
+    four uint8 arrays of one row's entries."""
     import numpy as np
 
-    table = _move_table(moves, n)
-    width = n - 1
+    width = len(targets) - 1
     compressed = np.arange(1 << width, dtype=np.uint64)
-    succ = np.empty((n, 1 << width, len(moves)), dtype=KEY_DTYPE)
-    for x in range(n):
-        succ[x] = _drop_bit(table[:, _insert_bit(compressed, x)].T, x)
-        succ[x] <<= x * width
-    return succ
+    out = np.empty((len(targets), 1 << width, len(table)), dtype=KEY_DTYPE)
+    for x, target in enumerate(targets):
+        out[x] = _drop_bit(table[:, _insert_bit(compressed, x)].T, target)
+        out[x] <<= target * width
+    return out
+
+
+def _successor_tables(moves: list[Graph], n: int) -> np.ndarray:
+    """[x, c, j] = row x of the child under move j when row x of the state
+    has key bits ``c``: the rows of its bits under the move's loop-added
+    out-rows, so the row stays at x. A child key is the OR of one entry per
+    row."""
+    import numpy as np
+
+    nodes = np.arange(n, dtype=np.uint8)
+    # no name holds the row array, so it is freed before the rows are built
+    table = _image_table(np.array([g.out_rows for g in moves], dtype=np.uint8) | (1 << nodes))
+    return _row_tables(table, nodes[:, None])
 
 
 def _relabel_tables(n: int) -> np.ndarray:
     """[x, c, p] = the key part of state row x with key bits ``c`` after the
     p-th permutation π of ``permutations(range(n))`` relabels the nodes:
-    the row moves to π(x), each column y to π(y), and the row is shifted to
-    its key position without its diagonal bit π(x). A relabeled key is the
+    the row moves to π(x) and each column y to π(y). A relabeled key is the
     OR of one entry per row."""
     import numpy as np
 
-    width = n - 1
-    perms = np.array(list(permutations(range(n))), dtype=np.int64).T  # [y, p] = π(y)
-    compressed = np.arange(1 << width, dtype=np.int64)
-    rows = np.stack([_insert_bit(compressed, x) for x in range(n)])
-    # moved[x, c, p] = the full row with every column y at π(y)
-    moved = ((rows[..., None] >> np.arange(n)) & 1) @ (1 << perms)
-    target = perms[:, None, :]
-    return (_drop_bit(moved, target) << (target * width)).astype(KEY_DTYPE)
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)  # [p, y] = π(y)
+    return _row_tables(_image_table(1 << perms), perms.T)
 
 
 def _parts(size: int, keys: np.ndarray) -> Iterator[np.ndarray]:
@@ -184,7 +193,8 @@ class _Search:
     reached from it form whole orbits. Children are gathered, sorted and
     looked up only for the smallest key of each orbit, its representative;
     ``_relabel_tables`` relabels a key under all n! permutations by the same
-    OR of one entry per row (``_lookup``).
+    OR of one entry per row (``_lookup``), from tables of the same builder
+    (``_row_tables``).
 
     A child is a strict superset of its parent, so it has more set bits,
     and a relabeling keeps the bit count. Walking the whole table in layers
@@ -197,22 +207,20 @@ class _Search:
       orbit is marked reached as a whole; every member is decided once
       against the objective (``_terminal``). A terminal orbit gets entry 1;
       otherwise its representative gets PENDING, to be expanded when the
-      sweep reaches its layer, and the other members REACHED. A
-      representative whose children are then all terminal needs one round,
-      and its whole orbit gets entry 2 at once (132,120 of the 200,661
-      expanded states of trees at n=5, in 1,161 of their 1,757 orbits);
+      sweep reaches its layer, and the other members REACHED;
     - descending: the same layers in reverse order, each representative
-      still PENDING gets 1 + the largest entry among its children, which
-      are all valued by then, and the entry is written to its whole orbit.
+      gets 1 + the largest entry among its children, which are all valued
+      by then, and the entry is written to its whole orbit. The relabelings
+      that write it also count the orbit's size.
 
     So the value table is the one a sweep over every state would fill,
     byte for byte, and the counts are those of every state, too: an
     expanded representative stands for its orbit's size in
     ``expanded_states`` (``expanded_orbits`` counts representatives), and
     ``memo_hits`` counts each distinct child of an expanded state that was
-    already solved or reached, which is the sum over expanded
-    representatives of orbit size times distinct children minus the states
-    reached for the first time.
+    already solved or reached: the descending sweep adds orbit size times
+    distinct children for each representative, and the ascending sweep
+    subtracts the states it reaches for the first time.
 
     Before anything is allocated, the tables are charged against
     ``mem_cap_bytes``: the value table before any move is enumerated, then
@@ -241,7 +249,7 @@ class _Search:
         _charge(
             "value, move, successor and relabeling tables and batch and orbit buffers",
             table_bytes
-            # one uint8 move table entry per move and row subset
+            # one uint8 image table entry per move and row subset
             + moves * (1 << n)
             # one successor and one relabeling entry per row, row key and
             # move or permutation
@@ -368,33 +376,27 @@ class _Search:
             reached += members.size
         return reached
 
-    def _orbit_sizes(self, keys: np.ndarray) -> np.ndarray:
-        """Orbit size of each key: n! over the relabelings that fix it."""
+    def _spread(self, keys: np.ndarray) -> np.ndarray:
+        """Write the entry of each key to every relabeling of it, and return
+        each key's orbit size: n! over the relabelings that fix it."""
         import numpy as np
 
-        return np.concatenate([
-            self.perms // np.count_nonzero(self._relabelings(part) == part[:, None], axis=1)
-            for part in _parts(self.chunk, keys)
-        ])
-
-    def _spread(self, keys: np.ndarray) -> None:
-        """Write the entry of each key to every relabeling of it."""
         values = self.values
+        sizes = []
         for part in _parts(self.chunk, keys):
-            values[self._relabelings(part)] = values.take(part)[:, None]
+            orbits = self._relabelings(part)
+            values[orbits] = values.take(part)[:, None]
+            sizes.append(self.perms // np.count_nonzero(orbits == part[:, None], axis=1))
+        return np.concatenate(sizes)
 
     def value(self, key: int) -> int:
-        entry = int(self.values[key])
-        if entry:
-            self.memo_hits += 1
-            return entry - 1
         self._solve(key)
         return int(self.values[key]) - 1
 
     def _solve(self, start: int) -> None:
-        """Value every state reachable from the orbit of the unsolved state
-        ``start`` through non-terminal states; a terminal ``start`` is only
-        decided."""
+        """Value every state reachable from the orbit of ``start`` through
+        non-terminal states; a solved ``start`` is left as it is, and a
+        terminal one is only decided."""
         import numpy as np
 
         values = self.values
@@ -408,42 +410,36 @@ class _Search:
                     layer.clear()
                     for batch in _parts(self.batch, keys):
                         self._expand(batch)
-                    expanded.append(keys[values.take(keys) == PENDING])
+                    expanded.append(keys)
         except SearchStalled:
             # a stalled search leaves the states it reached unsolved, except
-            # the terminal and one-round orbits, whose values are exact
+            # the terminal orbits, whose values are exact
             for part in _parts(SLICE, values):
                 part[part >= REACHED] = 0
             raise
         for keys in reversed(expanded):
             for batch in _parts(self.batch, keys):
-                values[batch] = values.take(self._gather(batch)).max(axis=1) + 1
-            self._spread(keys)
+                kids = self._gather(batch)
+                values[batch] = values.take(kids).max(axis=1) + 1
+                kids.sort(axis=1)
+                distinct = 1 + np.count_nonzero(kids[:, 1:] != kids[:, :-1], axis=1)
+                sizes = self._spread(batch)
+                self.memo_hits += int(sizes @ distinct)
+                self.expanded_states += int(sizes.sum())
+                self.expanded_orbits += batch.size
 
     def _expand(self, keys: np.ndarray) -> None:
-        """Decide the fresh children of PENDING, non-terminal
+        """Reach the fresh children of PENDING, non-terminal
         representatives."""
-        import numpy as np
-
-        values = self.values
         kids = self._gather(keys)
-        kids.sort(axis=1)
-        # children are supersets of the state, so the state sorts first
-        if (kids[:, 0] == keys).any():
+        # a child is a superset of its state; an equal one is no progress
+        if (kids == keys[:, None]).any():
             raise SearchStalled(
                 "adversary move without progress; family is not rooted enough"
             )
-        distinct = 1 + np.count_nonzero(kids[:, 1:] != kids[:, :-1], axis=1)
-        sizes = self._orbit_sizes(keys)
-        reached = self._reach(_distinct(kids[values.take(kids) == 0]))
-        self.memo_hits += int(sizes @ distinct) - reached
-        self.expanded_states += int(sizes.sum())
-        self.expanded_orbits += keys.size
-        # every child is now valued, PENDING or REACHED; with all of them
-        # terminal, the orbit needs one round and the descending sweep skips it
-        one_round = keys[values.take(kids).max(axis=1) == 1]
-        values[one_round] = 2
-        self._spread(one_round)
+        # each distinct child is counted a memo hit when its parent is
+        # valued; the states reached here for the first time are not hits
+        self.memo_hits -= self._reach(_distinct(kids[self.values.take(kids) == 0]))
 
 
 def _charge(what: str, nbytes: int, mem_cap_bytes: int) -> None:
@@ -468,7 +464,7 @@ def exact_worst_case(
     than its parent and the search runs as two sweeps over the dense value
     table in layers of bit count (see ``_Search``): an ascending one that
     reaches every state and decides each one once against the objective,
-    and a descending one that values the states that were expanded.
+    and a descending one that values every state that was expanded.
 
     Every family is closed under relabeling the nodes, every objective is
     invariant under it and the identity is fixed by it, so the reached
@@ -481,14 +477,15 @@ def exact_worst_case(
     ``memo_hits`` the distinct children of expanded states that were
     already reached, the sum of distinct children over expanded states
     minus (``states_visited`` - 1); a depth-first memoized recursion counts
-    the same.
+    the same. The orbit sizes come from the relabelings that write each
+    entry in the descending sweep.
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
     (5) in any family. Raises MemoryBudgetExceeded, before enumerating any
     move, when the dense value table (2^(n(n-1)) bytes) exceeds
     ``mem_cap_bytes``, and before building the successor tables when the
-    value table plus the uint8 move table (``moves * 2^n`` bytes), the
-    successor and relabeling tables (``n * 2^(n-1) * (moves + n!) * 4``
+    value table plus the moves' uint8 image table (``moves * 2^n`` bytes),
+    the successor and relabeling tables (``n * 2^(n-1) * (moves + n!) * 4``
     bytes, one int32 entry per row, row key and move or permutation), the
     uint8 temporaries that build one successor row
     (``4 * 2^(n-1) * moves`` bytes), the batch buffers

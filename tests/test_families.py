@@ -19,7 +19,6 @@ from dynnet.families import (
     _random_k_rooted,
     _rooted_tree_parents,
     enumerate_k_forests,
-    enumerate_rooted_trees,
     forest_parents,
     forest_roots,
     is_k_rooted,
@@ -159,21 +158,25 @@ class TestRootsReachingAll:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625), (6, 7776)])
     def test_cayley_counts(self, n, count):
-        trees = [g.out_rows for r in range(n) for g in enumerate_rooted_trees(n, r)]
+        trees = [g.out_rows for g in enumerate_k_forests(n, 1)]
         assert len(trees) == len(set(trees)) == count
 
     def test_all_members_valid(self):
+        # every 1-forest is a rooted tree, and each root has n^(n-2) trees
         for n in (2, 3, 4, 5):
-            for r in range(n):
-                for g in enumerate_rooted_trees(n, r):
-                    assert tree_root(g) == r
+            roots = Counter(tree_root(g) for g in enumerate_k_forests(n, 1))
+            assert roots == {r: n ** (n - 2) for r in range(n)}
+            assert all(tree_root(g) == forest_roots(g)[0] for g in enumerate_k_forests(n, 1))
 
     def test_root_split_partitions(self):
-        # the trees of root r are exactly the 1-forests rooted at r
-        forests = list(enumerate_k_forests(4, 1))
-        for r in range(4):
-            part = {g.out_rows for g in enumerate_rooted_trees(4, r)}
-            assert part == {g.out_rows for g in forests if forest_roots(g) == [r]}
+        # the trees of root r are exactly the 1-forests rooted at r: one per
+        # code on the n labels, decoded and re-rooted at r
+        for n in (2, 3, 4, 5):
+            forests = list(enumerate_k_forests(n, 1))
+            for r in range(n):
+                part = {graph_from_parents(n, _rooted_tree_parents(n, r, code)).out_rows
+                        for code in itertools.product(range(n), repeat=n - 2)}
+                assert part == {g.out_rows for g in forests if forest_roots(g) == [r]}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_k_forest_counts(self, n):
@@ -193,21 +196,17 @@ class TestEnumeration:
                     == [_forest_from_code(n, c).out_rows for c in codes]), k
 
     def test_one_forests_are_the_rooted_trees(self):
+        # every parent array with one root and no cycle, as validated
         for n in (1, 2, 3, 4, 5):
-            assert ({g.out_rows for g in enumerate_k_forests(n, 1)}
-                    == {g.out_rows for r in range(n) for g in enumerate_rooted_trees(n, r)})
-
-    @pytest.mark.parametrize("n", [1, 2, 4])
-    @pytest.mark.parametrize("shift", [-1, 0, 3], ids=["minus-one", "n", "n-plus-3"])
-    def test_root_outside_the_nodes(self, n, shift):
-        # -1 is a list index but no node, and n and beyond are neither
-        root = -1 if shift < 0 else n + shift
-        with pytest.raises(ValueError, match=rf"root must be in \[0, {n}\), got {root}"):
-            list(enumerate_rooted_trees(n, root))
+            trees = set()
+            for parents in itertools.product(range(-1, n), repeat=n):
+                if parents.count(-1) == 1 and all(p != v for v, p in enumerate(parents)):
+                    g = graph_from_parents(n, parents)
+                    if tree_root(g) is not None:
+                        trees.add(g.out_rows)
+            assert {g.out_rows for g in enumerate_k_forests(n, 1)} == trees
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            list(enumerate_rooted_trees(ENUM_GUARD + 1, 0))
         with pytest.raises(ValueError):
             list(enumerate_k_forests(ENUM_GUARD + 1, 1))
         with pytest.raises(ValueError):
