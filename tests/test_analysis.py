@@ -599,6 +599,20 @@ def plain_prefix_checks(tr):
     return out
 
 
+def plain_window_checks(tr):
+    """window_sum[s]: the paper's sum over the sets u = s .. 2s - k - 1 of
+    (2s - k - u) Delta_u, taken afresh for every target s."""
+    k, n, deltas = tr.k, tr.n, tr.deltas
+    if not tr.complete:
+        return []
+    out = []
+    for s in range(k + 1, n + 1):
+        lhs = sum((2 * s - k - u) * deltas[u] for u in range(s, n + 1) if u <= 2 * s - k - 1)
+        out.append({"name": f"window_sum[s={s}]", "passed": lhs <= n,
+                    "detail": {"lhs": lhs, "rhs": n}})
+    return out
+
+
 def _checks_named(report, *prefixes):
     return [c.to_json_dict() for c in report.checks if c.name.split("[")[0] in prefixes]
 
@@ -638,6 +652,7 @@ class TestCertificatesMatchPlainVersions:
                 report = verify_strict_inequalities(tr, seed=seed)
                 assert _checks_named(report, "cover") == plain_cover_checks(tr)
                 assert _checks_named(report, "intersections") == plain_intersections_check(tr)
+                assert _checks_named(report, "window_sum") == plain_window_checks(tr)
                 assert _checks_named(report, "volume_prefix", "edge_prefix") == \
                     plain_prefix_checks(tr)
         # on these seeds an incomplete prefix exists for every k from n = 6
@@ -659,6 +674,7 @@ class TestCertificatesMatchPlainVersions:
             report = verify_strict_inequalities(tr, samples=0)
             assert _checks_named(report, "cover") == plain_cover_checks(tr)
             assert _checks_named(report, "intersections") == plain_intersections_check(tr)
+            assert _checks_named(report, "window_sum") == plain_window_checks(tr)
             assert _checks_named(report, "volume_prefix", "edge_prefix") == \
                 plain_prefix_checks(tr)
 
