@@ -98,38 +98,14 @@ def bounds_for(spec: ModelSpec) -> Bounds:
 
 
 def alpha(s: int, k: int) -> int:
-    """Weighted out-degree constant of vertex s in the strict rounds graph."""
+    """Weighted out-degree of vertex s in the strict rounds graph, in closed
+    form: the sum of the weights of ``StrictRoundsGraph.edges()`` out of s."""
     if s <= k:
         raise ValueError(f"alpha needs s >= k + 1, got s={s}, k={k}")
     m = s - k
     if m % 2 == 1:
         return ((m + 1) // 2) ** 2
     return (m // 2) ** 2 + m // 2
-
-
-def extremal_deltas(k: int, n: int) -> list[float]:
-    """The weight assignment n / alpha_s that meets the volume constraints
-    with equality; indexed s = k+1 .. n."""
-    return [n / alpha(s, k) for s in range(k + 1, n + 1)]
-
-
-def verify_littledeltas_bound(k: int, n: int, deltas: list[float]) -> bool:
-    """Check the weighted-volume implication on a vertex weight vector
-    (indexed s = k+1 .. n): if every prefix satisfies
-    sum_{s<=u} delta_s * alpha_s <= (u - k) * n, then the total weight is at
-    most beta * n. Returns the truth of the implication on this instance."""
-    if len(deltas) != n - k:
-        raise ValueError(f"expected {n - k} weights, got {len(deltas)}")
-    eps = 1e-9 * max(1.0, n)
-    acc = 0.0
-    hypothesis = True
-    for idx, s in enumerate(range(k + 1, n + 1)):
-        acc += deltas[idx] * alpha(s, k)
-        if acc > (s - k) * n + eps:
-            hypothesis = False
-            break
-    conclusion = math.fsum(deltas) <= BETA * n + eps
-    return (not hypothesis) or conclusion
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +343,7 @@ def build_strict_sets(trace: ProductTrace, k: int, t_prime: int) -> StrictSetsTr
 @dataclass(frozen=True)
 class StrictRoundsGraph:
     """Weighted digraph on vertices k+1..n with vertex weights Delta_s and
-    an edge (u, s) of weight 2s-k-u whenever s <= u <= min(2s-k-1, n)."""
+    the weighted edges of ``edges()``."""
 
     k: int
     n: int
@@ -382,7 +358,8 @@ class StrictRoundsGraph:
         return self.weights[s - self.k - 1]
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (u, s, weight) triples."""
+        """Yield (u, s, weight) triples, grouped by target s: an edge (u, s)
+        of weight 2s-k-u whenever s <= u <= min(2s-k-1, n)."""
         for s in range(self.k + 1, self.n + 1):
             for u in range(s, min(2 * s - self.k - 1, self.n) + 1):
                 yield (u, s, 2 * s - self.k - u)
@@ -521,30 +498,21 @@ def verify_strict_inequalities(
 
     deltas = tr.deltas
     if tr.complete:
-        for s in range(k + 1, n + 1):
-            lhs = sum(
-                (2 * s - k - u) * deltas[u]
-                for u in range(s, min(2 * s - k - 1, n) + 1)
-            )
+        # the in-edges of each target s, weighted by their sources' gaps
+        window = dict.fromkeys(range(k + 1, n + 1), 0)
+        for u, s, w in StrictRoundsGraph.from_trace(tr).edges():
+            window[s] += w * deltas[u]
+        for s, lhs in window.items():
             checks.append(CheckResult(
                 f"window_sum[s={s}]", lhs <= n, {"lhs": lhs, "rhs": n},
             ))
+        # alpha_u is u's weighted out-degree, so this is also the
+        # edge-weighted volume of the sources <= u
         lhs = 0
         for u in range(k + 1, n + 1):
             lhs += deltas[u] * alpha(u, k)
             checks.append(CheckResult(
                 f"volume_prefix[u={u}]", lhs <= (u - k) * n,
-                {"lhs": lhs, "rhs": (u - k) * n},
-            ))
-        # the edge-weighted volume of sources <= u, as a running sum over u
-        by_source = dict.fromkeys(range(k + 1, n + 1), 0)
-        for src, _, w in StrictRoundsGraph.from_trace(tr).edges():
-            by_source[src] += deltas[src] * w
-        lhs = 0
-        for u in range(k + 1, n + 1):
-            lhs += by_source[u]
-            checks.append(CheckResult(
-                f"edge_prefix[u={u}]", lhs <= (u - k) * n,
                 {"lhs": lhs, "rhs": (u - k) * n},
             ))
         total = sum(deltas.values())
@@ -578,11 +546,9 @@ def _strict_increment_spot_checks(
         pairs = tr.sets[s]
         hi = min(t for _, t in pairs) + 1
         lo = tr.t_marks[s] + 1
-        if lo > hi or hi < 2:
+        if lo > hi:
             continue
-        t = rnd.randint(max(lo, 2), max(hi, 2))
-        if t > hi:
-            continue
+        t = rnd.randint(lo, hi)
         tried += 1
         idx = [i for i, (_, t_i) in enumerate(pairs) if t <= t_i + 1]
         roots = forest_roots(trace.rounds[t - 2])

@@ -85,6 +85,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     seq = seqfile.load(args.seq)
+    if args.certificate == "strict-sets" and seq.spec.model is Model.K_ROOTED:
+        raise ValueError("the strict-sets certificate needs tree or forest rounds, "
+                         "not k-rooted digraphs")
     trace = seq.trace()
     if args.certificate == "rounds-graph":
         avoid = frozenset(int(x) for x in args.avoid.split(",") if x) if args.avoid else frozenset()

@@ -398,6 +398,24 @@ class TestCliExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_passed"] is True and doc["complete"] is True
 
+    def test_analyze_strict_sets_refuses_k_rooted_rounds(self, tmp_path, capsys):
+        # the construction is defined on forest rounds; a tree file is a 1-forest
+        f, dot = tmp_path / "d.json", tmp_path / "ss.dot"
+        assert main(["construct", "--model", "digraph", "--n", "12", "--k", "2",
+                     "--out", str(f)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--seq", str(f), "--certificate", "strict-sets",
+                     "--dot", str(dot)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not dot.exists()
+
+    def test_analyze_strict_sets_on_a_tree_file(self, tree_file, capsys):
+        path, _ = tree_file
+        assert main(["analyze", "--seq", path, "--certificate", "strict-sets"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["all_passed"] is True and doc["complete"] is True
+
     def test_verify_small_grid(self, tmp_path, capsys):
         csv = tmp_path / "v.csv"
         assert main(["verify", "--grid", "n=3..6,k=1..2", "--samples", "3",
