@@ -59,21 +59,16 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
     """
     n, k = spec.n, spec.k
     if spec.model is not Model.K_ROOTED:
-        moves = list(enumerate_k_forests(n, k))
-    else:
-        trees_by_root: list[list[Graph]] = [[] for _ in range(n)]
-        for tree in enumerate_k_forests(n, 1):
-            trees_by_root[forest_roots(tree)[0]].append(tree)
-        seen: set[tuple[int, ...]] = set()
-        moves = []
-        for roots in combinations(range(n), k):
-            for combo in iproduct(*(trees_by_root[r] for r in roots)):
-                key = tuple(union_rows(n, combo))
-                if key not in seen:
-                    seen.add(key)
-                    moves.append(graph_from_rows(n, key))
-    moves.sort(key=lambda g: g.out_rows)
-    return moves
+        return sorted(enumerate_k_forests(n, k), key=lambda g: g.out_rows)
+    trees_by_root: list[list[Graph]] = [[] for _ in range(n)]
+    for tree in enumerate_k_forests(n, 1):
+        trees_by_root[forest_roots(tree)[0]].append(tree)
+    unions = {
+        tuple(union_rows(n, combo))
+        for roots in combinations(range(n), k)
+        for combo in iproduct(*(trees_by_root[r] for r in roots))
+    }
+    return [graph_from_rows(n, rows) for rows in sorted(unions)]
 
 
 def _image_table(rows: np.ndarray) -> np.ndarray:
@@ -166,7 +161,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 PENDING = 255
 REACHED = 254
 # bytes of one batch's child keys, and of one chunk's relabelings; bounds
-# the batch and orbit buffers
+# the temporaries of a batch and of a chunk
 BATCH_BYTES = 1 << 17
 # keys per slice when a whole-table pass is cut to bound its temporaries
 SLICE = 1 << 16
@@ -217,15 +212,16 @@ class _Search:
     byte for byte, and the counts are those of every state, too: an
     expanded representative stands for its orbit's size in
     ``expanded_states`` (``expanded_orbits`` counts representatives), and
-    ``memo_hits`` counts each distinct child of an expanded state that was
-    already solved or reached: the descending sweep adds orbit size times
-    distinct children for each representative, and the ascending sweep
-    subtracts the states it reaches for the first time.
+    ``children`` sums the distinct children of every expanded state: the
+    descending sweep adds orbit size times distinct children for each
+    representative.
 
     Before anything is allocated, the tables are charged against
     ``mem_cap_bytes``: the value table before any move is enumerated, then
     the value table plus the move, successor and relabeling tables and the
-    batch and orbit buffers before those are built."""
+    temporaries of one batch and one chunk before those are built (the
+    terms are listed in ``exact_worst_case``). Every batch and chunk
+    allocates its own temporaries, which are freed when it is done."""
 
     def __init__(self, spec: ModelSpec, objective: Objective, mem_cap_bytes: int):
         import numpy as np
@@ -246,8 +242,14 @@ class _Search:
         # a chunk of keys whose relabelings fill at most BATCH_BYTES, and at
         # most every key
         self.chunk = max(1, min(BATCH_BYTES // (perms * KEY_BYTES), table_bytes))
+        # a cover decision unpacks the distinct members of a chunk's orbits
+        # (``_terminal``) into n lists of one 8-byte reference per key. While
+        # the last is built, the first n-1 are held with that row's int32
+        # index, the index's int64 cast and the int64 rows it selects
+        members = min(self.chunk * perms, table_bytes)
+        unpacked = members * (8 * (n - 1) + 20) if objective.kind == "cover" else 0
         _charge(
-            "value, move, successor and relabeling tables and batch and orbit buffers",
+            "value, move, successor and relabeling tables and batch and chunk temporaries",
             table_bytes
             # one uint8 image table entry per move and row subset
             + moves * (1 << n)
@@ -256,19 +258,16 @@ class _Search:
             + n * (1 << self.width) * (moves + perms) * KEY_BYTES
             # four uint8 temporaries per entry of the successor row being built
             + 4 * (1 << self.width) * moves
-            # two key buffers and at most four key-sized temporaries per entry
+            # at most six key-sized temporaries per child key of a batch
             + self.batch * moves * 6 * KEY_BYTES
-            # two orbit buffers and at most three orbit-sized temporaries
-            + self.chunk * perms * 5 * KEY_BYTES,
+            # at most five key-sized temporaries per relabeling of a chunk
+            + self.chunk * perms * 5 * KEY_BYTES
+            + unpacked,
             mem_cap_bytes,
         )
         self.succ = _successor_tables(self.moves, n)
-        self.kids = np.empty((self.batch, moves), dtype=KEY_DTYPE)
-        self.gathered = np.empty((self.batch, moves), dtype=KEY_DTYPE)
         self.relabel = _relabel_tables(n)
         self.perms = perms
-        self.orbit = np.empty((self.chunk, perms), dtype=KEY_DTYPE)
-        self.orbit_part = np.empty((self.chunk, perms), dtype=KEY_DTYPE)
         # (full row x for every compressed row, key shift of row x)
         compressed = np.arange(1 << self.width, dtype=np.int64)
         self.row_lookup = [(_insert_bit(compressed, x), x * self.width) for x in range(n)]
@@ -276,7 +275,7 @@ class _Search:
         self.values = np.zeros(table_bytes, dtype=np.uint8)
         # the representatives queued in each layer, by bit count
         self.layers: list[list[np.ndarray]] = []
-        self.memo_hits = 0
+        self.children = 0
         self.expanded_states = 0
         self.expanded_orbits = 0
 
@@ -304,24 +303,18 @@ class _Search:
         keys = np.flatnonzero(self.values)
         return dict(zip(keys.tolist(), (self.values[keys] - 1).tolist()))
 
-    def _lookup(
-        self, tables: np.ndarray, keys: np.ndarray, out: np.ndarray, part: np.ndarray
-    ) -> np.ndarray:
+    def _lookup(self, tables: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """out[i] = the OR over rows x of tables[x, row x's key bits in
-        keys[i]]; ``part`` is a buffer shaped like ``out``."""
-        import numpy as np
-
+        keys[i]]."""
         mask = self.row_mask
-        np.take(tables[0], keys & mask, axis=0, out=out)
+        out = tables[0].take(keys & mask, axis=0)
         for x in range(1, self.n):
-            np.take(tables[x], (keys >> x * self.width) & mask, axis=0, out=part)
-            out |= part
+            out |= tables[x].take((keys >> x * self.width) & mask, axis=0)
         return out
 
     def _gather(self, keys: np.ndarray) -> np.ndarray:
-        """out[i, j] = the child of keys[i] under move j, in the batch buffer."""
-        size = keys.size
-        return self._lookup(self.succ, keys, self.kids[:size], self.gathered[:size])
+        """out[i, j] = the child of keys[i] under move j."""
+        return self._lookup(self.succ, keys)
 
     def _terminal(self, keys: np.ndarray) -> np.ndarray:
         """Whether the objective holds on each state in ``keys``.
@@ -346,19 +339,16 @@ class _Search:
         return full >= k
 
     def _relabelings(self, keys: np.ndarray) -> np.ndarray:
-        """out[i, p] = keys[i] under the p-th permutation, in the orbit
-        buffer; at most ``chunk`` keys."""
-        size = keys.size
-        return self._lookup(self.relabel, keys, self.orbit[:size], self.orbit_part[:size])
+        """out[i, p] = keys[i] under the p-th permutation."""
+        return self._lookup(self.relabel, keys)
 
-    def _reach(self, fresh: np.ndarray) -> int:
+    def _reach(self, fresh: np.ndarray) -> None:
         """Mark the orbit of every unsolved key in ``fresh`` reached, decide
         each member once and queue the non-terminal representatives in
-        their layers. Returns the number of states reached."""
+        their layers, a chunk of keys at a time."""
         import numpy as np
 
         values = self.values
-        reached = 0
         for keys in _parts(self.chunk, fresh):
             # an earlier chunk may have reached some of these orbits
             keys = keys[values.take(keys) == 0]
@@ -373,8 +363,6 @@ class _Search:
             layers = np.bitwise_count(reps)
             for c in set(layers.tolist()):
                 self.layers[c].append(reps[layers == c])
-            reached += members.size
-        return reached
 
     def _spread(self, keys: np.ndarray) -> np.ndarray:
         """Write the entry of each key to every relabeling of it, and return
@@ -424,7 +412,7 @@ class _Search:
                 kids.sort(axis=1)
                 distinct = 1 + np.count_nonzero(kids[:, 1:] != kids[:, :-1], axis=1)
                 sizes = self._spread(batch)
-                self.memo_hits += int(sizes @ distinct)
+                self.children += int(sizes @ distinct)
                 self.expanded_states += int(sizes.sum())
                 self.expanded_orbits += batch.size
 
@@ -437,9 +425,7 @@ class _Search:
             raise SearchStalled(
                 "adversary move without progress; family is not rooted enough"
             )
-        # each distinct child is counted a memo hit when its parent is
-        # valued; the states reached here for the first time are not hits
-        self.memo_hits -= self._reach(_distinct(kids[self.values.take(kids) == 0]))
+        self._reach(_distinct(kids[self.values.take(kids) == 0]))
 
 
 def _charge(what: str, nbytes: int, mem_cap_bytes: int) -> None:
@@ -475,10 +461,11 @@ def exact_worst_case(
     solved states, ``expanded_states`` the expanded ones (each expanded
     orbit counted by its size; ``expanded_orbits`` counts the orbits) and
     ``memo_hits`` the distinct children of expanded states that were
-    already reached, the sum of distinct children over expanded states
-    minus (``states_visited`` - 1); a depth-first memoized recursion counts
-    the same. The orbit sizes come from the relabelings that write each
-    entry in the descending sweep.
+    already reached. It is computed once, as the sum of distinct children
+    over expanded states minus (``states_visited`` - 1), since every solved
+    state but the start was first reached as such a child; a depth-first
+    memoized recursion counts the same. The orbit sizes come from the
+    relabelings that write each entry in the descending sweep.
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
     (5) in any family. Raises MemoryBudgetExceeded, before enumerating any
@@ -488,16 +475,19 @@ def exact_worst_case(
     the successor and relabeling tables (``n * 2^(n-1) * (moves + n!) * 4``
     bytes, one int32 entry per row, row key and move or permutation), the
     uint8 temporaries that build one successor row
-    (``4 * 2^(n-1) * moves`` bytes), the batch buffers
-    (``6 * batch * moves * 4`` bytes) and the orbit buffers
-    (``5 * chunk * n! * 4`` bytes) do. A batch is as many states as keep its
-    ``batch * moves`` child keys within ``BATCH_BYTES``, at least one and at
-    most the largest bit-count layer; a chunk is as many keys as keep their
-    ``chunk * n!`` relabelings within ``BATCH_BYTES``, at least one and at
-    most 2^(n(n-1)). The search runs on one thread; ``threads`` is accepted
-    for callers that pass 1, and any other value raises ValueError. Raises
-    SearchStalled when a move leaves a state the objective does not hold on
-    unchanged.
+    (``4 * 2^(n-1) * moves`` bytes), the temporaries of one batch
+    (``6 * batch * moves * 4`` bytes) and of one chunk
+    (``5 * chunk * n! * 4`` bytes) and, for a cover objective, the rows of
+    one chunk's distinct members unpacked for their decisions
+    (``(8n + 12) * min(chunk * n!, 2^(n(n-1)))`` bytes) do. A batch is as
+    many states as keep its ``batch * moves`` child keys within
+    ``BATCH_BYTES``, at least one and at most the largest bit-count layer; a
+    chunk is as many keys as keep their ``chunk * n!`` relabelings within
+    ``BATCH_BYTES``, at least one and at most 2^(n(n-1)). Each batch and
+    chunk allocates its temporaries afresh and frees them when it is done.
+    The search runs on one thread; ``threads`` is accepted for callers that
+    pass 1, and any other value raises ValueError. Raises SearchStalled when
+    a move leaves a state the objective does not hold on unchanged.
 
     numpy is imported on the first call, not with this module, so ``import
     dynnet.cli`` and every command that does not search run without it.
@@ -518,7 +508,8 @@ def exact_worst_case(
     seq = RoundSequence(spec, seq_rounds)
     states = int(np.count_nonzero(search.values))
     return SearchResult(
-        value, seq, states, search.memo_hits, search.expanded_states, search.expanded_orbits
+        value, seq, states, search.children - (states - 1),
+        search.expanded_states, search.expanded_orbits,
     )
 
 

@@ -1,8 +1,10 @@
 import hashlib
 import random
+import re
 import tracemalloc
 import warnings
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -198,8 +200,8 @@ class TestExactWorstCase:
         # trees at n=4: 4,096 table bytes + 64 moves * 2^4 for the uint8
         # move table + 4 * 2^3 * (64 + 4!) * 4 for the int32 successor and
         # relabeling tables + 4 * 2^3 * 64 for one successor row's uint8
-        # temporaries + 6 * 512 rows * 64 * 4 for the batch buffers
-        # + 5 * 1,365 keys * 4! * 4 for the orbit buffers
+        # temporaries + 6 * 512 rows * 64 * 4 for a batch's temporaries
+        # + 5 * 1,365 keys * 4! * 4 for a chunk's temporaries
         res = exact_worst_case(
             ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=1_460_064
         )
@@ -244,8 +246,8 @@ class TestExactWorstCase:
         spec = ModelSpec(Model.TREES, n)
         built = search_module._Search(spec, Objective.broadcast(), total)
         assert built.succ.nbytes == n * 2 ** (n - 1) * len(built.moves) * 4
-        assert built.orbit.nbytes == built.orbit_part.nbytes == orbit_bytes
-        assert built.orbit.nbytes <= search_module.BATCH_BYTES
+        # one chunk's relabelings
+        assert built.chunk * factorial(n) * 4 == orbit_bytes <= search_module.BATCH_BYTES
 
         def build_tables(moves, n):
             pytest.fail("successor tables built before the budget check")
@@ -284,6 +286,9 @@ class TestExactWorstCase:
         moves = family_moves(spec)
         n, count = spec.n, len(moves)
         charged = count * 2**n + n * 2 ** (n - 1) * count * 4 + 4 * 2 ** (n - 1) * count
+        # a first build also allocates numpy's one-off caches, which are not
+        # the tables'
+        search_module._successor_tables(moves, n)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -304,6 +309,41 @@ class TestExactWorstCase:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 1024
+
+    @pytest.mark.parametrize(
+        "spec, objective",
+        [
+            (ModelSpec(Model.TREES, 4), Objective.broadcast()),
+            (ModelSpec(Model.TREES, 5), Objective.broadcast()),
+            (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2)),
+            (ModelSpec(Model.K_FORESTS, 5, 2), Objective.cover(2)),
+            (ModelSpec(Model.K_FORESTS, 5, 3), Objective.cover(3)),
+            (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2)),
+        ],
+        ids=["trees-n4", "trees-n5", "forests-cover-n4", "forests-cover-n5",
+             "3-forests-cover-n5", "rooted-kbroadcast-n4"],
+    )
+    def test_search_peak_within_charge(self, monkeypatch, spec, objective):
+        # everything the search allocates, the cover decisions' unpacked rows
+        # included, fits the total it charges; the moves are built beforehand,
+        # as their Graph objects are not charged
+        moves = family_moves(spec)
+        monkeypatch.setattr(search_module, "family_moves", lambda spec: moves)
+        # the value table fits, so the second charge names the total
+        with pytest.raises(MemoryBudgetExceeded, match="relabeling tables") as refused:
+            search_module._Search(spec, objective, 2 ** (spec.n * (spec.n - 1)))
+        total = int(re.search(r"(\d+) bytes needed", str(refused.value)).group(1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                # key 0 is the identity
+                search_module._Search(spec, objective, total).value(0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= total
 
     def test_more_than_one_thread_rejected(self):
         with pytest.raises(ValueError, match="one thread"):
@@ -481,7 +521,7 @@ class TestGatherMatchesCompose:
             for _ in range(rnd.randrange(spec.n + 1)):
                 rows = compose_rows(rows, rnd.choice(moves))
             states.append(rows)
-        keys = np.array([search.pack(rows) for rows in states], dtype=search.kids.dtype)
+        keys = np.array([search.pack(rows) for rows in states], dtype=search_module.KEY_DTYPE)
         expected = [[search.pack(compose_rows(rows, mv)) for mv in moves] for rows in states]
         # a batch is at most the largest bit-count layer, 2 states at n=2
         parts = search_module._parts(search.batch, keys)
@@ -502,7 +542,7 @@ def orbit_closed(search):
     """Whether every entry of the value table equals the entries of all the
     relabelings of its key."""
     values = search.values
-    keys = np.flatnonzero(values).astype(search.orbit.dtype)
+    keys = np.flatnonzero(values).astype(search_module.KEY_DTYPE)
     return all(
         (values[search._relabelings(part)] == values[part][:, None]).all()
         for part in search_module._parts(search.chunk, keys)
@@ -525,7 +565,7 @@ class TestRelabeling:
                 assert search.relabel[x, c].tolist() == expected
         # whole keys, drawn from the key range
         rnd = random.Random(n)
-        keys = np.array([rnd.getrandbits(n * width) for _ in range(16)], dtype=search.orbit.dtype)
+        keys = np.array([rnd.getrandbits(n * width) for _ in range(16)], dtype=search_module.KEY_DTYPE)
         expected = [[search.pack(relabel_rows(search.unpack(key), perm)) for perm in perms]
                     for key in keys.tolist()]
         parts = search_module._parts(search.chunk, keys)
@@ -562,7 +602,7 @@ class TestRelabeling:
             expected = search.pack(
                 compose_rows(relabel_rows(rows, perms[p]), graph_from_rows(n, moved))
             )
-            assert search._relabelings(np.array([child], dtype=search.orbit.dtype))[0, p] == expected
+            assert search._relabelings(np.array([child], dtype=search_module.KEY_DTYPE))[0, p] == expected
 
     def test_trees_n5_values_constant_on_orbits(self):
         solved = search_module._Search(ModelSpec(Model.TREES, 5), Objective.broadcast(), 2 << 30)
