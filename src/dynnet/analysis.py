@@ -12,7 +12,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .families import Model, ModelSpec, forest_roots, roots_reaching_all
 from .graphs import ProductTrace, _once, bits, compose_in_rows, full_mask, identity, row_image
@@ -115,10 +115,10 @@ def alpha(s: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class RoundsGraphWitness:
-    kind: str      # "process" | "round"
-    node: int      # process id, or 1-based round index
+    """A process of largest out-degree in a rounds graph."""
+
+    process: int
     degree: int
-    process: int   # the witness mapped to a process (itself or the round's root)
 
 
 @dataclass
@@ -128,7 +128,9 @@ class RoundsGraph:
     Round t gets an in-edge from every non-avoided process that the round's
     chosen root has heard of before t; early rounds additionally point at
     later rounds whose roots heard them. Overloading some out-degree to n is
-    what witnesses a broadcaster.
+    what witnesses a broadcaster. A round never has more out-edges than its
+    root: the root is not avoided, so every later round whose root heard it
+    also has an in-edge from it.
     """
 
     n: int
@@ -146,12 +148,6 @@ class RoundsGraph:
         deg = [0] * self.n
         for p, _ in self.process_edges:
             deg[p] += 1
-        return deg
-
-    def round_out_degrees(self) -> list[int]:
-        deg = [0] * (self.round_count + 1)
-        for t, _ in self.round_edges:
-            deg[t] += 1
         return deg
 
     def round_in_degrees(self) -> list[int]:
@@ -221,22 +217,13 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
 
 
 def max_out_degree_witness(rg: RoundsGraph) -> RoundsGraphWitness:
-    """The maximizing out-edge-bearing node outside the avoided set, mapped
-    to the process it stands for. The pigeonhole argument guarantees degree
-    at least n on full-length traces."""
-    best: Optional[RoundsGraphWitness] = None
-    for p, d in enumerate(rg.process_out_degrees()):
-        if p in rg.avoid:
-            continue
-        if best is None or d > best.degree:
-            best = RoundsGraphWitness("process", p, d, p)
-    for t, d in enumerate(rg.round_out_degrees()):
-        if t == 0:
-            continue
-        if best is None or d > best.degree:
-            best = RoundsGraphWitness("round", t, d, rg.roots[t - 1])
-    assert best is not None
-    return best
+    """The smallest process outside the avoided set of largest out-degree.
+    No round node has more out-edges than its root (see ``RoundsGraph``),
+    so it has the largest out-degree of the whole graph. The pigeonhole
+    argument guarantees degree at least n on full-length traces."""
+    degrees = rg.process_out_degrees()
+    process = max((p for p in range(rg.n) if p not in rg.avoid), key=degrees.__getitem__)
+    return RoundsGraphWitness(process, degrees[process])
 
 
 # ---------------------------------------------------------------------------

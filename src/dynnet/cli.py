@@ -85,9 +85,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     seq = seqfile.load(args.seq)
-    if args.certificate == "strict-sets" and seq.spec.model is Model.K_ROOTED:
-        raise ValueError("the strict-sets certificate needs tree or forest rounds, "
-                         "not k-rooted digraphs")
+    if args.certificate == "strict-sets":
+        if seq.spec.model is Model.K_ROOTED:
+            raise ValueError("the strict-sets certificate needs tree or forest rounds, "
+                             "not k-rooted digraphs")
+        # a round of k trees is a forest of at most k' trees only when k' >= k
+        if args.k is not None and args.k < seq.spec.k:
+            raise ValueError(f"--k {args.k} is below the file's k={seq.spec.k}: "
+                             f"its rounds are forests of {seq.spec.k} trees")
     trace = seq.trace()
     if args.certificate == "rounds-graph":
         avoid = frozenset(int(x) for x in args.avoid.split(",") if x) if args.avoid else frozenset()
@@ -97,7 +102,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "certificate": "rounds-graph",
             "round_count": rg.round_count,
             "threshold": rg.threshold,
-            "witness": {"kind": wit.kind, "node": wit.node, "degree": wit.degree,
+            # the witness is always a process node, so it is its own process
+            "witness": {"kind": "process", "node": wit.process, "degree": wit.degree,
                         "process": wit.process},
             "degree_at_least_n": wit.degree >= trace.n,
         }

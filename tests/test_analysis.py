@@ -214,6 +214,38 @@ class TestRoundsGraph:
         with pytest.raises(ValueError, match="outside"):
             build_rounds_graph(trace, frozenset(avoid))
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24])
+    def test_round_never_outpoints_its_root(self, n):
+        # round t points at later rounds whose root heard round t's root,
+        # and that root, outside the avoided set, points at each of them
+        # too; so the witness is a process of the whole graph's largest
+        # out-degree
+        rnd = random.Random(n)
+        traces = [(build(model, n, k).seq.trace(), frozenset(range(k - 1)))
+                  for model, k in [(Model.TREES, 1), (Model.K_ROOTED, 2), (Model.K_ROOTED, 3)]
+                  if n >= 8]
+        for model, k in [(Model.TREES, 1), (Model.K_ROOTED, 1), (Model.K_ROOTED, 2),
+                         (Model.K_ROOTED, 3)]:
+            if k > n:
+                continue
+            spec = ModelSpec(model, n, k)
+            for _ in range(4):
+                avoid = frozenset(rnd.sample(range(n), rnd.randint(0, k - 1)))
+                length = ceil_one_plus_sqrt2(n) + len(avoid) + rnd.randint(0, 5)
+                seed = rnd.getrandbits(32)
+                trace = ProductTrace(n, [random_graph(spec, seed + t) for t in range(length)])
+                traces.append((trace, avoid))
+        for trace, avoid in traces:
+            rg = build_rounds_graph(trace, avoid)
+            process_edges = set(rg.process_edges)
+            assert all((rg.roots[t - 1], t2) in process_edges for t, t2 in rg.round_edges)
+            degrees = rg.process_out_degrees()
+            for t in range(1, rg.round_count + 1):
+                out_degree = sum(1 for t1, _ in rg.round_edges if t1 == t)
+                assert out_degree <= degrees[rg.roots[t - 1]]
+            wit = max_out_degree_witness(rg)
+            assert wit.degree == max(degrees[p] for p in range(n) if p not in avoid)
+
     def test_dot_export(self):
         n = 4
         trace = tree_trace(n, ceil_one_plus_sqrt2(n), seed=2)
@@ -428,6 +460,22 @@ class TestStrictSets:
         tr = StrictSetsTrace(k, n, 3, False, sets, {n: 3}, {}, forest_trace(n, k, 5, seed=4))
         with pytest.raises(ValueError, match="outside"):
             verify_strict_inequalities(tr, samples=0)
+
+    def test_strict_increments_fail_when_an_in_set_stops_growing(self):
+        # the 2-cycle 0 <-> 1 is no forest: no node is a root, yet the in-set
+        # {0, 1} is closed under it, so it does not grow one round earlier
+        n, k, length = 2, 1, 4
+        cycle = make_graph(n, [(0, 1), (1, 0)])
+        tr = StrictSetsTrace(
+            k=k, n=n, t_prime=length, complete=True,
+            sets={2: ((0, length), (1, length)), 1: ((0, length),)},
+            t_marks={1: 1, 2: 1},
+            pivots={},
+            trace=ProductTrace(n, [cycle] * length),
+        )
+        (check,) = _checks_named(verify_strict_inequalities(tr, samples=16), "strict_increments")
+        assert not check["passed"]
+        assert check["detail"]["sampled"] == 16 and check["detail"]["failures"] > 0
 
     def test_strict_rounds_graph_dot(self):
         n, k = 8, 2

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dynnet
-from dynnet import seqfile
+from dynnet import analysis, seqfile
 from dynnet.cli import main
 from dynnet.constructions import trees_lower_bound
 from dynnet.dissemination import RoundSequence
@@ -208,6 +208,15 @@ class TestSequenceFiles:
         doc = {"n": 3, "model": "tree", "rounds": [[-1, 0, 1], [-1, 0, object()]]}
         with pytest.raises(ValueError):
             seqfile.from_json_dict(doc)
+
+    def test_non_forest_round_not_written(self):
+        # a sequence validates its rounds when it is built; a tree round
+        # replaced by a cycle afterwards still has no parent array
+        spec = ModelSpec(Model.TREES, 3)
+        seq = RoundSequence(spec, [make_graph(3, [(0, 1), (1, 2)])])
+        seq.rounds[0] = make_graph(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValueError, match="not a forest"):
+            seqfile.dumps(seq)
 
     def test_looped_digraph_round_not_written(self):
         spec = ModelSpec(Model.K_ROOTED, 3, 1)
@@ -409,6 +418,66 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert not dot.exists()
+
+    @pytest.fixture()
+    def forest12(self, tmp_path, capsys):
+        """The 2-forest schedule at n=12, 33 rounds."""
+        f = tmp_path / "forest12.json"
+        assert main(["construct", "--model", "forest", "--n", "12", "--k", "2",
+                     "--out", str(f)]) == 0
+        capsys.readouterr()
+        return str(f)
+
+    def test_analyze_strict_sets_refuses_k_below_the_files(self, forest12, monkeypatch, capsys):
+        # rounds of 2 trees are forests of at most k trees for k >= 2 only
+        for k in ("2", "3"):
+            assert main(["analyze", "--seq", forest12, "--certificate", "strict-sets",
+                         "--k", k]) == 0
+            assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
+        def build(*args):
+            pytest.fail("strict sets built for a k below the file's")
+
+        monkeypatch.setattr(analysis, "build_strict_sets", build)
+        assert main(["analyze", "--seq", forest12, "--certificate", "strict-sets",
+                     "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --k 1 is below the file's k=2: "
+                                "its rounds are forests of 2 trees\n")
+
+    def test_analyze_strict_sets_dot_and_table(self, forest12, tmp_path, capsys):
+        dot = tmp_path / "ss.dot"
+        assert main(["analyze", "--seq", forest12, "--certificate", "strict-sets",
+                     "--dot", str(dot), "--table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["check", "result", "detail"]
+        # the 58 checks of the report, one line each, all passing
+        assert len(lines) == 1 + 58
+        assert all(line.split()[1] == "pass" for line in lines[1:])
+        text = dot.read_text()
+        # the strict rounds graph on the levels s = 3 .. 12
+        assert text.startswith("digraph strict_rounds {")
+        assert [line.split()[0] for line in text.splitlines() if "label=\"s=" in line] == \
+            [f"v{s}" for s in range(3, 13)]
+
+    def test_analyze_strict_sets_from_an_earlier_round(self, forest12, capsys):
+        # the construction scans back from round t' = 15 of 33, so A_12 is
+        # the 12 pairs at round 15
+        assert main(["analyze", "--seq", forest12, "--certificate", "strict-sets",
+                     "--tprime", "15"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["all_passed"] is True and doc["complete"] is True
+        (marks,) = [c for c in doc["checks"] if c["name"] == "t_marks_monotone"]
+        assert marks["detail"]["t_marks"]["12"] == 15
+
+    @pytest.mark.parametrize("t_prime", ["0", "-1", "34"])
+    def test_analyze_tprime_outside_the_file_exits_2(self, forest12, t_prime, capsys):
+        assert main(["analyze", "--seq", forest12, "--certificate", "strict-sets",
+                     "--tprime", t_prime]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: t_prime {t_prime} outside trace of length 33\n"
 
     def test_analyze_strict_sets_on_a_tree_file(self, tree_file, capsys):
         path, _ = tree_file
