@@ -115,8 +115,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else seq.spec.k
     t_prime = args.tprime if args.tprime is not None else len(seq)
     tr = analysis.build_strict_sets(trace, k, t_prime)
+    # a prefix too short for the construction is an input, not a falsified check
+    if not tr.complete:
+        raise ValueError(f"the strict-sets construction from round t'={t_prime} is "
+                         f"incomplete: A_{min(tr.sets)} is still strict at round 1, so "
+                         f"a prefix of {t_prime} rounds is too short for it")
     report = analysis.verify_strict_inequalities(tr)
-    if args.dot and tr.complete:
+    if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(analysis.StrictRoundsGraph.from_trace(tr).to_dot())
     if args.table:

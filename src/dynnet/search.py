@@ -198,11 +198,16 @@ class _Search:
     that order:
 
     - ascending: each layer's PENDING representatives are expanded in
-      batches. Their fresh children are relabeled in chunks and each fresh
-      orbit is marked reached as a whole; every member is decided once
-      against the objective (``_terminal``). A terminal orbit gets entry 1;
-      otherwise its representative gets PENDING, to be expanded when the
-      sweep reaches its layer, and the other members REACHED;
+      batches. Their fresh children are relabeled in chunks, one row of n!
+      relabelings per child, and each row is sorted in place: it starts
+      with the orbit's representative, and children of one orbit have the
+      same row, so one row per representative is kept. An entry of that
+      row equal to its left neighbour is a member fixed by some relabeling
+      and is dropped; the rest are the orbit's members, each marked reached
+      and decided once against the objective (``_terminal``). A terminal
+      orbit gets entry 1; otherwise its representative gets PENDING, to be
+      expanded when the sweep reaches its layer, and the other members
+      REACHED;
     - descending: the same layers in reverse order, each representative
       gets 1 + the largest entry among its children, which are all valued
       by then, and the entry is written to its whole orbit. The relabelings
@@ -345,7 +350,8 @@ class _Search:
     def _reach(self, fresh: np.ndarray) -> None:
         """Mark the orbit of every unsolved key in ``fresh`` reached, decide
         each member once and queue the non-terminal representatives in
-        their layers, a chunk of keys at a time."""
+        their layers, a chunk of keys at a time. The members are read off
+        one sorted relabeling row per orbit."""
         import numpy as np
 
         values = self.values
@@ -355,8 +361,17 @@ class _Search:
             if not keys.size:
                 continue
             orbits = self._relabelings(keys)
-            reps = _distinct(orbits.min(axis=1))
-            members = _distinct(orbits.reshape(-1))
+            # a sorted row starts with its orbit's representative, and two
+            # keys of one orbit have the same sorted row: keep the first
+            orbits.sort(axis=1)
+            reps, first = np.unique(orbits[:, 0], return_index=True)
+            # a member equal to its left neighbour is fixed by a relabeling
+            kept = np.zeros(orbits.shape, dtype=bool)
+            kept[first] = True
+            kept[:, 1:] &= orbits[:, 1:] != orbits[:, :-1]
+            members = orbits[kept]
+            # freed before the decisions allocate theirs
+            del orbits, kept
             values[members] = np.where(self._terminal(members), 1, REACHED)
             reps = reps[values.take(reps) == REACHED]
             values[reps] = PENDING

@@ -479,6 +479,22 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: t_prime {t_prime} outside trace of length 33\n"
 
+    @pytest.mark.parametrize("t_prime, strict", [("1", 7), ("5", 4), ("13", 3), ("14", 3)])
+    def test_analyze_prefix_too_short_exits_2(self, forest12, t_prime, strict, tmp_path, capsys):
+        # the cover time is 14, so the construction from round 14 or before
+        # never finds the last intersection; that is an input error, not a
+        # falsified check
+        dot = tmp_path / "ss.dot"
+        assert main(["analyze", "--seq", forest12, "--certificate", "strict-sets",
+                     "--tprime", t_prime, "--dot", str(dot)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the strict-sets construction from round t'={t_prime} is incomplete: "
+            f"A_{strict} is still strict at round 1, so a prefix of {t_prime} rounds "
+            f"is too short for it\n")
+        assert not dot.exists()
+
     def test_analyze_strict_sets_on_a_tree_file(self, tree_file, capsys):
         path, _ = tree_file
         assert main(["analyze", "--seq", path, "--certificate", "strict-sets"]) == 0

@@ -604,6 +604,44 @@ class TestRelabeling:
             )
             assert search._relabelings(np.array([child], dtype=search_module.KEY_DTYPE))[0, p] == expected
 
+    def test_reach_keeps_one_sorted_row_per_orbit(self):
+        # one chunk: the identity (its own orbit), two keys fixed by the
+        # transposition (0 1) only, one of them terminal (two full rows), and
+        # two relabelings of a path that no relabeling but the identity fixes
+        search = search_module._Search(ModelSpec(Model.TREES, 4), Objective.broadcast(), 2 << 30)
+        search.layers = [[] for _ in range(4 * 3 + 1)]
+        path = (0b0011, 0b0110, 0b1100, 0b1000)
+        states = [identity(4).out_rows, (0b1111, 0b1111, 0b1100, 0b1000),
+                  (0b0011, 0b0011, 0b1100, 0b1000), path, relabel_rows(path, (3, 2, 1, 0))]
+        orbits = [{search.pack(relabel_rows(rows, perm)) for perm in permutations(range(4))}
+                  for rows in states]
+        assert [len(orbit) for orbit in orbits] == [1, 12, 12, 24, 24]
+        orbits.pop()
+        decided = []
+        terminal = search._terminal
+
+        def recorded(keys):
+            decided.extend(keys.tolist())
+            return terminal(keys)
+
+        search._terminal = recorded
+        search._reach(np.array([search.pack(rows) for rows in states], dtype=search_module.KEY_DTYPE))
+        # every member of every orbit is decided, and once
+        assert sorted(decided) == sorted(set().union(*orbits))
+        # the queued representatives are the minima of the non-terminal
+        # orbits, each in the layer of its bit count
+        queued = [key for c, layer in enumerate(search.layers) for part in layer
+                  for key in part.tolist() if key.bit_count() == c]
+        assert sorted(queued) == sorted(min(orbits[i]) for i in (0, 2, 3))
+        assert sum(part.size for layer in search.layers for part in layer) == 3
+        # a terminal orbit holds 1, a queued representative PENDING and the
+        # other members of its orbit REACHED
+        expected = dict.fromkeys(orbits[1], 1)
+        for i in (0, 2, 3):
+            expected.update(dict.fromkeys(orbits[i], search_module.REACHED))
+            expected[min(orbits[i])] = search_module.PENDING
+        assert search.memo == {key: entry - 1 for key, entry in expected.items()}
+
     def test_trees_n5_values_constant_on_orbits(self):
         solved = search_module._Search(ModelSpec(Model.TREES, 5), Objective.broadcast(), 2 << 30)
         solved.value(solved.pack(identity(5).out_rows))
@@ -692,6 +730,30 @@ class TestSweepsMatchRecursion:
             solved = search_module._Search(spec, objective, 2 << 30)
             solved.value(solved.pack(identity(spec.n).out_rows))
         assert solved.memo == {solved.pack(rows): v for rows, v in expected.items()}
+
+    @pytest.mark.parametrize(
+        "spec, objective, states",
+        [
+            (ModelSpec(Model.TREES, 4), Objective.broadcast(), 2_044),
+            (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2), 1_595),
+            (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2), 805),
+        ],
+        ids=["trees-broadcast", "rooted-kbroadcast", "forests-cover"],
+    )
+    def test_each_reached_state_decided_once(self, monkeypatch, spec, objective, states):
+        decided = []
+        terminal = search_module._Search._terminal
+
+        def recorded(self, keys):
+            decided.append(keys.copy())
+            return terminal(self, keys)
+
+        monkeypatch.setattr(search_module._Search, "_terminal", recorded)
+        res, solved = solve_recorded(monkeypatch, spec, objective)
+        keys = np.concatenate(decided)
+        # no key is decided twice, and the decided keys are the solved ones
+        assert keys.size == np.unique(keys).size == res.states_visited == states
+        assert np.sort(keys).tolist() == np.flatnonzero(solved.values).tolist()
 
     def test_each_state_decided_once(self, monkeypatch):
         calls = []
