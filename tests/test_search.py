@@ -616,7 +616,8 @@ class TestRelabeling:
         orbits = [{search.pack(relabel_rows(rows, perm)) for perm in permutations(range(4))}
                   for rows in states]
         assert [len(orbit) for orbit in orbits] == [1, 12, 12, 24, 24]
-        orbits.pop()
+        # the last state is in the path's orbit
+        assert orbits.pop() == orbits[3]
         decided = []
         terminal = search._terminal
 
@@ -629,11 +630,11 @@ class TestRelabeling:
         # every member of every orbit is decided, and once
         assert sorted(decided) == sorted(set().union(*orbits))
         # the queued representatives are the minima of the non-terminal
-        # orbits, each in the layer of its bit count
-        queued = [key for c, layer in enumerate(search.layers) for part in layer
-                  for key in part.tolist() if key.bit_count() == c]
-        assert sorted(queued) == sorted(min(orbits[i]) for i in (0, 2, 3))
-        assert sum(part.size for layer in search.layers for part in layer) == 3
+        # orbits, each once and in the layer of its bit count
+        queued = sorted((key, c) for c, layer in enumerate(search.layers) for part in layer
+                        for key in part.tolist())
+        reps = [min(orbits[i]) for i in (0, 2, 3)]
+        assert queued == sorted((rep, rep.bit_count()) for rep in reps)
         # a terminal orbit holds 1, a queued representative PENDING and the
         # other members of its orbit REACHED
         expected = dict.fromkeys(orbits[1], 1)
