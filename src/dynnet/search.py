@@ -483,7 +483,8 @@ def exact_worst_case(
     relabelings that write each entry in the descending sweep.
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
-    (5) in any family. Raises MemoryBudgetExceeded, before enumerating any
+    (5) in any family, and before charging anything when ``mem_cap_bytes``
+    is negative (a budget of 0 is valid and refuses every table). Raises MemoryBudgetExceeded, before enumerating any
     move, when the dense value table (2^(n(n-1)) bytes) exceeds
     ``mem_cap_bytes``, and before building the successor tables when the
     value table plus the moves' uint8 image table (``moves * 2^n`` bytes),
@@ -511,6 +512,8 @@ def exact_worst_case(
         raise ValueError(f"exact search guarded to n <= {SEARCH_GUARD}, got n={spec.n}")
     if threads != 1:
         raise ValueError(f"exact search runs on one thread, got threads={threads}")
+    if mem_cap_bytes < 0:
+        raise ValueError(f"memory budget must be at least 0 bytes, got {mem_cap_bytes}")
     if objective.k > spec.n:
         raise ValueError("objective k exceeds n")
     import numpy as np

@@ -7,18 +7,23 @@ A forest round is written as ``families.forest_parents`` of its graph and
 read back through ``graphs.graph_from_parents``. Every number in a file is
 a JSON integer: floats, numeric strings and booleans are rejected, never
 truncated. No round carries a self-loop: every composition step implies
-them.
+them. No JSON object in a file may repeat a key.
 
 The lower-bound schedules repeat a few phase graphs many times, so each
-distinct round is handled once: the writer derives and JSON-encodes one
-record per distinct Graph object, and the reader builds one Graph per
-distinct record, keyed on the record's ``marshal`` bytes, which
-``RoundSequence`` then validates once."""
+distinct round is handled once. The writer derives and JSON-encodes one
+record per distinct Graph object and repeats its text. The reader walks
+the top-level object itself and hands every key and every other value to
+json's own scanner, but inside ``rounds`` it decodes each distinct record
+text once: a record whose text was seen before is the list decoded then.
+``from_json_dict`` then builds one Graph per record object, and one per
+distinct record value (keyed on its ``marshal`` bytes), which
+``RoundSequence`` validates once."""
 
 from __future__ import annotations
 
 import json
 import marshal
+import re
 from functools import partial
 from typing import Optional
 
@@ -30,6 +35,8 @@ FORMAT_KEYS = {"n", "model", "k", "rounds", "repeat", "seed"}
 REPEAT_KEYS = {"from", "to", "times"}
 MAX_ROUNDS = 1 << 20  # rounds a repeat block may expand a file to
 _COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+_WS = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
+_SEP = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*").match  # between array items
 
 
 def _int(value) -> int:
@@ -112,7 +119,10 @@ def from_json_dict(doc: dict) -> RoundSequence:
     back-references, so equal bytes mean equal values of equal types, and
     ``1``, ``1.0``, ``True`` and ``"1"`` key apart. A record is therefore
     reused only where decoding it again would give the same Graph. A
-    record holding an object that marshal cannot write raises ValueError."""
+    record holding an object that marshal cannot write raises ValueError.
+    A record object met again (``loads`` returns one list for each
+    distinct record text) gets its Graph back by ``id``, before any
+    ``marshal`` key is built."""
     if not isinstance(doc, dict):
         raise ValueError("sequence file must hold a JSON object")
     unknown = set(doc) - FORMAT_KEYS
@@ -127,7 +137,7 @@ def from_json_dict(doc: dict) -> RoundSequence:
         records = doc["rounds"]
         if not isinstance(records, list):
             raise ValueError(f"rounds must be an array, got {type(records).__name__}")
-        decode = _once(partial(_record_to_round, model, n), key=_record_key)
+        decode = _once(_once(partial(_record_to_round, model, n), key=_record_key))
         rounds = [decode(rec) for rec in records]
         if "repeat" in doc:
             repeat = doc["repeat"]
@@ -150,8 +160,105 @@ def from_json_dict(doc: dict) -> RoundSequence:
     return RoundSequence(spec, rounds)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; a key that it repeats raises ValueError."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"sequence file repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
+_SCAN = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
+
+
+def _scan(text: str, idx: int):
+    """The JSON value at ``idx`` and the index past it."""
+    try:
+        return _SCAN(text, idx)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+
+
+def _records(text: str, idx: int) -> tuple[list, int]:
+    """The items of the array whose ``[`` is just before ``idx``, and the
+    index past its ``]``. Equal item texts are decoded once and share one
+    list. An item's text is guessed to run to its first ``]``, or to its
+    first ``]]`` when it opens with ``[[``, and looked up; a text not seen
+    before is scanned, and kept only if the scan ended where the guess
+    did. After the first wrong guess every later item is scanned where it
+    stands, so no stretch of text is searched twice over."""
+    items: list = []
+    idx = _WS(text, idx).end()
+    if text.startswith("]", idx):
+        return items, idx + 1
+    decoded: dict = {}
+    guess = True
+    while True:
+        if guess:
+            end = text.find("]]", idx) + 2 if text.startswith("[[", idx) else text.find("]", idx) + 1
+            record = text[idx:end]
+            item = decoded.get(record)
+            if item is None:
+                item, stop = _scan(text, idx)
+                if stop == end:
+                    decoded[record] = item
+                else:
+                    guess, end = False, stop
+        else:
+            item, end = _scan(text, idx)
+        items.append(item)
+        sep = _SEP(text, end)
+        if sep is None:
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, _WS(text, end).end())
+        idx = sep.end()
+        if sep.group(1) == "]":
+            return items, idx
+
+
+def _decode(text: str) -> dict:
+    """The object ``json.loads(text)`` returns, with equal records in
+    ``rounds`` decoded once and shared. A key repeated at any level raises
+    ValueError, as does any text json refuses."""
+    idx = _WS(text, 0).end()
+    if not text.startswith("{", idx):
+        raise ValueError("sequence file must hold a JSON object")
+    doc: dict = {}
+    idx = _WS(text, idx + 1).end()
+    if text.startswith("}", idx):
+        idx += 1
+    else:
+        while True:
+            if not text.startswith('"', idx):
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, idx)
+            key, idx = _scan(text, idx)
+            if key in doc:
+                raise ValueError(f"sequence file repeats the key {key!r}")
+            idx = _WS(text, idx).end()
+            if not text.startswith(":", idx):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
+            idx = _WS(text, idx + 1).end()
+            if key == "rounds" and text.startswith("[", idx):
+                doc[key], idx = _records(text, idx + 1)
+            else:
+                doc[key], idx = _scan(text, idx)
+            idx = _WS(text, idx).end()
+            if text.startswith("}", idx):
+                idx += 1
+                break
+            if not text.startswith(",", idx):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+            idx = _WS(text, idx + 1).end()
+    idx = _WS(text, idx).end()
+    if idx != len(text):
+        raise json.JSONDecodeError("Extra data", text, idx)
+    return doc
+
+
 def loads(text: str) -> RoundSequence:
-    return from_json_dict(json.loads(text))
+    return from_json_dict(_decode(text))
 
 
 def load(path: str) -> RoundSequence:

@@ -258,6 +258,17 @@ class TestCliExitCodes:
         f.write_text('{"n": 3, "model": "tree", "rounds": [[-1, 0, 1]], "repeat": %s}\n' % repeat)
         assert main(["simulate", "--seq", str(f), "--objective", "broadcast"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"n":3,"model":"tree","rounds":[[1,2,-1]],"rounds":[[-1,0,1]]}',
+        '{"n":3,"model":"tree","n":3,"rounds":[[-1,0,1]]}',
+        '{"n":3,"model":"tree","rounds":[[-1,0,1]],"repeat":{"from":0,"to":0,"to":0,"times":2}}',
+    ], ids=["rounds", "n", "repeat-to"])
+    def test_simulate_repeated_key_exits_2(self, tmp_path, text, capsys):
+        f = tmp_path / "repeated.json"
+        f.write_text(text + "\n")
+        assert main(["simulate", "--seq", str(f), "--objective", "broadcast"]) == 2
+        assert capsys.readouterr().err.startswith("error: sequence file repeats the key ")
+
     @pytest.mark.parametrize("seed", ["3.5", '"x"', "null", "true"])
     def test_simulate_non_integer_seed(self, tmp_path, seed):
         f = tmp_path / "seeded.json"
@@ -317,6 +328,23 @@ class TestCliExitCodes:
     def test_search_mem_cap_exit(self, capsys):
         assert main(["search", "--model", "tree", "--n", "4",
                      "--objective", "broadcast", "--mem-cap", "5000"]) == 1
+
+    def test_search_zero_mem_cap_exits_1(self, capsys):
+        assert main(["search", "--model", "tree", "--n", "3",
+                     "--objective", "broadcast", "--mem-cap", "0"]) == 1
+        assert "over the budget of 0" in capsys.readouterr().err
+
+    def test_search_negative_mem_cap_exits_2(self, capsys):
+        assert main(["search", "--model", "tree", "--n", "3",
+                     "--objective", "broadcast", "--mem-cap", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: memory budget must be at least 0 bytes, got -5\n"
+
+    def test_search_negative_mem_cap_from_environment_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("DYNNET_MEM_CAP", "-3")
+        assert main(["search", "--model", "tree", "--n", "3", "--objective", "broadcast"]) == 2
+        assert capsys.readouterr().err == "error: memory budget must be at least 0 bytes, got -3\n"
 
     def test_search_stall_exits_3_without_traceback(self, capsys):
         # a 2-forest can leave every node's broadcast unchanged, forever

@@ -185,6 +185,14 @@ class TestExactWorstCase:
                 ModelSpec(Model.TREES, 4), Objective.broadcast(), mem_cap_bytes=5_000
             )
 
+    def test_negative_memory_cap_raises_before_charging(self, monkeypatch):
+        def charge(what, nbytes, mem_cap_bytes):
+            pytest.fail(f"{what} charged against a negative budget")
+
+        monkeypatch.setattr(search_module, "_charge", charge)
+        with pytest.raises(ValueError, match="memory budget must be at least 0 bytes, got -1"):
+            exact_worst_case(ModelSpec(Model.TREES, 3), Objective.broadcast(), mem_cap_bytes=-1)
+
     def test_value_table_over_budget_raises_before_enumerating(self, monkeypatch):
         # trees at n=5 need a 2^20-byte value table, one byte more than the cap
         def enumerate_moves(spec):
