@@ -484,8 +484,9 @@ def exact_worst_case(
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
     (5) in any family, and before charging anything when ``mem_cap_bytes``
-    is negative (a budget of 0 is valid and refuses every table). Raises MemoryBudgetExceeded, before enumerating any
-    move, when the dense value table (2^(n(n-1)) bytes) exceeds
+    is negative (a budget of 0 is valid and refuses every table). Raises
+    MemoryBudgetExceeded, before enumerating any move, when the dense value
+    table (2^(n(n-1)) bytes) exceeds
     ``mem_cap_bytes``, and before building the successor tables when the
     value table plus the moves' uint8 image table (``moves * 2^n`` bytes),
     the successor and relabeling tables (``n * 2^(n-1) * (moves + n!) * 4``
