@@ -84,6 +84,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    # each certificate refuses the options only the other one reads
+    if args.certificate == "rounds-graph":
+        unread = {"--k": args.k is not None, "--tprime": args.tprime is not None,
+                  "--table": args.table}
+    else:
+        unread = {"--avoid": args.avoid is not None}
+    for option, given in unread.items():
+        if given:
+            raise ValueError(f"the {args.certificate} certificate takes no {option}")
     seq = seqfile.load(args.seq)
     if args.certificate == "strict-sets":
         if seq.spec.model is Model.K_ROOTED:

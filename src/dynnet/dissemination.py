@@ -120,47 +120,29 @@ def _cover_exists(
 
 
 def _first_cover(
-    rows: Sequence[int], cols: Optional[Sequence[int]], uncovered: int, budget: int,
+    rows: Sequence[int], cols: Sequence[int], uncovered: int, budget: int,
     lo: int, most: int,
-) -> Optional[list[int]]:
-    """The lexicographically smallest ascending list of ``budget`` >= 2
-    indices >= lo whose rows cover ``uncovered``, or None. ``cols`` is the
-    transpose of ``rows`` (only read above budget 2) and ``most`` the
-    largest bit count of any row.
+) -> list[int]:
+    """The lexicographically smallest ascending list of ``budget`` indices
+    >= lo whose rows cover ``uncovered``. ``cols`` is the transpose of
+    ``rows`` and ``most`` the largest bit count of any row.
 
-    The caller has proven that no smaller budget covers it, so each chosen
-    row adds something still uncovered, and a row that leaves more than
-    ``(budget - 1) * most`` elements uncovered cannot be completed. With
-    these two prunes, budget 2 is one flat loop over pairs, an exact
-    decision by itself. Above budget 2 a row is chosen only once the rows
-    after it are decided (``_cover_exists``) to complete it, so no dead end
-    is searched through, and the last two rows come from the pair loop.
-
-    ``cover_achieved`` writes out its own copy of the pair loop, without
-    the prunes, for callers that pass no columns: there the prunes and the
-    call cost more than they save on the exact search's five-row states."""
+    The caller has proven that ``budget`` rows cover it and fewer do not,
+    so such a list exists and every row of it leaves something for the
+    next. Rows are taken in index order: at budget 1 the first row that
+    holds ``uncovered``; above it the first row whose remainder the rows
+    after it are decided (``_cover_exists``) to cover within the budget
+    left, so no dead end is searched through, and the search goes on from
+    the next row."""
     end = len(rows)
-    if budget == 2:
-        for i in range(lo, end - 1):
-            rest = uncovered & ~rows[i]
-            if rest == uncovered or rest.bit_count() > most:
-                continue
-            for j in range(i + 1, end):
-                if rows[j] & rest == rest:
-                    return [i, j]
-        return None
-    reach = (budget - 1) * most
+    if budget == 1:
+        return [next(i for i in range(lo, end) if rows[i] & uncovered == uncovered)]
     fm = full_mask(end)
-    for i in range(lo, end - budget + 1):
-        rest = uncovered & ~rows[i]
-        if rest == uncovered or rest.bit_count() > reach:
-            continue
-        if not _cover_exists(rows, cols, rest, budget - 1, fm ^ ((2 << i) - 1), most):
-            continue
-        found = _first_cover(rows, cols, rest, budget - 1, i + 1, most)
-        if found is not None:
-            return [i] + found
-    return None
+    i = next(
+        i for i in range(lo, end)
+        if _cover_exists(rows, cols, uncovered & ~rows[i], budget - 1, fm ^ ((2 << i) - 1), most)
+    )
+    return [i] + _first_cover(rows, cols, uncovered & ~rows[i], budget - 1, i + 1, most)
 
 
 def cover_achieved(
@@ -175,13 +157,13 @@ def cover_achieved(
     in-rows, which ``run`` holds anyway).
 
     Size 1 is that membership test, a scan in C. Without ``cols``, size 2
-    is one flat loop over pairs in lexicographic order, written out here:
-    the first pair it meets is the witness, and when it meets none there is
-    no cover of size 2. It reads no bit counts and needs no transpose; the
-    rows are transposed only if size 3 is reached. Each other size is
-    decided exactly by branching on the columns (``_cover_exists``), and
-    the witness is then found by one ordered search (``_first_cover``) at
-    the first size that holds."""
+    is the one loop over pairs in lexicographic order: the first pair it
+    meets is the witness, and when it meets none there is no cover of size
+    2. It reads no bit counts and needs no transpose; the rows are
+    transposed only if size 3 is reached. Each other size is decided
+    exactly by branching on the columns (``_cover_exists``), and at the
+    first size that holds the witness is found by one ordered search
+    (``_first_cover``) that the same decision guides row by row."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = len(rows)

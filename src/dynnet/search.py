@@ -1,5 +1,6 @@
-"""Exact worst-case objective times by memoized maximization over the
-monotone product-graph state space."""
+"""Exact worst-case objective times over the monotone product-graph state
+space, by two sweeps over a dense value table: one that reaches the states
+in layers of ascending bit count, and one that values them in reverse."""
 
 from __future__ import annotations
 
@@ -156,10 +157,9 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 # a table entry holds the value plus 1; 0 is unsolved. A state reached but
-# not yet valued holds PENDING when it is the smallest key of its orbit, to
-# be expanded, and REACHED otherwise, to take that key's entry
-PENDING = 255
-REACHED = 254
+# not yet valued holds REACHED; the layers queue its orbit's smallest key to
+# be expanded, and the other members take that key's entry
+REACHED = 255
 # bytes of one batch's child keys, and of one chunk's relabelings; bounds
 # the temporaries of a batch and of a chunk
 BATCH_BYTES = 1 << 17
@@ -197,7 +197,7 @@ class _Search:
     relabeling of it, before its children. ``_solve`` makes two sweeps in
     that order:
 
-    - ascending: each layer's PENDING representatives are expanded in
+    - ascending: each layer's queued representatives are expanded in
       batches. Their fresh children are relabeled in chunks, one row of n!
       relabelings per child, and each row is sorted in place: it starts
       with the orbit's representative, and children of one orbit have the
@@ -205,9 +205,9 @@ class _Search:
       row equal to its left neighbour is a member fixed by some relabeling
       and is dropped; the rest are the orbit's members, each marked reached
       and decided once against the objective (``_terminal``). A terminal
-      orbit gets entry 1; otherwise its representative gets PENDING, to be
-      expanded when the sweep reaches its layer, and the other members
-      REACHED;
+      orbit gets entry 1; otherwise the orbit gets REACHED and its
+      representative is queued in its layer, to be expanded when the sweep
+      reaches it;
     - descending: the same layers in reverse order, each representative
       gets 1 + the largest entry among its children, which are all valued
       by then, and the entry is written to its whole orbit. The relabelings
@@ -374,7 +374,6 @@ class _Search:
             del orbits, kept
             values[members] = np.where(self._terminal(members), 1, REACHED)
             reps = reps[values.take(reps) == REACHED]
-            values[reps] = PENDING
             layers = np.bitwise_count(reps)
             for c in set(layers.tolist()):
                 self.layers[c].append(reps[layers == c])
@@ -418,7 +417,7 @@ class _Search:
             # a stalled search leaves the states it reached unsolved, except
             # the terminal orbits, whose values are exact
             for part in _parts(SLICE, values):
-                part[part >= REACHED] = 0
+                part[part == REACHED] = 0
             raise
         for keys in reversed(expanded):
             for batch in _parts(self.batch, keys):
@@ -432,7 +431,7 @@ class _Search:
                 self.expanded_orbits += batch.size
 
     def _expand(self, keys: np.ndarray) -> None:
-        """Reach the fresh children of PENDING, non-terminal
+        """Reach the fresh children of queued, non-terminal
         representatives."""
         kids = self._gather(keys)
         # a child is a superset of its state; an equal one is no progress

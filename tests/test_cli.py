@@ -529,6 +529,27 @@ class TestCliExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_passed"] is True and doc["complete"] is True
 
+    @pytest.mark.parametrize("certificate, option", [
+        ("rounds-graph", ["--k", "2"]),
+        ("rounds-graph", ["--tprime", "3"]),
+        ("rounds-graph", ["--table"]),
+        ("rounds-graph", ["--k", "2", "--tprime", "3", "--table"]),
+        ("strict-sets", ["--avoid", "99"]),
+        ("strict-sets", ["--avoid", "0"]),
+        ("strict-sets", ["--avoid", ""]),
+    ])
+    def test_analyze_refuses_an_option_its_certificate_does_not_read(
+        self, tree_file, certificate, option, tmp_path, capsys
+    ):
+        path, _ = tree_file
+        dot = tmp_path / "c.dot"
+        assert main(["analyze", "--seq", path, "--certificate", certificate,
+                     "--dot", str(dot)] + option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the {certificate} certificate takes no {option[0]}\n"
+        assert not dot.exists()
+
     def test_verify_small_grid(self, tmp_path, capsys):
         csv = tmp_path / "v.csv"
         assert main(["verify", "--grid", "n=3..6,k=1..2", "--samples", "3",

@@ -643,12 +643,11 @@ class TestRelabeling:
                         for key in part.tolist())
         reps = [min(orbits[i]) for i in (0, 2, 3)]
         assert queued == sorted((rep, rep.bit_count()) for rep in reps)
-        # a terminal orbit holds 1, a queued representative PENDING and the
-        # other members of its orbit REACHED
+        # a terminal orbit holds 1, and every member of a queued orbit,
+        # its representative too, REACHED
         expected = dict.fromkeys(orbits[1], 1)
         for i in (0, 2, 3):
             expected.update(dict.fromkeys(orbits[i], search_module.REACHED))
-            expected[min(orbits[i])] = search_module.PENDING
         assert search.memo == {key: entry - 1 for key, entry in expected.items()}
 
     def test_trees_n5_values_constant_on_orbits(self):
