@@ -19,6 +19,9 @@ if TYPE_CHECKING:
 
 # n <= 5 keeps the dense value table at 1 MiB and every key in 20 bits
 SEARCH_GUARD = 5
+# tree tuples family_moves walks for k-rooted moves at n=5, k=3, whose
+# search takes about a minute; k=4 and 5 walk 62.5 and 1,562.5 times as many
+K_ROOTED_WALK_GUARD = comb(5, 3) * (5 ** 3) ** 3
 KEY_DTYPE = "int32"
 KEY_BYTES = 4
 DEFAULT_MEM_CAP = 2 << 30  # bytes
@@ -482,8 +485,11 @@ def exact_worst_case(
     relabelings that write each entry in the descending sweep.
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
-    (5) in any family, and before charging anything when ``mem_cap_bytes``
-    is negative (a budget of 0 is valid and refuses every table). Raises
+    (5) in any family, then for k-rooted networks when the tree tuples
+    ``family_moves`` would walk, C(n, k) * (n^(n-2))^k, exceed
+    ``K_ROOTED_WALK_GUARD`` (n=5, k=3's), and before charging anything
+    when ``mem_cap_bytes`` is negative (a budget of 0 is valid and refuses
+    every table). Raises
     MemoryBudgetExceeded, before enumerating any move, when the dense value
     table (2^(n(n-1)) bytes) exceeds
     ``mem_cap_bytes``, and before building the successor tables when the
@@ -510,6 +516,14 @@ def exact_worst_case(
     """
     if spec.n > SEARCH_GUARD:
         raise ValueError(f"exact search guarded to n <= {SEARCH_GUARD}, got n={spec.n}")
+    if spec.model is Model.K_ROOTED:
+        walk = comb(spec.n, spec.k) * (spec.n ** max(spec.n - 2, 0)) ** spec.k
+        if walk > K_ROOTED_WALK_GUARD:
+            raise ValueError(
+                f"k-rooted exact search guarded to move walks of at most "
+                f"{K_ROOTED_WALK_GUARD:,} tree tuples (n=5, k=3), got {walk:,} "
+                f"at n={spec.n}, k={spec.k}"
+            )
     if threads != 1:
         raise ValueError(f"exact search runs on one thread, got threads={threads}")
     if mem_cap_bytes < 0:

@@ -11,19 +11,24 @@ them. No JSON object in a file may repeat a key.
 
 The lower-bound schedules repeat a few phase graphs many times, so each
 distinct round is handled once. The writer derives and JSON-encodes one
-record per distinct Graph object and repeats its text. The reader walks
-the top-level object itself and hands every key and every other value to
-json's own scanner, but inside ``rounds`` it decodes each distinct record
-text once: a record whose text was seen before is the list decoded then.
-``from_json_dict`` then builds one Graph per record object, and one per
-distinct record value (keyed on its ``marshal`` bytes), which
-``RoundSequence`` validates once."""
+record per distinct Graph object and repeats its text. The reader is
+json's own decoder with one array hook, ``_records``, so it decodes every
+text as ``json.loads`` does, apart from refusing a repeated key. Each
+array that json's Python scanner meets (the top-level value, or a value
+of an object outside any array) is read by ``json.decoder.JSONArray``,
+whose items json's C scanner decodes once per distinct item text: a
+record whose text was seen before is the list decoded then. The json
+internals it relies on are the decoder's ``parse_array`` and
+``scan_once`` attributes, ``json.scanner.py_make_scanner``, which reads
+``parse_array``, and ``json.decoder.JSONArray``. ``from_json_dict`` then
+builds one Graph per record object, and one per distinct record value
+(keyed on its ``marshal`` bytes), which ``RoundSequence`` validates
+once."""
 
 from __future__ import annotations
 
 import json
 import marshal
-import re
 from functools import partial
 from typing import Optional
 
@@ -35,8 +40,6 @@ FORMAT_KEYS = {"n", "model", "k", "rounds", "repeat", "seed"}
 REPEAT_KEYS = {"from", "to", "times"}
 MAX_ROUNDS = 1 << 20  # rounds a repeat block may expand a file to
 _COMPACT = json.JSONEncoder(separators=(",", ":")).encode
-_WS = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
-_SEP = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*").match  # between array items
 
 
 def _int(value) -> int:
@@ -170,91 +173,45 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-_SCAN = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
-
-
-def _scan(text: str, idx: int):
-    """The JSON value at ``idx`` and the index past it."""
-    try:
-        return _SCAN(text, idx)
-    except StopIteration as exc:
-        raise json.JSONDecodeError("Expecting value", text, exc.value) from None
-
-
-def _records(text: str, idx: int) -> tuple[list, int]:
-    """The items of the array whose ``[`` is just before ``idx``, and the
-    index past its ``]``. Equal item texts are decoded once and share one
-    list. An item's text is guessed to run to its first ``]``, or to its
-    first ``]]`` when it opens with ``[[``, and looked up; a text not seen
-    before is scanned, and kept only if the scan ended where the guess
-    did. After the first wrong guess every later item is scanned where it
-    stands, so no stretch of text is searched twice over."""
-    items: list = []
-    idx = _WS(text, idx).end()
-    if text.startswith("]", idx):
-        return items, idx + 1
+def _records(s_and_end: tuple[str, int], scan_once) -> tuple[list, int]:
+    """json's ``JSONArray`` over the array whose ``[`` is just before
+    ``s_and_end[1]``, with every item scanned by ``_SCAN`` and equal item
+    texts decoded once into one shared list. An item's text is guessed
+    to run to its first ``]``, or to its first ``]]`` when it opens with
+    ``[[``, and looked up; a text not seen before is scanned, and kept only
+    if the scan ended where the guess did. After the first wrong guess every
+    later item is scanned where it stands, so no stretch of text is searched
+    twice over."""
     decoded: dict = {}
     guess = True
-    while True:
-        if guess:
-            end = text.find("]]", idx) + 2 if text.startswith("[[", idx) else text.find("]", idx) + 1
-            record = text[idx:end]
-            item = decoded.get(record)
-            if item is None:
-                item, stop = _scan(text, idx)
-                if stop == end:
-                    decoded[record] = item
-                else:
-                    guess, end = False, stop
+
+    def item(text: str, idx: int) -> tuple[object, int]:
+        nonlocal guess
+        if not guess:
+            return _SCAN(text, idx)
+        end = text.find("]]", idx) + 2 if text.startswith("[[", idx) else text.find("]", idx) + 1
+        record = text[idx:end]
+        value = decoded.get(record)
+        if value is not None:
+            return value, end
+        value, stop = _SCAN(text, idx)
+        if stop == end:
+            decoded[record] = value
         else:
-            item, end = _scan(text, idx)
-        items.append(item)
-        sep = _SEP(text, end)
-        if sep is None:
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, _WS(text, end).end())
-        idx = sep.end()
-        if sep.group(1) == "]":
-            return items, idx
+            guess = False
+        return value, stop
+
+    return json.decoder.JSONArray(s_and_end, item)
 
 
-def _decode(text: str) -> dict:
-    """The object ``json.loads(text)`` returns, with equal records in
-    ``rounds`` decoded once and shared. A key repeated at any level raises
-    ValueError, as does any text json refuses."""
-    idx = _WS(text, 0).end()
-    if not text.startswith("{", idx):
-        raise ValueError("sequence file must hold a JSON object")
-    doc: dict = {}
-    idx = _WS(text, idx + 1).end()
-    if text.startswith("}", idx):
-        idx += 1
-    else:
-        while True:
-            if not text.startswith('"', idx):
-                raise json.JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", text, idx)
-            key, idx = _scan(text, idx)
-            if key in doc:
-                raise ValueError(f"sequence file repeats the key {key!r}")
-            idx = _WS(text, idx).end()
-            if not text.startswith(":", idx):
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
-            idx = _WS(text, idx + 1).end()
-            if key == "rounds" and text.startswith("[", idx):
-                doc[key], idx = _records(text, idx + 1)
-            else:
-                doc[key], idx = _scan(text, idx)
-            idx = _WS(text, idx).end()
-            if text.startswith("}", idx):
-                idx += 1
-                break
-            if not text.startswith(",", idx):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
-            idx = _WS(text, idx + 1).end()
-    idx = _WS(text, idx).end()
-    if idx != len(text):
-        raise json.JSONDecodeError("Extra data", text, idx)
-    return doc
+# ``_decode`` is json's ``decode`` with ``_records`` for each array: only
+# the Python scanner reads ``parse_array``, so it replaces ``scan_once``,
+# and the C scanner the decoder was built with is kept as ``_SCAN``.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_SCAN = _DECODER.scan_once
+_DECODER.parse_array = _records
+_DECODER.scan_once = json.scanner.py_make_scanner(_DECODER)
+_decode = _DECODER.decode
 
 
 def loads(text: str) -> RoundSequence:

@@ -165,6 +165,29 @@ class TestExactWorstCase:
         with pytest.raises(ValueError, match="n <= 5"):
             exact_worst_case(spec, Objective.broadcast())
 
+    @pytest.mark.parametrize("k, walk", [(4, "1,220,703,125"), (5, "30,517,578,125")])
+    def test_k_rooted_walk_guard(self, monkeypatch, k, walk):
+        def enumerate_trees(n, k):
+            pytest.fail("trees enumerated above the k-rooted walk guard")
+
+        monkeypatch.setattr(search_module, "enumerate_k_forests", enumerate_trees)
+        spec = ModelSpec(Model.K_ROOTED, 5, k)
+        with pytest.raises(ValueError, match=f"got {walk} at n=5, k={k}"):
+            exact_worst_case(spec, Objective.k_broadcast(k))
+
+    def test_every_other_k_rooted_cell_passes_the_walk_guard(self, monkeypatch):
+        class Enumerated(Exception):
+            pass
+
+        def enumerate_moves(spec):
+            raise Enumerated
+
+        monkeypatch.setattr(search_module, "family_moves", enumerate_moves)
+        cells = [(n, k) for n in range(1, 6) for k in range(1, n + 1) if (n, k) < (5, 4)]
+        for n, k in cells:
+            with pytest.raises(Enumerated):
+                exact_worst_case(ModelSpec(Model.K_ROOTED, n, k), Objective.k_broadcast(k))
+
     def test_broadcast_against_forests_stalls(self):
         # a 2-forest whose trees are already saturated adds no product edge
         with pytest.raises(RuntimeError, match="without progress"):

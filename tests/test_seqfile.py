@@ -5,6 +5,7 @@ is refused with ValueError."""
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -143,6 +144,22 @@ class TestAgainstJsonLoads:
         want = [seqfile.from_json_dict(json.loads(text)).rounds for text in SCHEDULES + RANDOM]
         monkeypatch.setattr(json, "loads", refuse)
         assert [seqfile.loads(text).rounds for text in SCHEDULES + RANDOM] == want
+
+    @pytest.mark.parametrize("text", ["[1]", "[[0, 1], [0, 1]]", "5", '"x"', "null"])
+    def test_a_text_that_is_not_an_object_is_refused(self, text):
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            seqfile.loads(text)
+
+    def test_a_long_flat_array_stops_guessing(self):
+        # each item's guess runs to the array's end; after the first wrong
+        # one the rest is scanned where it stands, where guessing on would
+        # slice the rest of the array for every item
+        text = '{"rounds":[' + ",".join(map(str, range(200_000))) + "]}"
+        start = time.perf_counter()
+        got = seqfile._decode(text)
+        elapsed = time.perf_counter() - start
+        same(got, json.loads(text))
+        assert elapsed < 2.0
 
 
 def sharing(rounds):
