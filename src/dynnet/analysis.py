@@ -261,11 +261,12 @@ class StrictSetsTrace:
 def build_strict_sets(trace: ProductTrace, k: int, t_prime: int) -> StrictSetsTrace:
     """Run the backward construction on a k-forest trace.
 
-    Scanning downward from min(t_i) + 1, the pairwise-disjointness of the
-    in-sets is re-checked after one backward composition per round; the
-    largest failing round becomes t^(s), the smallest process seen by two
-    members becomes the pivot. If some A_{s+1} is still strict at round 1
-    the run was too short and the result is flagged incomplete.
+    Each level is one backward pass: every member starts at {a_i} and
+    takes each round from its own t_i down, and from min(t_i) + 1 down the
+    pairwise-disjointness of the in-sets is re-checked after each round;
+    the largest failing round becomes t^(s), the smallest process seen by
+    two members becomes the pivot. If some A_{s+1} is still strict at
+    round 1 the run was too short and the result is flagged incomplete.
     """
     n = trace.n
     if not 1 <= k <= n:
@@ -282,31 +283,22 @@ def build_strict_sets(trace: ProductTrace, k: int, t_prime: int) -> StrictSetsTr
     complete = True
     for s in range(n - 1, k - 1, -1):
         t_scan = min(t for _, t in pairs) + 1
-        # In(t_scan, t_i, a_i) of every member, composed backwards
-        masks = []
-        for a_i, t_i in pairs:
-            m = 1 << a_i
-            for tau in range(t_i - 1, t_scan - 2, -1):
-                m |= row_image(in_rows[tau], m)
-            masks.append(m)
-        found = None
-        t = t_scan
-        while t >= 1:
-            run = dup = 0
-            for m in masks:
-                dup |= run & m
-                run |= m
-            if dup:
-                found = (t, dup)
-                break
-            t -= 1
-            if t >= 1:
-                rows = in_rows[t - 1]
-                masks = [m | row_image(rows, m) for m in masks]
-        if found is None:
+        # after round t, masks[i] is In(t, t_i, a_i), which is {a_i} while t > t_i
+        masks = [1 << a_i for a_i, _ in pairs]
+        for t in range(max(t for _, t in pairs), 0, -1):
+            rows = in_rows[t - 1]
+            masks = [m | row_image(rows, m) if t <= t_i else m for m, (_, t_i) in zip(masks, pairs)]
+            if t <= t_scan:
+                run = dup = 0
+                for m in masks:
+                    dup |= run & m
+                    run |= m
+                if dup:
+                    break
+        else:
             complete = False
             break
-        t_mark, dup = found
+        t_mark = t
         pivot = (dup & -dup).bit_length() - 1
         hit = [i for i, m in enumerate(masks) if m >> pivot & 1]
         i, j = hit[0], hit[1]

@@ -151,7 +151,9 @@ def _parse_grid(text: str) -> tuple[range, range]:
         key = key.strip()
         if key not in ("n", "k") or key in spans:
             raise ValueError(f"grid {text!r}: unknown or repeated key {key!r}")
-        lo, _, hi = val.partition("..")
+        lo, dots, hi = val.partition("..")
+        if dots and not hi.strip():
+            raise ValueError(f"grid {text!r}: range {part!r} has no end")
         span = range(int(lo), int(hi or lo) + 1)
         if not span:
             raise ValueError(f"grid {text!r}: empty range {part!r}")

@@ -279,13 +279,17 @@ class ProductTrace:
         """Cumulative product after round t (t=0 gives the identity)."""
         return graph_from_rows(self.n, _transpose(self.n, self.prefix(t)))
 
-    def _check_query(self, t: int, t2: int, x: int) -> None:
+    def _start(self, t: int, t2: int, x: int) -> int:
+        """x's set before any round of [t, t2] is composed: ``{x}``, or
+        empty when t > t2+1. Raises ValueError for a node or an interval
+        outside the trace."""
         if not 0 <= x < self.n:
             raise ValueError(f"node {x} out of range for n={self.n}")
         if not (0 <= t <= len(self.rounds) + 1 and -1 <= t2 <= len(self.rounds)):
             raise ValueError(
                 f"round interval [{t}, {t2}] outside trace of length {len(self.rounds)}"
             )
+        return 1 << x if t <= t2 + 1 else 0
 
     def in_mask(self, t: int, t2: int, x: int) -> int:
         """Bitmask of the nodes with a path to x through rounds t..t2
@@ -293,17 +297,12 @@ class ProductTrace:
 
         Degenerate intervals follow the usual conventions: only x when
         t == t2+1, empty when t > t2+1."""
-        self._check_query(t, t2, x)
-        if t > t2 + 1:
-            return 0
-        if t == t2 + 1:
-            return 1 << x
         # In-neighborhood of x in G_t o ... o G_t2, each round with its
         # implied self-loops, computed by composing backwards:
         # in_{A o B}(x) = union of in_A(z) over z in in_B(x).
         # Round 0 does not exist; the interval [0, t2] means [1, t2] with an
         # identity prepended, which changes nothing.
-        m = 1 << x
+        m = self._start(t, t2, x)
         for tau in range(t2, max(t, 1) - 1, -1):
             m |= row_image(self.rounds[tau - 1].in_rows, m)
         return m
@@ -311,12 +310,7 @@ class ProductTrace:
     def out_mask(self, t: int, t2: int, x: int) -> int:
         """Bitmask of the nodes reachable from x through rounds t..t2;
         conventions as in :meth:`in_mask`."""
-        self._check_query(t, t2, x)
-        if t > t2 + 1:
-            return 0
-        if t == t2 + 1:
-            return 1 << x
-        m = 1 << x
+        m = self._start(t, t2, x)
         for tau in range(max(t, 1), t2 + 1):
             m |= row_image(self.rounds[tau - 1].out_rows, m)
         return m

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from itertools import product as iproduct
 from math import comb, factorial
+from operator import or_
 from typing import TYPE_CHECKING, Iterator
 
 from .dissemination import Objective, RoundSequence, cover_achieved
-from .families import Model, ModelSpec, enumerate_k_forests, forest_roots, union_rows
+from .families import Model, ModelSpec, enumerate_k_forests, forest_roots
 from .graphs import Graph, compose_rows, full_mask, graph_from_rows, identity
 
 if TYPE_CHECKING:
@@ -19,8 +19,8 @@ if TYPE_CHECKING:
 
 # n <= 5 keeps the dense value table at 1 MiB and every key in 20 bits
 SEARCH_GUARD = 5
-# tree tuples family_moves walks for k-rooted moves at n=5, k=3, whose
-# search takes about a minute; k=4 and 5 walk 62.5 and 1,562.5 times as many
+# k-tuples of rooted trees at n=5, k=3, whose search takes about half a
+# minute; k=4 and 5 have 62.5 and 1,562.5 times as many
 K_ROOTED_WALK_GUARD = comb(5, 3) * (5 ** 3) ** 3
 KEY_DTYPE = "int32"
 KEY_BYTES = 4
@@ -67,11 +67,16 @@ def family_moves(spec: ModelSpec) -> list[Graph]:
     trees_by_root: list[list[Graph]] = [[] for _ in range(n)]
     for tree in enumerate_k_forests(n, 1):
         trees_by_root[forest_roots(tree)[0]].append(tree)
-    unions = {
-        tuple(union_rows(n, combo))
-        for roots in combinations(range(n), k)
-        for combo in iproduct(*(trees_by_root[r] for r in roots))
-    }
+    # each root set's unions, folded root by root over the distinct partial
+    # unions, so a partial union that two tree tuples share is extended once
+    unions: set[tuple[int, ...]] = set()
+    for roots in combinations(range(n), k):
+        partial = {(0,) * n}
+        for r in roots:
+            partial = {
+                tuple(map(or_, p, tree.out_rows)) for p in partial for tree in trees_by_root[r]
+            }
+        unions |= partial
     return [graph_from_rows(n, rows) for rows in sorted(unions)]
 
 
@@ -485,9 +490,9 @@ def exact_worst_case(
     relabelings that write each entry in the descending sweep.
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
-    (5) in any family, then for k-rooted networks when the tree tuples
-    ``family_moves`` would walk, C(n, k) * (n^(n-2))^k, exceed
-    ``K_ROOTED_WALK_GUARD`` (n=5, k=3's), and before charging anything
+    (5) in any family, then for k-rooted networks when the k-tuples of
+    rooted trees whose unions ``family_moves`` folds, C(n, k) * (n^(n-2))^k,
+    exceed ``K_ROOTED_WALK_GUARD`` (n=5, k=3's), and before charging anything
     when ``mem_cap_bytes`` is negative (a budget of 0 is valid and refuses
     every table). Raises
     MemoryBudgetExceeded, before enumerating any move, when the dense value

@@ -685,6 +685,16 @@ class TestCertificatesMatchPlainVersions:
         # on, and for k = 1 only below that
         assert incomplete == (1 if n < 6 else 3), n
 
+    @pytest.mark.parametrize("n", [3, 4, 6, 9, 12, 16])
+    def test_strict_sets_at_every_t_prime(self, n):
+        # the pinned digests read t' = the trace length only
+        for k in range(1, min(n, 3) + 1):
+            trace = forest_trace(n, k, bounds_values(Model.K_FORESTS, n, k).upper_int, seed=n + 10 * k)
+            for t_prime in range(1, len(trace) + 1):
+                tr = build_strict_sets(trace, k, t_prime)
+                assert (tr.complete, tr.sets, tr.t_marks, tr.pivots) == \
+                    plain_strict_sets(trace, k, t_prime), (n, k, t_prime)
+
     @pytest.mark.parametrize("n", [3, 8, 13, 32])
     def test_checks_on_arbitrary_levels(self, n):
         # random members and marks, so intersections are violated and every

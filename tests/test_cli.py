@@ -586,6 +586,13 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("grid, part", [("n=3..", "n=3.."), ("n=3..4,k=2..", "k=2..")],
+                             ids=["n", "k"])
+    def test_grid_range_without_end_exits_2(self, grid, part, capsys):
+        assert main(["verify", "--grid", grid, "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(part) in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seq", "{tree}", "--objective", "cover", "--k", "9"],
         ["analyze", "--seq", "{tree}", "--certificate", "rounds-graph", "--avoid", "x"],

@@ -383,6 +383,26 @@ class TestIntervalNeighborhoods:
                 assert trace.in_mask(1, t2, x) == g.in_rows[x]
                 assert trace.out_mask(1, t2, x) == g.out_rows[x]
 
+    @pytest.mark.parametrize("model, k", [(Model.TREES, 1), (Model.K_FORESTS, 2),
+                                          (Model.K_ROOTED, 2)])
+    def test_every_interval_matches_composed_rounds(self, model, k):
+        # out_mask is row x of compose_rows folded over rounds t..t2 from
+        # the identity, in_mask is its column x; shorter intervals are empty
+        for n, seed in [(3, 1), (5, 2), (6, 3)]:
+            spec = ModelSpec(model, n, k)
+            trace = ProductTrace(n, [random_graph(spec, seed * 100 + t) for t in range(7)])
+            T = len(trace)
+            for t in range(T + 2):
+                for t2 in range(-1, T + 1):
+                    rows = identity(n).out_rows
+                    for tau in range(max(t, 1), t2 + 1):
+                        rows = compose_rows(rows, trace.rounds[tau - 1])
+                    for x in range(n):
+                        col = sum(1 << y for y in range(n) if rows[y] >> x & 1)
+                        want_out, want_in = (rows[x], col) if t <= t2 + 1 else (0, 0)
+                        assert trace.out_mask(t, t2, x) == want_out, (n, t, t2, x)
+                        assert trace.in_mask(t, t2, x) == want_in, (n, t, t2, x)
+
     def test_interval_zero_start_is_identity_padding(self):
         trace = random_tree_trace(5, 6, 6)
         for x in range(5):

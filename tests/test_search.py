@@ -3,7 +3,8 @@ import random
 import re
 import tracemalloc
 import warnings
-from itertools import permutations
+from itertools import combinations, permutations
+from itertools import product as iproduct
 from math import factorial
 
 import numpy as np
@@ -13,7 +14,14 @@ from dynnet import search as search_module
 from dynnet import seqfile
 from dynnet.analysis import bounds_for
 from dynnet.dissemination import Objective, cover_achieved, run
-from dynnet.families import Model, ModelSpec, validate_member
+from dynnet.families import (
+    Model,
+    ModelSpec,
+    enumerate_k_forests,
+    forest_roots,
+    union_rows,
+    validate_member,
+)
 from dynnet.graphs import compose_rows, graph_from_rows, identity
 from dynnet.search import (
     MemoryBudgetExceeded,
@@ -52,6 +60,22 @@ class TestFamilyMoves:
     def test_moves_sorted_by_serialization(self):
         moves = family_moves(ModelSpec(Model.TREES, 3))
         assert [g.out_rows for g in moves] == sorted(g.out_rows for g in moves)
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(1, 5) for k in range(1, n + 1)] + [(5, 2)],
+    )
+    def test_k_rooted_moves_match_tuple_unions(self, n, k):
+        # the union of every k-tuple of trees with distinct roots
+        trees_by_root = [[] for _ in range(n)]
+        for tree in enumerate_k_forests(n, 1):
+            trees_by_root[forest_roots(tree)[0]].append(tree)
+        unions = {
+            tuple(union_rows(n, combo))
+            for roots in combinations(range(n), k)
+            for combo in iproduct(*(trees_by_root[r] for r in roots))
+        }
+        moves = family_moves(ModelSpec(Model.K_ROOTED, n, k))
+        assert [g.out_rows for g in moves] == sorted(unions)
 
 
 class TestExactWorstCase:
