@@ -154,7 +154,10 @@ def _parse_grid(text: str) -> tuple[range, range]:
         lo, dots, hi = val.partition("..")
         if dots and not hi.strip():
             raise ValueError(f"grid {text!r}: range {part!r} has no end")
-        span = range(int(lo), int(hi or lo) + 1)
+        try:
+            span = range(int(lo), int(hi or lo) + 1)
+        except ValueError:
+            raise ValueError(f"grid {text!r}: range {part!r} has a bound that is not an integer") from None
         if not span:
             raise ValueError(f"grid {text!r}: empty range {part!r}")
         spans[key] = span

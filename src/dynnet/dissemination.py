@@ -157,13 +157,18 @@ def cover_achieved(
     in-rows, which ``run`` holds anyway).
 
     Size 1 is that membership test, a scan in C. Without ``cols``, size 2
-    is the one loop over pairs in lexicographic order: the first pair it
-    meets is the witness, and when it meets none there is no cover of size
-    2. It reads no bit counts and needs no transpose; the rows are
-    transposed only if size 3 is reached. Each other size is decided
-    exactly by branching on the columns (``_cover_exists``), and at the
-    first size that holds the witness is found by one ordered search
-    (``_first_cover``) that the same decision guides row by row."""
+    is one scan over pairs in lexicographic order: each row r is tried
+    against the slice of rows after it, iterated directly with a running
+    index, and for the same reason a pair covers exactly when r | q is the
+    full mask. Rows before r need no test: one that completed r would have
+    been returned already as the first member of that pair, so the first
+    hit for r lies after it. The first pair met is the witness, and when
+    none is met there is no cover of size 2. The scan reads no bit counts
+    and needs no transpose; the rows are transposed only if size 3 is
+    reached. Each other size is decided exactly by branching on the
+    columns (``_cover_exists``), and at the first size that holds the
+    witness is found by one ordered search (``_first_cover``) that the
+    same decision guides row by row."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = len(rows)
@@ -174,11 +179,14 @@ def cover_achieved(
         return None
     first = 2
     if cols is None:
-        for i in range(n - 1):
-            rest = fm ^ rows[i]
-            for j in range(i + 1, n):
-                if rows[j] & rest == rest:
-                    return [i, j]
+        i = 1  # one past the row r
+        for r in rows:
+            j = i
+            for q in rows[i:]:
+                if q | r == fm:
+                    return [i - 1, j]
+                j += 1
+            i += 1
         if k == 2:
             return None
         cols = _transpose(n, rows)

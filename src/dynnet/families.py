@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import MAX_NODES, Graph, full_mask, graph_from_parents, graph_from_rows, row_image
 
@@ -193,15 +193,6 @@ def enumerate_k_forests(n: int, k: int) -> Iterator[Graph]:
         raise ValueError(f"k must be in [1, n], got k={k}, n={n}")
     for code in _codes_with_zeros(n - 1, k - 1, n + 1):
         yield _forest_from_code(n, code)
-
-
-def union_rows(n: int, graphs: Iterable[Graph]) -> list[int]:
-    """Out-rows of the union of ``graphs``, all on [n]."""
-    rows = [0] * n
-    for g in graphs:
-        for x in range(n):
-            rows[x] |= g.out_rows[x]
-    return rows
 
 
 def _randbelow(rnd: random.Random, n: int, count: int) -> list[int]:

@@ -5,9 +5,9 @@ in layers of ascending bit count, and one that values them in reverse."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb, factorial
-from operator import or_
+from operator import is_not, or_
 from typing import TYPE_CHECKING, Iterator
 
 from .dissemination import Objective, RoundSequence, cover_achieved
@@ -19,8 +19,10 @@ if TYPE_CHECKING:
 
 # n <= 5 keeps the dense value table at 1 MiB and every key in 20 bits
 SEARCH_GUARD = 5
-# k-tuples of rooted trees at n=5, k=3, whose search takes about half a
-# minute; k=4 and 5 have 62.5 and 1,562.5 times as many
+# C(n, k) * (n^(n-2))^k k-tuples of rooted trees with distinct roots, at
+# n=5, k=3, whose search takes about half a minute; k=4 and 5 have 62.5 and
+# 1,562.5 times as many. The count bounds the (partial union, tree) pairs of
+# the last step of ``family_moves``' fold
 K_ROOTED_WALK_GUARD = comb(5, 3) * (5 ** 3) ** 3
 KEY_DTYPE = "int32"
 KEY_BYTES = 4
@@ -335,16 +337,17 @@ class _Search:
         A cover is decided by one ``cover_achieved`` call per key, on the
         row tuples that ``unpack_all`` restores for the whole array at once.
         No columns are passed, so most keys end in its size-1 membership
-        test or its rows-only size-2 pair loop, which reads no bit counts."""
+        test or its rows-only size-2 pair scan, which reads no bit counts.
+        The calls and the ``is not None`` tests are chained by ``map``, so
+        no Python frame runs per key but ``cover_achieved``'s own; the
+        function is read from this module when the chain is built, so a
+        wrapper put in its place sees every call."""
         import numpy as np
 
         k = self.objective.k
         if self.objective.kind == "cover":
-            return np.fromiter(
-                (cover_achieved(rows, k) is not None for rows in self.unpack_all(keys)),
-                dtype=bool,
-                count=keys.size,
-            )
+            found = map(cover_achieved, self.unpack_all(keys), repeat(k))
+            return np.fromiter(map(is_not, found, repeat(None)), dtype=bool, count=keys.size)
         # broadcast and k-broadcast: at least k full rows
         full = np.zeros(keys.size, dtype=np.uint8)
         for row in self.full_rows:
@@ -490,9 +493,12 @@ def exact_worst_case(
     relabelings that write each entry in the descending sweep.
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
-    (5) in any family, then for k-rooted networks when the k-tuples of
-    rooted trees whose unions ``family_moves`` folds, C(n, k) * (n^(n-2))^k,
-    exceed ``K_ROOTED_WALK_GUARD`` (n=5, k=3's), and before charging anything
+    (5) in any family, then for k-rooted networks when the C(n, k) *
+    (n^(n-2))^k k-tuples of rooted trees with distinct roots exceed
+    ``K_ROOTED_WALK_GUARD`` (n=5, k=3's). ``family_moves`` walks no such
+    tuple: it folds each root set's trees into deduplicated partial unions,
+    and the tuple count bounds the (partial union, tree) pairs of the
+    fold's last step. It raises before charging anything
     when ``mem_cap_bytes`` is negative (a budget of 0 is valid and refuses
     every table). Raises
     MemoryBudgetExceeded, before enumerating any move, when the dense value
@@ -525,8 +531,8 @@ def exact_worst_case(
         walk = comb(spec.n, spec.k) * (spec.n ** max(spec.n - 2, 0)) ** spec.k
         if walk > K_ROOTED_WALK_GUARD:
             raise ValueError(
-                f"k-rooted exact search guarded to move walks of at most "
-                f"{K_ROOTED_WALK_GUARD:,} tree tuples (n=5, k=3), got {walk:,} "
+                f"k-rooted exact search guarded to at most {K_ROOTED_WALK_GUARD:,} "
+                f"k-tuples of rooted trees (n=5, k=3), got {walk:,} "
                 f"at n={spec.n}, k={spec.k}"
             )
     if threads != 1:

@@ -593,6 +593,16 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and repr(part) in captured.err
 
+    @pytest.mark.parametrize("grid, part", [("n=..5", "n=..5"), ("n=a..4", "n=a..4"),
+                                            ("n=3..4,k=1..b", "k=1..b")],
+                             ids=["no-start", "letter-start", "letter-end"])
+    def test_grid_bound_not_an_integer_exits_2(self, grid, part, capsys):
+        assert main(["verify", "--grid", grid, "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(grid) in captured.err and repr(part) in captured.err
+        assert "not an integer" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seq", "{tree}", "--objective", "cover", "--k", "9"],
         ["analyze", "--seq", "{tree}", "--certificate", "rounds-graph", "--avoid", "x"],

@@ -42,6 +42,38 @@ def both_entries(rows, k):
     return found
 
 
+def first_cover_of_size_two(rows):
+    """The first full row, else the first pair (i, j) in lexicographic order
+    whose rows cover [n], else None, by trying every one."""
+    fm = full_mask(len(rows))
+    if fm in rows:
+        return [rows.index(fm)]
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        if rows[i] | rows[j] == fm:
+            return [i, j]
+    return None
+
+
+def pair_scan_rows(kind, n, rnd):
+    """Rows on [n] for the size-2 scan: sparse rows (about a quarter of
+    the bits and the diagonal), which rarely hold a pair, with a covering
+    pair, a full row or repeated values planted as ``kind`` says."""
+    fm = full_mask(n)
+    rows = [rnd.getrandbits(n) & rnd.getrandbits(n) | 1 << x for x in range(n)]
+    half = rnd.getrandbits(n) & (fm >> 1)  # never the full row
+    if kind == "repeated":
+        pool = [half, fm ^ half, rows[0], rows[-1]]
+        rows = [rnd.choice(pool) for _ in range(n)]
+    elif kind == "full-row-after-pair":
+        i, j, full = sorted(rnd.sample(range(n), 3))
+        rows[i], rows[j], rows[full] = half, fm ^ half, fm
+    elif kind == "completer-before-row":
+        # row a completes row i, and so does row j after it: (a, i) is first
+        a, i, j = sorted(rnd.sample(range(n), 3))
+        rows[a], rows[i], rows[j] = fm ^ half, half, fm ^ half
+    return rows
+
+
 def random_loopy_graph(n, rnd, density=0.35):
     rows = [1 << x for x in range(n)]
     for u in range(n):
@@ -131,6 +163,32 @@ class TestCoverAchieved:
             g = graph_from_rows(4, solved.unpack(key))
             for k in range(1, 5):
                 assert both_entries(g.out_rows, k) == brute_force_cover(g, k), (g, k)
+
+    @pytest.mark.parametrize(
+        "kind, outcomes",
+        [
+            ("sparse", {None}),
+            ("repeated", {(2, False), (2, True)}),
+            ("full-row-after-pair", {(1, True)}),
+            ("completer-before-row", {(2, False), (2, True)}),
+        ],
+    )
+    def test_pair_scan_matches_brute_force(self, kind, outcomes):
+        # the rows-only size-2 scan tests each row against the rows after
+        # it only; its witness must still be the first pair in order. The
+        # outcomes (None, or the witness size and whether it starts after
+        # row 0) must all be met
+        rnd = random.Random(f"pair-scan-{kind}")
+        planted = kind in ("full-row-after-pair", "completer-before-row")
+        seen = set()
+        for n in range(3 if planted else 2, 65):
+            for _ in range(4):
+                rows = pair_scan_rows(kind, n, rnd)
+                expected = first_cover_of_size_two(rows)
+                for kind_of in (list, tuple):
+                    assert both_entries(kind_of(rows), 2) == expected, rows
+                seen.add(None if expected is None else (len(expected), expected[0] > 0))
+        assert outcomes <= seen
 
     def test_witnesses_of_the_n5_forest_cover_search(self):
         # the benchmark's search-cover traffic: every state solved by the

@@ -25,7 +25,6 @@ from dynnet.families import (
     random_graph,
     reach_mask,
     roots_reaching_all,
-    union_rows,
     validate_member,
 )
 from dynnet.dissemination import RoundSequence
@@ -328,7 +327,9 @@ def _reference_k_rooted(n: int, k: int, rnd: random.Random):
     roots = rnd.sample(range(n), k)
     trees = [_forest_from_code(n, (r + 1,) + tuple(rnd.randrange(n) + 1 for _ in range(n - 2)))
              for r in roots] if n > 1 else []
-    rows = union_rows(n, trees)
+    rows = [0] * n
+    for tree in trees:
+        rows = [r | t for r, t in zip(rows, tree.out_rows)]
     for u in range(n):
         for v in range(n):
             if u != v and rnd.random() < EXTRA_EDGE_DENSITY:

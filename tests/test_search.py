@@ -3,9 +3,11 @@ import random
 import re
 import tracemalloc
 import warnings
+from functools import reduce
 from itertools import combinations, permutations
 from itertools import product as iproduct
 from math import factorial
+from operator import or_
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from dynnet.families import (
     ModelSpec,
     enumerate_k_forests,
     forest_roots,
-    union_rows,
     validate_member,
 )
 from dynnet.graphs import compose_rows, graph_from_rows, identity
@@ -70,7 +71,7 @@ class TestFamilyMoves:
         for tree in enumerate_k_forests(n, 1):
             trees_by_root[forest_roots(tree)[0]].append(tree)
         unions = {
-            tuple(union_rows(n, combo))
+            tuple(reduce(or_, column) for column in zip(*(tree.out_rows for tree in combo)))
             for roots in combinations(range(n), k)
             for combo in iproduct(*(trees_by_root[r] for r in roots))
         }
