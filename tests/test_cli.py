@@ -586,22 +586,16 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("grid, part", [("n=3..", "n=3.."), ("n=3..4,k=2..", "k=2..")],
-                             ids=["n", "k"])
-    def test_grid_range_without_end_exits_2(self, grid, part, capsys):
-        assert main(["verify", "--grid", grid, "--samples", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and repr(part) in captured.err
-
-    @pytest.mark.parametrize("grid, part", [("n=..5", "n=..5"), ("n=a..4", "n=a..4"),
+    @pytest.mark.parametrize("grid, part", [("n=3..", "n=3.."), ("n=3..4,k=2..", "k=2.."),
+                                            ("n=..5", "n=..5"), ("n=a..4", "n=a..4"),
                                             ("n=3..4,k=1..b", "k=1..b")],
-                             ids=["no-start", "letter-start", "letter-end"])
-    def test_grid_bound_not_an_integer_exits_2(self, grid, part, capsys):
+                             ids=["n", "k", "no-start", "letter-start", "letter-end"])
+    def test_grid_range_without_end_exits_2(self, grid, part, capsys):
+        # a range without an end, or with a bound that is not an integer,
+        # is refused with the grid and the range named
         assert main(["verify", "--grid", grid, "--samples", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert repr(grid) in captured.err and repr(part) in captured.err
-        assert "not an integer" in captured.err
+        assert captured.out == "" and repr(part) in captured.err and repr(grid) in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seq", "{tree}", "--objective", "cover", "--k", "9"],

@@ -42,18 +42,6 @@ def both_entries(rows, k):
     return found
 
 
-def first_cover_of_size_two(rows):
-    """The first full row, else the first pair (i, j) in lexicographic order
-    whose rows cover [n], else None, by trying every one."""
-    fm = full_mask(len(rows))
-    if fm in rows:
-        return [rows.index(fm)]
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        if rows[i] | rows[j] == fm:
-            return [i, j]
-    return None
-
-
 def pair_scan_rows(kind, n, rnd):
     """Rows on [n] for the size-2 scan: sparse rows (about a quarter of
     the bits and the diagonal), which rarely hold a pair, with a covering
@@ -184,7 +172,7 @@ class TestCoverAchieved:
         for n in range(3 if planted else 2, 65):
             for _ in range(4):
                 rows = pair_scan_rows(kind, n, rnd)
-                expected = first_cover_of_size_two(rows)
+                expected = brute_force_cover(graph_from_rows(n, rows), 2)
                 for kind_of in (list, tuple):
                     assert both_entries(kind_of(rows), 2) == expected, rows
                 seen.add(None if expected is None else (len(expected), expected[0] > 0))
