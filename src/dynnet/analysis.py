@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .families import Model, ModelSpec, forest_roots, roots_reaching_all
-from .graphs import ProductTrace, _once, bits, compose_in_rows, full_mask, identity, row_image
+from .graphs import (
+    ProductTrace, _once, bits, compose_in_rows, full_mask, identity, row_image, scatter_parents,
+)
 
 BETA = (math.pi ** 2 + 6) / 6  # float view; exact comparisons go through P
 
@@ -397,30 +399,13 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_strict_inequalities(
-    tr: StrictSetsTrace, samples: int = 16, seed: int = 0
-) -> VerificationReport:
-    """Evaluate every certificate inequality on a concrete strict-sets trace
-    and report both sides; a failure falsifies the implementation, not the
-    bound. The cover unions of every level come from one backward sweep of
-    the suffix out-rows Out(t, t', .) down from t', and each pairwise
-    intersection of levels is the popcount of an AND of their member
-    bitmasks."""
-    checks: list[CheckResult] = []
-    k, n, trace = tr.k, tr.n, tr.trace
-    fm = full_mask(n)
-
-    checks.append(CheckResult(
-        "complete", tr.complete, {"levels": sorted(tr.sets)},
-    ))
-    for s, pairs in sorted(tr.sets.items()):
-        checks.append(CheckResult(
-            f"cardinality[s={s}]", len(pairs) == s and len(set(pairs)) == s,
-            {"size": len(pairs)},
-        ))
-    # Out(t_i + 1, t', a_i) of every distinct member, read off the suffix
-    # out-rows Out(t, t', .) of one backward sweep down from t'; a step is
-    # the in-row step of compose_in_rows on the transposed relation
+def _member_reach(tr: StrictSetsTrace) -> dict[Pair, int]:
+    """Out(t_i + 1, t', a_i) of every distinct member (a_i, t_i) of every
+    level, read off the suffix out-rows Out(t, t', .) of one backward sweep
+    down from t'. A step is the in-row step of ``compose_in_rows`` on the
+    transposed relation or, for a round that keeps its parent array, one
+    scatter of each node's row into its parent's."""
+    n = tr.n
     starts: dict[int, set[int]] = {}
     for pairs in tr.sets.values():
         for a_i, t_i in pairs:
@@ -431,9 +416,40 @@ def verify_strict_inequalities(
     rows = identity(n).out_rows
     for t in range(tr.t_prime + 1, min(starts, default=tr.t_prime + 1) - 1, -1):
         if t <= tr.t_prime:
-            rows = compose_in_rows(rows, trace.rounds[t - 1].out_rows)
+            g = tr.trace.rounds[t - 1]
+            if g.parents is None:
+                rows = compose_in_rows(rows, g.out_rows)
+            else:
+                rows = scatter_parents(rows, g.parents)
         for a_i in starts.get(t, ()):
             reach[a_i, t - 1] = rows[a_i]
+    return reach
+
+
+def verify_strict_inequalities(
+    tr: StrictSetsTrace, samples: int = 16, seed: int = 0
+) -> VerificationReport:
+    """Evaluate every certificate inequality on a concrete strict-sets trace
+    and report both sides; a failure falsifies the implementation, not the
+    bound. The cover unions of every level come from one backward sweep of
+    the suffix out-rows (``_member_reach``): a round that keeps its parent
+    array (``graphs.graph_from_parents``) is one scatter of each node's row
+    into its parent's, any other round one ``compose_in_rows`` step. Each
+    pairwise intersection of levels is the popcount of an AND of their
+    member bitmasks."""
+    checks: list[CheckResult] = []
+    k, n = tr.k, tr.n
+    fm = full_mask(n)
+
+    checks.append(CheckResult(
+        "complete", tr.complete, {"levels": sorted(tr.sets)},
+    ))
+    for s, pairs in sorted(tr.sets.items()):
+        checks.append(CheckResult(
+            f"cardinality[s={s}]", len(pairs) == s and len(set(pairs)) == s,
+            {"size": len(pairs)},
+        ))
+    reach = _member_reach(tr)
     for s, pairs in sorted(tr.sets.items()):
         covered = 0
         for pair in pairs:

@@ -104,7 +104,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                              f"its rounds are forests of {seq.spec.k} trees")
     trace = seq.trace()
     if args.certificate == "rounds-graph":
-        avoid = frozenset(int(x) for x in args.avoid.split(",") if x) if args.avoid else frozenset()
+        avoid = _parse_avoid(args.avoid) if args.avoid is not None else frozenset()
         rg = analysis.build_rounds_graph(trace, avoid)
         wit = analysis.max_out_degree_witness(rg)
         doc = {
@@ -141,6 +141,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         doc["complete"] = tr.complete
         _print_json(doc)
     return EXIT_OK if report.all_passed else EXIT_FAIL
+
+
+def _parse_avoid(text: str) -> frozenset[int]:
+    """Parse "0,3" into the avoided process ids. An empty value, an empty
+    or non-integer part and a repeated id are refused, naming the part."""
+    ids: set[int] = set()
+    for part in text.split(","):
+        try:
+            x = int(part)
+        except ValueError:
+            raise ValueError(f"--avoid {text!r}: part {part!r} is not a process id") from None
+        if x in ids:
+            raise ValueError(f"--avoid {text!r}: part {part!r} repeats process {x}")
+        ids.add(x)
+    return frozenset(ids)
 
 
 def _parse_grid(text: str) -> tuple[range, range]:

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import islice
+from operator import and_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .families import Model, ModelSpec, random_graph, validate_member
@@ -14,8 +16,9 @@ from .graphs import (
     ProductTrace,
     _once,
     _transpose,
+    bits,
     full_mask,
-    graph_from_rows,
+    graph_from_in_rows,
     prefix_products,
 )
 
@@ -46,23 +49,27 @@ class Objective:
             raise ValueError("broadcast has no k parameter")
 
     def witness(
-        self, rows: Sequence[int], cols: Optional[Sequence[int]] = None
+        self, rows: Optional[Sequence[int]] = None, cols: Optional[Sequence[int]] = None
     ) -> Optional[tuple[int, ...]]:
-        """The objective's witness on the product with out-rows ``rows``, or
-        None when it does not hold: the k smallest broadcasters (k = 1 for
-        broadcast), or the cover ``cover_achieved`` reports. ``cols``, the
-        product's in-rows if the caller has them, is passed on to it."""
+        """The objective's witness on the product with out-rows ``rows`` and
+        in-rows ``cols`` (give either or both; a missing side is transposed
+        from the other when it is needed), or None when it does not hold.
+
+        Broadcast and k-broadcast: the k smallest broadcasters (k = 1 for
+        broadcast). x is a broadcaster exactly when every in-row holds x,
+        so they are the set bits of the AND of ``cols``. Cover: the cover
+        ``cover_achieved`` reports on ``rows``, given ``cols``."""
         if self.kind == "cover":
+            if rows is None:
+                rows = _transpose(len(cols), cols)
             w = cover_achieved(rows, self.k, cols)
             return tuple(w) if w is not None else None
-        fm = full_mask(len(rows))
-        found = []
-        for x, r in enumerate(rows):
-            if r == fm:
-                found.append(x)
-                if len(found) == self.k:
-                    return tuple(found)
-        return None
+        if cols is None:
+            cols = _transpose(len(rows), rows)
+        everyone = reduce(and_, cols)
+        if everyone.bit_count() < self.k:
+            return None
+        return tuple(islice(bits(everyone), self.k))
 
 
 class ObjectiveNotReached(Exception):
@@ -284,11 +291,13 @@ def sampled_run(spec: ModelSpec, seeds: Iterable[int]) -> RunResult:
 
 
 def _first_hit(n: int, prefixes: Iterable[tuple[int, ...]], objective: Objective) -> RunResult:
-    """The first prefix product, given as in-rows from the identity on, whose
-    out-rows (and in-rows, for a cover) meet the objective; none is read past it."""
+    """The first prefix product, given as in-rows from the identity on, that
+    meets the objective; none is read past it. ``Objective.witness``
+    decides broadcast and k-broadcast on the in-rows themselves, and only a
+    cover transposes each prefix it decides; the product reported in the
+    result or the exception is transposed once."""
     for t, cols in enumerate(prefixes):
-        rows = _transpose(n, cols)
-        witness = objective.witness(rows, cols)
+        witness = objective.witness(cols=cols)
         if witness is not None:
-            return RunResult(objective, t, witness, graph_from_rows(n, rows))
-    raise ObjectiveNotReached(objective, t, graph_from_rows(n, rows))
+            return RunResult(objective, t, witness, graph_from_in_rows(n, cols))
+    raise ObjectiveNotReached(objective, t, graph_from_in_rows(n, cols))

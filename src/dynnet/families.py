@@ -42,12 +42,19 @@ class ModelSpec:
 def forest_parents(g: Graph) -> Optional[list[int]]:
     """Parent array of g, -1 at each root, if every node has in-degree <= 1
     and there are no cycles and no self-loops; None otherwise. A tree is the
-    forest with one root."""
-    parents = []
-    for v, row in enumerate(g.in_rows):
-        if row & (row - 1) or row >> v & 1:
-            return None  # two parents or a self-loop
-        parents.append(row.bit_length() - 1)
+    forest with one root.
+
+    The array that ``graph_from_parents`` kept is read as it is (it has
+    in-degree <= 1 and no self-loop by construction); any other graph's is
+    read off its in-rows. Either way every chain is climbed, since
+    ``graph_from_parents`` does not refuse a cycle of two or more nodes."""
+    parents = g.parents
+    if parents is None:
+        parents = []
+        for v, row in enumerate(g.in_rows):
+            if row & (row - 1) or row >> v & 1:
+                return None  # two parents or a self-loop
+            parents.append(row.bit_length() - 1)
     # climb parent chains, marking each node with the start of the climb
     # that reached it; a chain that meets its own mark has closed a cycle,
     # and one that meets an older mark has joined a chain ending at a root
@@ -59,7 +66,7 @@ def forest_parents(g: Graph) -> Optional[list[int]]:
             v = parents[v]
         if v != -1 and mark[v] == start:
             return None  # cycle
-    return parents
+    return list(parents)
 
 
 def reach_mask(g: Graph, x: int) -> int:

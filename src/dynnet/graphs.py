@@ -2,14 +2,17 @@
 
 A node set is a single machine word (Python int used as a 64-bit mask), so
 relational composition of two graphs is a word-parallel OR loop. A running
-product is kept as in-rows and composed with one round by one step,
-:func:`compose_in_rows`, at one OR per edge of the round. The transpose packs
-the rows into one int and swaps its off-diagonal blocks with log2(size)
-masked delta swaps, so it costs a few big-int operations rather than one per
-edge. All values are immutable after construction (a graph's transpose is
-derived on first read, except a forest's, which is its parent array and is
-stored at once). :func:`prefix_products` is the one walk of a product through
-the rounds; a :class:`ProductTrace` keeps the prefixes it yields.
+product is kept as in-rows and composed with one round by one step: for a
+general round :func:`compose_in_rows`, at one OR per edge of the round; for
+a forest built by :func:`graph_from_parents`, which keeps the parent array
+it was given, :func:`gather_parents`, one gather in C over that array (and
+:func:`scatter_parents` for a sweep of out-rows). The transpose packs the
+rows into one int and swaps its off-diagonal blocks with log2(size) masked
+delta swaps, so it costs a few big-int operations rather than one per edge.
+All values are immutable after construction (a graph's in-rows are derived
+on first read: a forest's from its parent array, any other graph's by the
+transpose). :func:`prefix_products` is the one walk of a product through the
+rounds; a :class:`ProductTrace` keeps the prefixes it yields.
 
 Rounds are the adversary's raw graphs throughout. A process keeps what it
 has heard, so every composition step with a round implies a self-loop at
@@ -23,7 +26,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import ne, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 MAX_NODES = 64
 
@@ -55,19 +58,23 @@ def row_image(rows: Sequence[int], mask: int) -> int:
 class Graph:
     """Immutable digraph: ``out_rows[x]`` is the bitmask of out-neighbors of x.
 
-    ``in_rows`` is the exact transpose, computed on first read and cached
-    (:func:`graph_from_parents` stores it at once); equality and hashing see
-    ``n`` and ``out_rows`` only. Construct via
+    ``in_rows`` is the exact transpose, computed on first read and cached;
+    ``parents`` is the parent array of a graph built by
+    :func:`graph_from_parents` and None for any other. Equality and hashing
+    see ``n`` and ``out_rows`` only. Construct via
     :func:`make_graph`, :func:`graph_from_rows` or :func:`graph_from_parents`;
     each guarantees that no bit at index >= n is set.
     """
 
     n: int
     out_rows: tuple[int, ...]
+    parents: ClassVar[Optional[tuple[int, ...]]] = None  # set per forest by graph_from_parents
 
     @cached_property
     def in_rows(self) -> tuple[int, ...]:
         """``in_rows[y]`` is the bitmask of in-neighbors of y."""
+        if self.parents is not None:
+            return tuple(map(_BITS.__getitem__, self.parents))
         return _transpose(self.n, self.out_rows)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -160,8 +167,10 @@ def graph_from_rows(n: int, out_rows: Iterable[int]) -> Graph:
 
 def graph_from_parents(n: int, parents: Sequence[int]) -> Graph:
     """The forest on [n] in which node v hangs below ``parents[v]``, or is a
-    root where that is -1. A forest's in-rows are its parent array, so they
-    are stored with the graph instead of derived from the out-rows."""
+    root where that is -1. The graph keeps the parent array as its
+    ``parents``, and its in-rows are read off that array on first read.
+    A node that is its own parent is refused; a longer cycle is not (a
+    graph with one is no forest, which ``families.forest_parents`` finds)."""
     if len(parents) != n:
         raise ValueError(f"parent array has length {len(parents)}, expected {n}")
     if not 1 <= n <= MAX_NODES:
@@ -169,18 +178,21 @@ def graph_from_parents(n: int, parents: Sequence[int]) -> Graph:
     if min(parents) < -1 or max(parents) >= n or not all(map(ne, parents, range(n))):
         v, p = next((v, p) for v, p in enumerate(parents) if not -1 <= p < n or p == v)
         raise ValueError(f"node {v} has parent {p}, not -1 or another node's id")
-    # a root's parent -1 reads the bit 0 and ORs its own bit into a spare
-    # row at index -1, which is dropped; every other bit is a node's, so
-    # the rows need no check of their own
+    # a root's parent -1 ORs its own bit into a spare row at index -1,
+    # which is dropped; every other bit is a node's, so the rows need no
+    # check of their own
     rows = [0] * (n + 1)
-    cols = []
     for v, p in enumerate(parents):
         rows[p] |= _BITS[v]
-        cols.append(_BITS[p])
     rows.pop()
     g = Graph(n, tuple(rows))
-    g.__dict__["in_rows"] = tuple(cols)  # the slot ``in_rows`` fills on first read
+    g.__dict__["parents"] = tuple(parents)  # frozen: shadows the class's None
     return g
+
+
+def graph_from_in_rows(n: int, in_rows: Sequence[int]) -> Graph:
+    """The Graph whose in-rows are ``in_rows``, through the transpose."""
+    return graph_from_rows(n, _transpose(n, in_rows))
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -228,14 +240,36 @@ def compose_in_rows(cols: Sequence[int], in_rows: Sequence[int]) -> tuple[int, .
     return tuple([c | row_image(cols, m) for c, m in zip(cols, in_rows)])
 
 
+def gather_parents(cols: tuple[int, ...], parents: Sequence[int]) -> tuple[int, ...]:
+    """``compose_in_rows(cols, g.in_rows)`` for a round g in which node y
+    has the one in-neighbor ``parents[y]``, or none where that is -1: entry
+    y is ``cols[y] | cols[parents[y]]``, one gather in C, where index -1
+    reads an appended 0. Exact for any in-degree at most 1, cycles
+    included."""
+    return tuple(map(or_, cols, map((cols + (0,)).__getitem__, parents)))
+
+
+def scatter_parents(rows: Sequence[int], parents: Sequence[int]) -> tuple[int, ...]:
+    """``compose_in_rows(rows, g.out_rows)`` for the round g of
+    :func:`gather_parents`: each node's row is ORed into its parent's, one
+    loop over the nodes; a root's goes to a spare entry that is dropped."""
+    out = [*rows, 0]
+    for row, p in zip(rows, parents):
+        out[p] |= row
+    out.pop()
+    return tuple(out)
+
+
 def prefix_products(n: int, rounds: Iterable[Graph]) -> Iterator[tuple[int, ...]]:
     """The in-rows of the identity, then of each prefix product of
-    ``rounds``, composed from the one before; a round is read only when its
+    ``rounds``, composed from the one before (by :func:`gather_parents` for
+    a round that keeps a parent array); a round is read only when its
     prefix is asked for."""
     cols = identity(n).out_rows
     yield cols
     for g in rounds:
-        cols = compose_in_rows(cols, g.in_rows)
+        parents = g.parents
+        cols = compose_in_rows(cols, g.in_rows) if parents is None else gather_parents(cols, parents)
         yield cols
 
 
@@ -277,7 +311,7 @@ class ProductTrace:
 
     def product_at(self, t: int) -> Graph:
         """Cumulative product after round t (t=0 gives the identity)."""
-        return graph_from_rows(self.n, _transpose(self.n, self.prefix(t)))
+        return graph_from_in_rows(self.n, self.prefix(t))
 
     def _start(self, t: int, t2: int, x: int) -> int:
         """x's set before any round of [t, t2] is composed: ``{x}``, or

@@ -10,7 +10,7 @@ import pytest
 import dynnet
 from dynnet import analysis, seqfile
 from dynnet.cli import main
-from dynnet.constructions import trees_lower_bound
+from dynnet.constructions import build, trees_lower_bound
 from dynnet.dissemination import RoundSequence
 from dynnet.families import Model, ModelSpec, random_graph
 from dynnet.graphs import graph_from_rows, make_graph
@@ -425,6 +425,38 @@ class TestCliExitCodes:
         assert doc["degree_at_least_n"] is True
         assert dot.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("value, part, message", [
+        ("1,1", "1", "repeats process 1"),
+        ("0,2,02", "02", "repeats process 2"),
+        ("a", "a", "is not a process id"),
+        ("1,a", "a", "is not a process id"),
+        ("", "", "is not a process id"),
+        ("1,,2", "", "is not a process id"),
+        ("1,", "", "is not a process id"),
+        (",1", "", "is not a process id"),
+    ], ids=["repeated", "repeated-leading-zero", "letter", "letter-after-id", "empty",
+            "empty-inner", "empty-last", "empty-first"])
+    def test_analyze_refuses_a_malformed_avoid(self, tmp_path, capsys, value, part, message):
+        # on an 8-node tree "1,1" was read as {1}, and then failed as a
+        # trace too short for two avoided processes
+        f, dot = tmp_path / "t8.json", tmp_path / "rg.dot"
+        seqfile.save(str(f), trees_lower_bound(8).seq)
+        assert main(["analyze", "--seq", str(f), "--certificate", "rounds-graph",
+                     "--avoid", value, "--dot", str(dot)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not dot.exists()
+        assert captured.err == f"error: --avoid {value!r}: part {part!r} {message}\n"
+
+    def test_analyze_reads_avoided_ids(self, tmp_path, capsys):
+        f = tmp_path / "d8.json"
+        seqfile.save(str(f), build(Model.K_ROOTED, 8, 3).seq)
+        assert main(["analyze", "--seq", str(f), "--certificate", "rounds-graph",
+                     "--avoid", "1,0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rg = analysis.build_rounds_graph(seqfile.load(str(f)).trace(), frozenset({0, 1}))
+        assert doc["round_count"] == rg.round_count == 22
+        assert doc["witness"]["process"] not in (0, 1)
+
     def test_analyze_strict_sets(self, tmp_path, capsys):
         f = tmp_path / "f.json"
         assert main(["construct", "--model", "forest", "--n", "8", "--k", "2",
@@ -606,7 +638,7 @@ class TestCliExitCodes:
         ["simulate", "--seq", "{missing}", "--objective", "broadcast"],
     ] + [
         argv + [f"{{{bad}}}"]
-        for bad in ("no_to", "int_rounds")
+        for bad in ("no_to", "int_rounds", "cyclic_tree", "cyclic_forest")
         for argv in (
             ["simulate", "--objective", "broadcast", "--seq"],
             ["analyze", "--certificate", "strict-sets", "--seq"],
@@ -618,6 +650,9 @@ class TestCliExitCodes:
             "no_to": {"n": 3, "model": "tree", "rounds": [[-1, 0, 1]],
                       "repeat": {"from": 0, "times": 2}},
             "int_rounds": {"n": 3, "model": "tree", "rounds": 5},
+            # a cycle beside a root: the right root count, and no forest
+            "cyclic_tree": {"n": 3, "model": "tree", "rounds": [[-1, 2, 1]]},
+            "cyclic_forest": {"n": 4, "model": "forest", "k": 2, "rounds": [[-1, -1, 3, 2]]},
         }
         paths = {"tree": tree_file[0], "missing": str(tmp_path / "none.json")}
         for name, doc in bad_docs.items():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dynnet import constructions
+from dynnet import constructions, seqfile
 from dynnet import search as search_module
 from dynnet.analysis import bounds_for
 from dynnet.dissemination import (
@@ -18,7 +18,16 @@ from dynnet.dissemination import (
     sampled_run,
 )
 from dynnet.families import Model, ModelSpec, enumerate_k_forests, random_graph
-from dynnet.graphs import _transpose, compose_rows, full_mask, graph_from_rows, identity, make_graph
+from dynnet.graphs import (
+    _transpose,
+    compose_in_rows,
+    compose_rows,
+    full_mask,
+    graph_from_parents,
+    graph_from_rows,
+    identity,
+    make_graph,
+)
 
 
 def brute_force_cover(g, k):
@@ -482,6 +491,93 @@ class TestRunMatchesOutRowLoop:
 
             res = sampled_run(spec, seeds())
             assert len(drawn) == res.time >= 1
+
+
+def transposed_row_run(n, rounds, objective):
+    """Broadcast and k-broadcast decided as ``run`` once did: every prefix
+    is composed on in-rows by ``compose_in_rows`` (no gather over a parent
+    array), transposed, and its full out-rows are scanned. Returns the
+    time, the witness (None if not reached) and the last out-rows read."""
+    cols = identity(n).out_rows
+    for t in range(len(rounds) + 1):
+        if t:
+            cols = compose_in_rows(cols, rounds[t - 1].in_rows)
+        rows = _transpose(n, cols)
+        found = broadcasters(rows)
+        if len(found) >= objective.k:
+            return t, tuple(found[:objective.k]), rows
+    return t, None, rows
+
+
+class TestRunDecidesBroadcastOnInRows:
+    """``run`` decides broadcast and k-broadcast on the in-rows and
+    transposes only the product it reports; the transposed-row loop is the
+    oracle, on reached and unreached runs alike."""
+
+    @staticmethod
+    def assert_matches(seq, objective):
+        t, witness, rows = transposed_row_run(seq.spec.n, seq.rounds, objective)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # objectives off the model's own are meant here
+            if witness is None:
+                with pytest.raises(ObjectiveNotReached) as exc:
+                    run(seq, objective)
+                assert exc.value.rounds_used == t
+                assert exc.value.final_product.out_rows == rows
+                assert exc.value.final_product == graph_from_rows(seq.spec.n, rows)
+                return False
+            res = run(seq, objective)
+        assert (res.time, res.witness, res.final_product.out_rows) == (t, witness, rows)
+        return True
+
+    @pytest.mark.parametrize("model,k,n", [
+        (model, k, n)
+        for model, k in ((Model.TREES, 1), (Model.K_FORESTS, 1), (Model.K_FORESTS, 2),
+                         (Model.K_FORESTS, 3), (Model.K_ROOTED, 1), (Model.K_ROOTED, 2),
+                         (Model.K_ROOTED, 3))
+        for n in (1, 2, 3, 5, 16, 64)
+        if k <= n
+    ])
+    def test_seeded_sequences(self, model, k, n):
+        spec = ModelSpec(model, n, k)
+        horizon = bounds_for(spec).upper_int
+        rounds = [random_graph(spec, 7000 * n + t) for t in range(horizon)]
+        for length in (0, 1, horizon // 2, horizon):
+            seq = RoundSequence(spec, rounds[:length])
+            for kb in range(1, min(k, n) + 1):
+                self.assert_matches(seq, Objective.k_broadcast(kb))
+            self.assert_matches(seq, Objective.broadcast())
+
+    @pytest.mark.parametrize("model,k", [(Model.TREES, 1), (Model.K_ROOTED, 2), (Model.K_ROOTED, 3)])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_schedules_read_from_files(self, model, k, n):
+        seq = seqfile.loads(seqfile.dumps(constructions.build(model, n, k).seq))
+        objective = Objective.broadcast() if k == 1 else Objective.k_broadcast(k)
+        assert self.assert_matches(seq, objective)
+        time = run(seq, objective).time
+        assert not self.assert_matches(RoundSequence(seq.spec, seq.rounds[:time - 1]), objective)
+
+    def test_n_one_and_two(self):
+        one = RoundSequence(ModelSpec(Model.TREES, 1), [])
+        assert self.assert_matches(one, Objective.broadcast())
+        assert run(one, Objective.broadcast()).witness == (0,)
+        pair = graph_from_parents(2, [-1, 0])
+        seq = RoundSequence(ModelSpec(Model.TREES, 2), [pair])
+        assert run(seq, Objective.broadcast()).witness == (0,)
+        assert not self.assert_matches(seq, Objective.k_broadcast(2))
+        assert self.assert_matches(seq, Objective.broadcast())
+
+    def test_witness_from_either_side(self):
+        rnd = random.Random(4)
+        for _ in range(40):
+            g = random_loopy_graph(6, rnd)
+            for objective in [Objective.broadcast()] + [Objective.k_broadcast(k) for k in (1, 2, 4)]:
+                want = objective.witness(g.out_rows)
+                assert objective.witness(cols=g.in_rows) == want
+                assert objective.witness(g.out_rows, g.in_rows) == want
+            for k in (1, 2, 3):
+                cover = Objective.cover(k)
+                assert cover.witness(cols=g.in_rows) == cover.witness(g.out_rows)
 
 
 class TestRoundSequenceValidation:

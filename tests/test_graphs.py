@@ -1,22 +1,28 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynnet import constructions, seqfile
+from dynnet.analysis import _member_reach, build_strict_sets
 from dynnet.families import Model, ModelSpec, random_graph
 from dynnet.graphs import (
     Graph,
     ProductTrace,
     _transpose,
     bits,
+    compose_in_rows,
     compose_rows,
     full_mask,
+    gather_parents,
     graph_from_parents,
     graph_from_rows,
     identity,
     make_graph,
     product,
+    scatter_parents,
     to_dot,
 )
 
@@ -433,3 +439,98 @@ class TestDot:
 def test_bits_roundtrip():
     assert list(bits(0b101001)) == [0, 3, 5]
     assert list(bits(0)) == []
+
+
+# the 15 lower-bound schedules of the benchmark's certify workload
+CERTIFY_SCHEDULES = [
+    (model, k, n)
+    for model, k in ((Model.TREES, 1), (Model.K_FORESTS, 2), (Model.K_FORESTS, 3),
+                     (Model.K_ROOTED, 2), (Model.K_ROOTED, 3))
+    for n in (16, 32, 64)
+]
+
+
+def without_parents(g: Graph) -> Graph:
+    """The same graph built from its out-rows, so it keeps no parent array."""
+    return graph_from_rows(g.n, g.out_rows)
+
+
+def random_row_table(n: int, rnd: random.Random) -> tuple[int, ...]:
+    """n arbitrary masks on [n], each holding its own bit like a product's rows."""
+    return tuple(rnd.getrandbits(n) | 1 << x for x in range(n))
+
+
+def assert_gather_and_scatter_exact(g: Graph, table: tuple[int, ...]) -> None:
+    """The gather and the scatter over g's parent array give the
+    ``compose_in_rows`` steps on its in-rows and out-rows."""
+    assert gather_parents(table, g.parents) == compose_in_rows(table, g.in_rows), g
+    assert scatter_parents(table, g.parents) == compose_in_rows(table, g.out_rows), g
+
+
+class TestParentArrayRounds:
+    """A round built by ``graph_from_parents`` keeps its parent array; the
+    trace composes it by a gather and the strict-sets sweep by a scatter,
+    which agree with ``compose_in_rows`` on any in-degree at most 1."""
+
+    def test_only_graph_from_parents_keeps_an_array(self):
+        g = graph_from_parents(4, [-1, 0, 0, 2])
+        assert g.parents == (-1, 0, 0, 2)
+        assert g.in_rows == _transpose(4, g.out_rows) == (0, 1, 1, 4)
+        for other in (without_parents(g), make_graph(4, g.edges()), identity(4)):
+            assert other.parents is None
+        assert g == without_parents(g) and hash(g) == hash(without_parents(g))
+
+    @pytest.mark.parametrize("model,k,n", CERTIFY_SCHEDULES)
+    def test_certify_schedules(self, model, k, n):
+        # read back from its sequence file, as the benchmark replays it
+        seq = seqfile.loads(seqfile.dumps(constructions.build(model, n, k).seq))
+        trace = seq.trace()
+        plain = ProductTrace(n, map(without_parents, seq.rounds))
+        for t, g in enumerate(seq.rounds):
+            assert (g.parents is not None) == (model is not Model.K_ROOTED)
+            if g.parents is not None:
+                assert_gather_and_scatter_exact(g, trace.prefix(t))
+            assert trace.prefix(t + 1) == plain.prefix(t + 1), t + 1
+
+    def test_seeded_forests(self):
+        rnd = random.Random(7)
+        for n in range(2, 65):
+            for k in range(1, min(n, 3) + 1):
+                spec = ModelSpec(Model.K_FORESTS, n, k)
+                for seed in range(3):
+                    g = random_graph(spec, 100 * n + 10 * k + seed)
+                    assert g.parents is not None
+                    assert_gather_and_scatter_exact(g, random_row_table(n, rnd))
+                    assert_gather_and_scatter_exact(g, identity(n).out_rows)
+
+    @pytest.mark.parametrize("n,parents", [
+        (3, [-1, 2, 1]),
+        (4, [-1, -1, 3, 2]),
+        (2, [1, 0]),
+        (5, [1, 2, 3, 4, 0]),
+        (6, [-1, 0, 3, 4, 2, 4]),
+    ], ids=["tree-2-cycle", "forest-2-cycle", "pair", "5-cycle", "cycle-with-tail"])
+    def test_parent_arrays_with_a_cycle(self, n, parents):
+        g = graph_from_parents(n, parents)
+        assert g.in_rows == _transpose(n, g.out_rows)
+        rnd = random.Random(n)
+        for _ in range(5):
+            assert_gather_and_scatter_exact(g, random_row_table(n, rnd))
+        plain = ProductTrace(n, [without_parents(g)] * n)
+        assert [ProductTrace(n, [g] * n).prefix(t) for t in range(n + 1)] == [
+            plain.prefix(t) for t in range(n + 1)]
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (16, 1), (16, 3), (32, 2), (64, 3)])
+    def test_strict_sets_reach_table(self, n, k):
+        spec = ModelSpec(Model.K_FORESTS, n, k)
+        rounds = [random_graph(spec, 31 * n + t) for t in range(3 * n)]
+        tr = build_strict_sets(ProductTrace(n, rounds), k, len(rounds))
+        plain = dataclasses.replace(tr, trace=ProductTrace(n, map(without_parents, rounds)))
+        reach = _member_reach(tr)
+        assert reach == _member_reach(plain)
+        # each entry is Out(t_i + 1, t', a_i), the reachable set of a_i
+        for (a_i, t_i), mask in reach.items():
+            assert mask == tr.trace.out_mask(t_i + 1, tr.t_prime, a_i), (a_i, t_i)
+        members = {pair for pairs in tr.sets.values() for pair in pairs}
+        assert set(reach) == members
+

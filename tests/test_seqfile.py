@@ -11,7 +11,8 @@ import pytest
 
 from dynnet import constructions, seqfile
 from dynnet.dissemination import RoundSequence
-from dynnet.families import Model, ModelSpec, random_graph
+from dynnet.families import Model, ModelSpec, forest_parents, random_graph
+from dynnet.graphs import graph_from_parents
 
 # one JSON token: a string, a number or constant, or a punctuation mark
 TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[^\s{}\[\],:"]+|[{}\[\],:]')
@@ -210,3 +211,27 @@ class TestRepeatedKeys:
     def test_a_repeated_key_inside_a_record_is_refused(self):
         with pytest.raises(ValueError, match="repeats the key 'a'"):
             seqfile._decode('{"rounds":[[1],[{"a":1,"a":2}]]}')
+
+
+class TestCyclicParentArrays:
+    """A parent array with a cycle beside a root has the right root count
+    and no node that is its own parent, so ``graph_from_parents`` builds it;
+    it is still no forest, and a file or a sequence with it is refused."""
+
+    @pytest.mark.parametrize("model,k,n,cyclic", [
+        (Model.TREES, 1, 3, [-1, 2, 1]),
+        (Model.K_FORESTS, 2, 4, [-1, -1, 3, 2]),
+    ], ids=["tree", "2-forest"])
+    def test_refused_by_the_reader_and_the_sequence(self, model, k, n, cyclic):
+        spec = ModelSpec(model, n, k)
+        g = graph_from_parents(n, cyclic)
+        assert g.parents.count(-1) == k and forest_parents(g) is None
+        ok = random_graph(spec, 0)
+        for rounds, bad in (([cyclic], 1), ([forest_parents(ok), cyclic], 2)):
+            doc = {"n": n, "model": model.value, "rounds": rounds}
+            if model is Model.K_FORESTS:
+                doc["k"] = k
+            with pytest.raises(ValueError, match=f"round {bad} is not a valid {model.value} member"):
+                seqfile.loads(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"round 2 is not a valid {model.value} member"):
+            RoundSequence(spec, [ok, g])
