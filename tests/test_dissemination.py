@@ -494,8 +494,8 @@ class TestRunMatchesOutRowLoop:
 
 
 def transposed_row_run(n, rounds, objective):
-    """Broadcast and k-broadcast decided as ``run`` once did: every prefix
-    is composed on in-rows by ``compose_in_rows`` (no gather over a parent
+    """Reference run for broadcast and k-broadcast: every prefix is
+    composed on in-rows by ``compose_in_rows`` (no gather over a parent
     array), transposed, and its full out-rows are scanned. Returns the
     time, the witness (None if not reached) and the last out-rows read."""
     cols = identity(n).out_rows
