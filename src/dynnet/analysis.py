@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .families import Model, ModelSpec, forest_roots, roots_reaching_all
-from .graphs import (
-    ProductTrace, _once, bits, compose_in_rows, full_mask, identity, row_image, scatter_parents,
-)
+from .graphs import ProductTrace, _once, bits, compose_out_rows, full_mask, identity, row_image
 
 BETA = (math.pi ** 2 + 6) / 6  # float view; exact comparisons go through P
 
@@ -402,9 +400,7 @@ class VerificationReport:
 def _member_reach(tr: StrictSetsTrace) -> dict[Pair, int]:
     """Out(t_i + 1, t', a_i) of every distinct member (a_i, t_i) of every
     level, read off the suffix out-rows Out(t, t', .) of one backward sweep
-    down from t'. A step is the in-row step of ``compose_in_rows`` on the
-    transposed relation or, for a round that keeps its parent array, one
-    scatter of each node's row into its parent's."""
+    down from t', one ``graphs.compose_out_rows`` step a round."""
     n = tr.n
     starts: dict[int, set[int]] = {}
     for pairs in tr.sets.values():
@@ -416,11 +412,7 @@ def _member_reach(tr: StrictSetsTrace) -> dict[Pair, int]:
     rows = identity(n).out_rows
     for t in range(tr.t_prime + 1, min(starts, default=tr.t_prime + 1) - 1, -1):
         if t <= tr.t_prime:
-            g = tr.trace.rounds[t - 1]
-            if g.parents is None:
-                rows = compose_in_rows(rows, g.out_rows)
-            else:
-                rows = scatter_parents(rows, g.parents)
+            rows = compose_out_rows(rows, tr.trace.rounds[t - 1])
         for a_i in starts.get(t, ()):
             reach[a_i, t - 1] = rows[a_i]
     return reach
@@ -432,9 +424,9 @@ def verify_strict_inequalities(
     """Evaluate every certificate inequality on a concrete strict-sets trace
     and report both sides; a failure falsifies the implementation, not the
     bound. The cover unions of every level come from one backward sweep of
-    the suffix out-rows (``_member_reach``): a round that keeps its parent
-    array (``graphs.graph_from_parents``) is one scatter of each node's row
-    into its parent's, any other round one ``compose_in_rows`` step. Each
+    the suffix out-rows (``_member_reach``), one ``graphs.compose_out_rows``
+    step a round: a scatter of each node's row into its parent's on a forest
+    round, one OR per edge on any other. Each
     pairwise intersection of levels is the popcount of an AND of their
     member bitmasks."""
     checks: list[CheckResult] = []

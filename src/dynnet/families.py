@@ -44,17 +44,12 @@ def forest_parents(g: Graph) -> Optional[list[int]]:
     and there are no cycles and no self-loops; None otherwise. A tree is the
     forest with one root.
 
-    The array that ``graph_from_parents`` kept is read as it is (it has
-    in-degree <= 1 and no self-loop by construction); any other graph's is
-    read off its in-rows. Either way every chain is climbed, since
-    ``graph_from_parents`` does not refuse a cycle of two or more nodes."""
+    ``g.parents`` rules out two parents and self-loops; every chain is then
+    climbed, since that array (and ``graph_from_parents``) keeps a cycle of
+    two or more nodes."""
     parents = g.parents
     if parents is None:
-        parents = []
-        for v, row in enumerate(g.in_rows):
-            if row & (row - 1) or row >> v & 1:
-                return None  # two parents or a self-loop
-            parents.append(row.bit_length() - 1)
+        return None
     # climb parent chains, marking each node with the start of the climb
     # that reached it; a chain that meets its own mark has closed a cycle,
     # and one that meets an older mark has joined a chain ending at a root

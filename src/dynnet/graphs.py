@@ -2,16 +2,18 @@
 
 A node set is a single machine word (Python int used as a 64-bit mask), so
 relational composition of two graphs is a word-parallel OR loop. A running
-product is kept as in-rows and composed with one round by one step: for a
-general round :func:`compose_in_rows`, at one OR per edge of the round; for
-a forest built by :func:`graph_from_parents`, which keeps the parent array
-it was given, :func:`gather_parents`, one gather in C over that array (and
-:func:`scatter_parents` for a sweep of out-rows). The transpose packs the
+product is kept as in-rows and composed with one round by
+:func:`compose_in_rows` (a backward sweep of out-rows by
+:func:`compose_out_rows`). Each step decides from the round alone: a round
+in which every node has at most one in-neighbor and no self-loop, which is
+what its ``parents`` array records, is one gather (or scatter) over that
+array; any other round is one OR per edge. The transpose packs the
 rows into one int and swaps its off-diagonal blocks with log2(size) masked
 delta swaps, so it costs a few big-int operations rather than one per edge.
-All values are immutable after construction (a graph's in-rows are derived
-on first read: a forest's from its parent array, any other graph's by the
-transpose). :func:`prefix_products` is the one walk of a product through the
+All values are immutable after construction (a graph's in-rows and parent
+array are derived on first read; a forest built by
+:func:`graph_from_parents` starts with its array, and its in-rows are read
+off it). :func:`prefix_products` is the one walk of a product through the
 rounds; a :class:`ProductTrace` keeps the prefixes it yields.
 
 Rounds are the adversary's raw graphs throughout. A process keeps what it
@@ -26,7 +28,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import ne, or_
-from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_NODES = 64
 
@@ -58,24 +60,39 @@ def row_image(rows: Sequence[int], mask: int) -> int:
 class Graph:
     """Immutable digraph: ``out_rows[x]`` is the bitmask of out-neighbors of x.
 
-    ``in_rows`` is the exact transpose, computed on first read and cached;
-    ``parents`` is the parent array of a graph built by
-    :func:`graph_from_parents` and None for any other. Equality and hashing
-    see ``n`` and ``out_rows`` only. Construct via
+    ``in_rows`` is the exact transpose and ``parents`` the parent array,
+    each computed from the edges on first read and cached, so equal graphs
+    have equal values whichever constructor built them. Equality and
+    hashing see ``n`` and ``out_rows`` only. Construct via
     :func:`make_graph`, :func:`graph_from_rows` or :func:`graph_from_parents`;
     each guarantees that no bit at index >= n is set.
     """
 
     n: int
     out_rows: tuple[int, ...]
-    parents: ClassVar[Optional[tuple[int, ...]]] = None  # set per forest by graph_from_parents
 
     @cached_property
     def in_rows(self) -> tuple[int, ...]:
         """``in_rows[y]`` is the bitmask of in-neighbors of y."""
-        if self.parents is not None:
+        # an array present before the in-rows were read was pre-filled by
+        # graph_from_parents; any other is derived from these in-rows
+        if "parents" in self.__dict__:
             return tuple(map(_BITS.__getitem__, self.parents))
         return _transpose(self.n, self.out_rows)
+
+    @cached_property
+    def parents(self) -> Optional[tuple[int, ...]]:
+        """``parents[y]`` is y's one in-neighbor, or -1 where y has none;
+        None when some node has two in-neighbors or a self-loop. Whenever
+        it is not None, ``graph_from_parents(n, g.parents) == g``. A cycle
+        of two or more nodes is kept (``families.forest_parents`` refuses
+        it)."""
+        parents = []
+        for y, row in enumerate(self.in_rows):
+            if row & (row - 1) or row >> y & 1:
+                return None  # two in-neighbors or a self-loop
+            parents.append(row.bit_length() - 1)
+        return tuple(parents)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.out_rows[u] >> v & 1)
@@ -167,10 +184,11 @@ def graph_from_rows(n: int, out_rows: Iterable[int]) -> Graph:
 
 def graph_from_parents(n: int, parents: Sequence[int]) -> Graph:
     """The forest on [n] in which node v hangs below ``parents[v]``, or is a
-    root where that is -1. The graph keeps the parent array as its
-    ``parents``, and its in-rows are read off that array on first read.
-    A node that is its own parent is refused; a longer cycle is not (a
-    graph with one is no forest, which ``families.forest_parents`` finds)."""
+    root where that is -1. The graph's ``parents`` is the array given,
+    pre-filled rather than read back off the edges, and its in-rows are
+    read off that array on first read. A node that is its own parent is
+    refused; a longer cycle is not (a graph with one is no forest, which
+    ``families.forest_parents`` finds)."""
     if len(parents) != n:
         raise ValueError(f"parent array has length {len(parents)}, expected {n}")
     if not 1 <= n <= MAX_NODES:
@@ -186,7 +204,7 @@ def graph_from_parents(n: int, parents: Sequence[int]) -> Graph:
         rows[p] |= _BITS[v]
     rows.pop()
     g = Graph(n, tuple(rows))
-    g.__dict__["parents"] = tuple(parents)  # frozen: shadows the class's None
+    g.__dict__["parents"] = tuple(parents)  # the cached property's value, as given
     return g
 
 
@@ -231,30 +249,31 @@ def compose_rows(rows: tuple[int, ...], b: Graph) -> tuple[int, ...]:
     return tuple([m | row_image(brows, m) for m in rows])
 
 
-def compose_in_rows(cols: Sequence[int], in_rows: Sequence[int]) -> tuple[int, ...]:
-    """In-rows of P o (G with a self-loop at every node), from the in-rows
-    ``cols`` of P and ``in_rows`` of G: entry y is
-    ``cols[y] | row_image(cols, in_rows[y])``, since in_{P o G}(y) is the
-    union of in_P(z) over z in in_G(y). One OR per edge of the round, so a
-    sparse round is cheap however dense the product is."""
-    return tuple([c | row_image(cols, m) for c, m in zip(cols, in_rows)])
+def compose_in_rows(cols: tuple[int, ...], g: Graph) -> tuple[int, ...]:
+    """In-rows of P o (g with a self-loop at every node), from the in-rows
+    ``cols`` of P: entry y is the union of ``cols[z]`` over y and its
+    in-neighbors z in g, since in_{P o G}(y) is the union of in_P(z) over z
+    in in_G(y). Where ``g.parents`` is not None that is
+    ``cols[y] | cols[parents[y]]``, one gather in C in which index -1 reads
+    an appended 0; otherwise ``cols[y] | row_image(cols, g.in_rows[y])``,
+    one OR per edge of g, so a sparse round is cheap however dense the
+    product is."""
+    if g.parents is None:
+        return tuple([c | row_image(cols, m) for c, m in zip(cols, g.in_rows)])
+    return tuple(map(or_, cols, map((*cols, 0).__getitem__, g.parents)))
 
 
-def gather_parents(cols: tuple[int, ...], parents: Sequence[int]) -> tuple[int, ...]:
-    """``compose_in_rows(cols, g.in_rows)`` for a round g in which node y
-    has the one in-neighbor ``parents[y]``, or none where that is -1: entry
-    y is ``cols[y] | cols[parents[y]]``, one gather in C, where index -1
-    reads an appended 0. Exact for any in-degree at most 1, cycles
-    included."""
-    return tuple(map(or_, cols, map((cols + (0,)).__getitem__, parents)))
-
-
-def scatter_parents(rows: Sequence[int], parents: Sequence[int]) -> tuple[int, ...]:
-    """``compose_in_rows(rows, g.out_rows)`` for the round g of
-    :func:`gather_parents`: each node's row is ORed into its parent's, one
-    loop over the nodes; a root's goes to a spare entry that is dropped."""
+def compose_out_rows(rows: tuple[int, ...], g: Graph) -> tuple[int, ...]:
+    """Out-rows of (g with a self-loop at every node) o S, from the out-rows
+    ``rows`` of S: the step of :func:`compose_in_rows` on the transposed
+    relation, entry x the union of ``rows[z]`` over x and its out-neighbors
+    z in g. Where ``g.parents`` is not None each node's row is ORed into
+    its parent's, one loop over the nodes (a root's goes to a spare entry
+    that is dropped); otherwise one OR per edge of g."""
+    if g.parents is None:
+        return tuple([r | row_image(rows, m) for r, m in zip(rows, g.out_rows)])
     out = [*rows, 0]
-    for row, p in zip(rows, parents):
+    for row, p in zip(rows, g.parents):
         out[p] |= row
     out.pop()
     return tuple(out)
@@ -262,14 +281,13 @@ def scatter_parents(rows: Sequence[int], parents: Sequence[int]) -> tuple[int, .
 
 def prefix_products(n: int, rounds: Iterable[Graph]) -> Iterator[tuple[int, ...]]:
     """The in-rows of the identity, then of each prefix product of
-    ``rounds``, composed from the one before (by :func:`gather_parents` for
-    a round that keeps a parent array); a round is read only when its
-    prefix is asked for."""
+    ``rounds``, each composed from the one before by one
+    :func:`compose_in_rows` step; a round is read only when its prefix is
+    asked for."""
     cols = identity(n).out_rows
     yield cols
     for g in rounds:
-        parents = g.parents
-        cols = compose_in_rows(cols, g.in_rows) if parents is None else gather_parents(cols, parents)
+        cols = compose_in_rows(cols, g)
         yield cols
 
 

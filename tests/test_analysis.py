@@ -299,13 +299,14 @@ def test_rounds_graph_matches_product_chain(model, k, avoid):
 def test_run_and_rounds_graph_compose_each_prefix_once(monkeypatch, model, k, objective, time):
     # run reads the prefixes 0..time of the sequence's trace and the
     # certificate 0..round_count-1 of the same trace, so max(time,
-    # round_count - 1) prefixes are composed, each once
+    # round_count - 1) prefixes are composed, each by one in-row step
+    # whichever way that step composes the round
     calls = []
     compose = graphs.compose_in_rows
 
-    def counted(cols, in_rows):
+    def counted(cols, g):
         calls.append(None)
-        return compose(cols, in_rows)
+        return compose(cols, g)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("dynnet") and vars(module).get("compose_in_rows") is compose:

@@ -20,7 +20,6 @@ from dynnet.dissemination import (
 from dynnet.families import Model, ModelSpec, enumerate_k_forests, random_graph
 from dynnet.graphs import (
     _transpose,
-    compose_in_rows,
     compose_rows,
     full_mask,
     graph_from_parents,
@@ -493,16 +492,16 @@ class TestRunMatchesOutRowLoop:
             assert len(drawn) == res.time >= 1
 
 
-def transposed_row_run(n, rounds, objective):
+def scanned_row_run(n, rounds, objective):
     """Reference run for broadcast and k-broadcast: every prefix is
-    composed on in-rows by ``compose_in_rows`` (no gather over a parent
-    array), transposed, and its full out-rows are scanned. Returns the
-    time, the witness (None if not reached) and the last out-rows read."""
-    cols = identity(n).out_rows
+    composed on out-rows by ``compose_rows`` (no in-row step, gather or
+    transpose), and its full out-rows are found by a plain scan, not by
+    ``Objective.witness``. Returns the time, the witness (None if not
+    reached) and the last out-rows read."""
+    rows = identity(n).out_rows
     for t in range(len(rounds) + 1):
         if t:
-            cols = compose_in_rows(cols, rounds[t - 1].in_rows)
-        rows = _transpose(n, cols)
+            rows = compose_rows(rows, rounds[t - 1])
         found = broadcasters(rows)
         if len(found) >= objective.k:
             return t, tuple(found[:objective.k]), rows
@@ -511,12 +510,12 @@ def transposed_row_run(n, rounds, objective):
 
 class TestRunDecidesBroadcastOnInRows:
     """``run`` decides broadcast and k-broadcast on the in-rows and
-    transposes only the product it reports; the transposed-row loop is the
-    oracle, on reached and unreached runs alike."""
+    transposes only the product it reports; the scanned out-row loop is
+    the oracle, on reached and unreached runs alike."""
 
     @staticmethod
     def assert_matches(seq, objective):
-        t, witness, rows = transposed_row_run(seq.spec.n, seq.rounds, objective)
+        t, witness, rows = scanned_row_run(seq.spec.n, seq.rounds, objective)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # objectives off the model's own are meant here
             if witness is None:
@@ -551,11 +550,13 @@ class TestRunDecidesBroadcastOnInRows:
     @pytest.mark.parametrize("model,k", [(Model.TREES, 1), (Model.K_ROOTED, 2), (Model.K_ROOTED, 3)])
     @pytest.mark.parametrize("n", [16, 64])
     def test_schedules_read_from_files(self, model, k, n):
-        seq = seqfile.loads(seqfile.dumps(constructions.build(model, n, k).seq))
+        # and the same schedules fresh from the construction
+        built = constructions.build(model, n, k).seq
         objective = Objective.broadcast() if k == 1 else Objective.k_broadcast(k)
-        assert self.assert_matches(seq, objective)
-        time = run(seq, objective).time
-        assert not self.assert_matches(RoundSequence(seq.spec, seq.rounds[:time - 1]), objective)
+        for seq in (seqfile.loads(seqfile.dumps(built)), built):
+            assert self.assert_matches(seq, objective)
+            time = run(seq, objective).time
+            assert not self.assert_matches(RoundSequence(seq.spec, seq.rounds[:time - 1]), objective)
 
     def test_n_one_and_two(self):
         one = RoundSequence(ModelSpec(Model.TREES, 1), [])

@@ -7,22 +7,22 @@ from hypothesis import strategies as st
 
 from dynnet import constructions, seqfile
 from dynnet.analysis import _member_reach, build_strict_sets
-from dynnet.families import Model, ModelSpec, random_graph
+from dynnet.families import Model, ModelSpec, forest_parents, random_graph
 from dynnet.graphs import (
     Graph,
     ProductTrace,
     _transpose,
     bits,
     compose_in_rows,
+    compose_out_rows,
     compose_rows,
     full_mask,
-    gather_parents,
+    graph_from_in_rows,
     graph_from_parents,
     graph_from_rows,
     identity,
     make_graph,
     product,
-    scatter_parents,
     to_dot,
 )
 
@@ -450,47 +450,113 @@ CERTIFY_SCHEDULES = [
 ]
 
 
-def without_parents(g: Graph) -> Graph:
-    """The same graph built from its out-rows, so it keeps no parent array."""
-    return graph_from_rows(g.n, g.out_rows)
-
-
 def random_row_table(n: int, rnd: random.Random) -> tuple[int, ...]:
     """n arbitrary masks on [n], each holding its own bit like a product's rows."""
     return tuple(rnd.getrandbits(n) | 1 << x for x in range(n))
 
 
-def assert_gather_and_scatter_exact(g: Graph, table: tuple[int, ...]) -> None:
-    """The gather and the scatter over g's parent array give the
-    ``compose_in_rows`` steps on its in-rows and out-rows."""
-    assert gather_parents(table, g.parents) == compose_in_rows(table, g.in_rows), g
-    assert scatter_parents(table, g.parents) == compose_in_rows(table, g.out_rows), g
+def edge_parents(g: Graph):
+    """Reference parent array, read edge by edge: y's one in-neighbor or -1,
+    None at a self-loop or a second in-neighbor."""
+    parents = [-1] * g.n
+    for u, v in g.edges():
+        if u == v or parents[v] != -1:
+            return None
+        parents[v] = u
+    return tuple(parents)
+
+
+def in_row_step(cols: tuple[int, ...], g: Graph) -> tuple[int, ...]:
+    """Reference in-row step: the out-row step ``compose_rows`` between
+    two transposes."""
+    return _transpose(g.n, compose_rows(_transpose(g.n, cols), g))
+
+
+def out_row_step(rows: tuple[int, ...], g: Graph) -> tuple[int, ...]:
+    """Reference out-row step: plain composition of g, its self-loops
+    added, with the relation whose out-rows are ``rows``."""
+    return product(with_loops(g), graph_from_rows(g.n, rows)).out_rows
+
+
+def assert_steps_exact(g: Graph, table: tuple[int, ...]) -> None:
+    """Both composition steps agree with their references on ``table``,
+    through the gather and the scatter where g has a parent array and
+    through the OR loop elsewhere, and the array is the one read off the
+    edges."""
+    assert g.parents == edge_parents(g), g
+    assert compose_in_rows(table, g) == in_row_step(table, g), g
+    assert compose_out_rows(table, g) == out_row_step(table, g), g
 
 
 class TestParentArrayRounds:
-    """A round built by ``graph_from_parents`` keeps its parent array; the
-    trace composes it by a gather and the strict-sets sweep by a scatter,
-    which agree with ``compose_in_rows`` on any in-degree at most 1."""
+    """Every graph's ``parents`` is read off its edges (``graph_from_parents``
+    starts with the array it was given), so equal graphs have equal arrays
+    whichever constructor built them. The in-row and out-row steps take
+    the gather and the scatter where the array is not None and the OR loop
+    elsewhere; either way they agree with the ``compose_rows``/``product``
+    references."""
 
-    def test_only_graph_from_parents_keeps_an_array(self):
+    def test_equal_edges_give_equal_parents(self):
         g = graph_from_parents(4, [-1, 0, 0, 2])
         assert g.parents == (-1, 0, 0, 2)
         assert g.in_rows == _transpose(4, g.out_rows) == (0, 1, 1, 4)
-        for other in (without_parents(g), make_graph(4, g.edges()), identity(4)):
-            assert other.parents is None
-        assert g == without_parents(g) and hash(g) == hash(without_parents(g))
+        rnd = random.Random(4)
+        tables = [random_row_table(4, rnd) for _ in range(5)]
+        for other in (make_graph(4, g.edges()), graph_from_rows(4, g.out_rows),
+                      graph_from_in_rows(4, g.in_rows), graph_from_parents(4, g.parents)):
+            assert other == g and hash(other) == hash(g)
+            assert other.parents == g.parents and other.in_rows == g.in_rows
+            for table in tables:
+                assert compose_in_rows(table, other) == compose_in_rows(table, g)
+                assert compose_out_rows(table, other) == compose_out_rows(table, g)
+
+    def test_every_three_node_graph(self):
+        # all 512 graphs on 3 nodes, self-loops included: the array is the
+        # one read edge by edge, and it rebuilds the graph
+        rnd = random.Random(3)
+        with_array = 0
+        for code in range(1 << 9):
+            g = graph_from_rows(3, [code >> 3 * x & 7 for x in range(3)])
+            assert_steps_exact(g, random_row_table(3, rnd))
+            if g.parents is not None:
+                with_array += 1
+                assert graph_from_parents(3, g.parents) == g
+                assert make_graph(3, g.edges()).parents == g.parents
+        # each node has no in-neighbor or one of the other two
+        assert with_array == 3 ** 3
+
+    @pytest.mark.parametrize("n,edges", [
+        (3, [(0, 0), (0, 1), (1, 2)]),
+        (3, [(0, 2), (1, 2), (0, 1)]),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 3)]),
+        (5, [(u, v) for u in range(5) for v in range(5) if u != v]),
+    ], ids=["root-self-loop", "two-in-neighbors", "leaf-self-loop", "complete"])
+    def test_no_array(self, n, edges):
+        g = make_graph(n, edges)
+        assert g.parents is None and forest_parents(g) is None
+        rnd = random.Random(n)
+        for _ in range(5):
+            assert_steps_exact(g, random_row_table(n, rnd))
+        assert [ProductTrace(n, [g] * n).prefix(t) for t in range(n + 1)] == [
+            _transpose(n, rows) for rows in out_row_prefixes(n, [g] * n)]
 
     @pytest.mark.parametrize("model,k,n", CERTIFY_SCHEDULES)
     def test_certify_schedules(self, model, k, n):
-        # read back from its sequence file, as the benchmark replays it
-        seq = seqfile.loads(seqfile.dumps(constructions.build(model, n, k).seq))
-        trace = seq.trace()
-        plain = ProductTrace(n, map(without_parents, seq.rounds))
-        for t, g in enumerate(seq.rounds):
-            assert (g.parents is not None) == (model is not Model.K_ROOTED)
-            if g.parents is not None:
-                assert_gather_and_scatter_exact(g, trace.prefix(t))
-            assert trace.prefix(t + 1) == plain.prefix(t + 1), t + 1
+        # fresh from the construction, and read back from its sequence
+        # file as the benchmark replays it: equal rounds, equal arrays,
+        # equal prefixes, each step exact on the prefix it extends
+        built = constructions.build(model, n, k).seq
+        read = seqfile.loads(seqfile.dumps(built))
+        assert read.rounds == built.rounds
+        reference = [_transpose(n, rows) for rows in out_row_prefixes(n, built.rounds)]
+        for seq in (built, read):
+            trace = seq.trace()
+            for t, g in enumerate(seq.rounds):
+                if model is not Model.K_ROOTED:
+                    assert g.parents is not None
+                assert_steps_exact(g, trace.prefix(t))
+                assert trace.prefix(t + 1) == reference[t + 1], t + 1
+        assert [g.parents for g in built.rounds] == [g.parents for g in read.rounds]
 
     def test_seeded_forests(self):
         rnd = random.Random(7)
@@ -500,8 +566,8 @@ class TestParentArrayRounds:
                 for seed in range(3):
                     g = random_graph(spec, 100 * n + 10 * k + seed)
                     assert g.parents is not None
-                    assert_gather_and_scatter_exact(g, random_row_table(n, rnd))
-                    assert_gather_and_scatter_exact(g, identity(n).out_rows)
+                    assert_steps_exact(g, random_row_table(n, rnd))
+                    assert_steps_exact(g, identity(n).out_rows)
 
     @pytest.mark.parametrize("n,parents", [
         (3, [-1, 2, 1]),
@@ -511,26 +577,31 @@ class TestParentArrayRounds:
         (6, [-1, 0, 3, 4, 2, 4]),
     ], ids=["tree-2-cycle", "forest-2-cycle", "pair", "5-cycle", "cycle-with-tail"])
     def test_parent_arrays_with_a_cycle(self, n, parents):
+        # a cycle keeps its array, but is no forest
         g = graph_from_parents(n, parents)
         assert g.in_rows == _transpose(n, g.out_rows)
+        assert make_graph(n, g.edges()).parents == g.parents == tuple(parents)
+        assert forest_parents(g) is None
         rnd = random.Random(n)
         for _ in range(5):
-            assert_gather_and_scatter_exact(g, random_row_table(n, rnd))
-        plain = ProductTrace(n, [without_parents(g)] * n)
-        assert [ProductTrace(n, [g] * n).prefix(t) for t in range(n + 1)] == [
-            plain.prefix(t) for t in range(n + 1)]
+            assert_steps_exact(g, random_row_table(n, rnd))
+        # the same rounds with their loops drawn in take the OR loop
+        for rounds in ([g] * n, [with_loops(g)] * n):
+            assert [ProductTrace(n, rounds).prefix(t) for t in range(n + 1)] == [
+                _transpose(n, rows) for rows in out_row_prefixes(n, [g] * n)]
 
     @pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (16, 1), (16, 3), (32, 2), (64, 3)])
     def test_strict_sets_reach_table(self, n, k):
         spec = ModelSpec(Model.K_FORESTS, n, k)
         rounds = [random_graph(spec, 31 * n + t) for t in range(3 * n)]
         tr = build_strict_sets(ProductTrace(n, rounds), k, len(rounds))
-        plain = dataclasses.replace(tr, trace=ProductTrace(n, map(without_parents, rounds)))
+        # the same rounds with their loops drawn in have no array, so this
+        # sweep takes the OR loop
+        looped = dataclasses.replace(tr, trace=ProductTrace(n, map(with_loops, rounds)))
         reach = _member_reach(tr)
-        assert reach == _member_reach(plain)
+        assert reach == _member_reach(looped)
         # each entry is Out(t_i + 1, t', a_i), the reachable set of a_i
         for (a_i, t_i), mask in reach.items():
             assert mask == tr.trace.out_mask(t_i + 1, tr.t_prime, a_i), (a_i, t_i)
         members = {pair for pairs in tr.sets.values() for pair in pairs}
         assert set(reach) == members
-

@@ -235,3 +235,27 @@ class TestCyclicParentArrays:
                 seqfile.loads(json.dumps(doc))
         with pytest.raises(ValueError, match=f"round 2 is not a valid {model.value} member"):
             RoundSequence(spec, [ok, g])
+
+
+class TestOnePassReachesAFixedPoint:
+    """``dumps(loads(x)) == x`` holds for a file that ``dumps`` wrote with
+    no seed. Any other valid file comes back rewritten once (edges sorted,
+    a repeated edge dropped, ``k`` written, a repeat block unrolled, the
+    seed dropped, the layout made compact), and the rewritten text is a
+    fixed point."""
+
+    TREE = '{"k":1,"model":"tree","n":3,"rounds":[[-1,0,1]]}\n'
+    DIGRAPH = '{"k":1,"model":"digraph","n":3,"rounds":[[[0,1],[1,2]]]}\n'
+
+    @pytest.mark.parametrize("text,once", [
+        ('{"k":1,"model":"digraph","n":3,"rounds":[[[1,2],[0,1]]]}\n', DIGRAPH),
+        ('{"k":1,"model":"digraph","n":3,"rounds":[[[1,2],[0,1],[0,1]]]}\n', DIGRAPH),
+        ('{"model":"tree","n":3,"rounds":[[-1,0,1]]}\n', TREE),
+        ('{"k":1,"model":"tree","n":3,"repeat":{"from":0,"to":0,"times":2},"rounds":[[-1,0,1]]}\n',
+         '{"k":1,"model":"tree","n":3,"rounds":[[-1,0,1],[-1,0,1]]}\n'),
+        ('{"k":1,"model":"tree","n":3,"rounds":[[-1,0,1]],"seed":5}\n', TREE),
+        ('{"n": 3, "model": "tree", "k": 1, "rounds": [[-1, 0, 1]]}', TREE),
+    ], ids=["unsorted-edges", "repeated-edge", "no-k", "repeat-block", "seed", "layout"])
+    def test_rewritten_once(self, text, once):
+        assert seqfile.dumps(seqfile.loads(text)) == once != text
+        assert seqfile.dumps(seqfile.loads(once)) == once
