@@ -12,10 +12,14 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add
 from typing import Iterator
 
 from .families import Model, ModelSpec, forest_roots, roots_reaching_all
-from .graphs import ProductTrace, _once, bits, compose_out_rows, full_mask, identity, row_image
+from .graphs import (
+    ProductTrace, _once, _transpose, bits, compose_out_rows, full_mask, identity, row_image,
+)
 
 BETA = (math.pi ** 2 + 6) / 6  # float view; exact comparisons go through P
 
@@ -131,6 +135,10 @@ class RoundsGraph:
     what witnesses a broadcaster. A round never has more out-edges than its
     root: the root is not avoided, so every later round whose root heard it
     also has an in-edge from it.
+
+    The graph keeps each round's heard set, ``heard``, and nothing else of
+    its edges: the processes' out-degrees are read from its transpose, and
+    ``process_edges`` and ``round_edges`` are listed on first read.
     """
 
     n: int
@@ -138,16 +146,41 @@ class RoundsGraph:
     round_count: int
     threshold: int                      # round -> round edges only from t < threshold
     roots: tuple[int, ...]              # roots[t-1] is the chosen root of round t
-    process_edges: tuple[tuple[int, int], ...]  # (process, round)
-    round_edges: tuple[tuple[int, int], ...]    # (round, later round)
+    heard: tuple[int, ...]              # heard[t-1]: what roots[t-1] heard before t, less avoid
+
+    @cached_property
+    def process_edges(self) -> tuple[tuple[int, int], ...]:
+        """(process, round) edges, by round and then by process."""
+        return tuple((p, t) for t, h in enumerate(self.heard, 1) for p in bits(h))
+
+    @cached_property
+    def round_edges(self) -> tuple[tuple[int, int], ...]:
+        """(round, later round) edges, by round and then by later round.
+        Roots are never avoided, so the heard sets keep every bit read."""
+        # hearers[r]: the rounds, ascending, whose root has heard of process r
+        hearers = {
+            r: [t2 for t2, h in enumerate(self.heard, 1) if h >> r & 1]
+            for r in set(self.roots[: self.threshold - 1])
+        }
+        edges = []
+        for t in range(1, min(self.threshold, self.round_count + 1)):
+            later = hearers[self.roots[t - 1]]
+            edges += [(t, t2) for t2 in later[bisect_right(later, t):]]
+        return tuple(edges)
 
     def node_count(self) -> int:
         return self.n + self.round_count
 
     def process_out_degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for p, _ in self.process_edges:
-            deg[p] += 1
+        """The number of rounds whose heard set holds each process: each
+        block of n rounds is transposed, so column p holds the block's rounds
+        that heard p, and the columns' bit counts are summed."""
+        n, heard = self.n, self.heard
+        deg = [0] * n
+        for i in range(0, len(heard), n):
+            block = heard[i:i + n]
+            cols = _transpose(n, block + (0,) * (n - len(block)))
+            deg = list(map(add, deg, map(int.bit_count, cols)))
         return deg
 
     def round_in_degrees(self) -> list[int]:
@@ -179,7 +212,10 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
     root of each round is the smallest root outside the avoided set; the
     roots of a round object that the trace repeats are searched once, and
     each round's heard row is read once. Only the trace's prefixes before
-    round_count are read, so after ``run`` only the later ones are composed."""
+    round_count are read, so after ``run`` only the later ones are composed.
+    The graph keeps each round's heard set and lists no edge: its witness
+    reads the out-degrees from the transpose of those sets, and the edge
+    lists are built on first read."""
     n = trace.n
     outside = sorted(v for v in avoid if not 0 <= v < n)
     if outside:
@@ -197,23 +233,9 @@ def build_rounds_graph(trace: ProductTrace, avoid: frozenset[int] = frozenset())
         if not candidates:
             raise ValueError(f"round {t} has no root outside the avoided set")
         roots.append(min(candidates))
-    # heard[t-1]: the processes round t's root has heard of before round t
-    heard = [trace.prefix(t)[r] for t, r in enumerate(roots)]
     kept = full_mask(n) & ~sum(1 << v for v in avoid)
-    process_edges = [(p, t) for t, h in enumerate(heard, 1) for p in bits(h & kept)]
-    # hearers[r]: the rounds, ascending, whose root has heard of process r
-    hearers = {
-        r: [t2 for t2, h in enumerate(heard, 1) if h >> r & 1]
-        for r in set(roots[: threshold - 1])
-    }
-    round_edges = []
-    for t in range(1, min(threshold, round_count + 1)):
-        later = hearers[roots[t - 1]]
-        round_edges += [(t, t2) for t2 in later[bisect_right(later, t):]]
-    return RoundsGraph(
-        n, frozenset(avoid), round_count, threshold, tuple(roots),
-        tuple(process_edges), tuple(round_edges),
-    )
+    heard = tuple(trace.prefix(t)[r] & kept for t, r in enumerate(roots))
+    return RoundsGraph(n, frozenset(avoid), round_count, threshold, tuple(roots), heard)
 
 
 def max_out_degree_witness(rg: RoundsGraph) -> RoundsGraphWitness:

@@ -173,9 +173,11 @@ def cover_achieved(
     none is met there is no cover of size 2. The scan reads no bit counts
     and needs no transpose; the rows are transposed only if size 3 is
     reached. Each other size is decided exactly by branching on the
-    columns (``_cover_exists``), and at the first size that holds the
-    witness is found by one ordered search (``_first_cover``) that the
-    same decision guides row by row."""
+    columns (``_cover_exists``): first size min(k, n), whose decision
+    alone answers None when no cover exists, then the smaller sizes in
+    turn. At the first size that holds the witness is found by one
+    ordered search (``_first_cover``) that the same decision guides row
+    by row."""
     if k < 1:
         raise ValueError("cover size must be >= 1")
     n = len(rows)
@@ -201,10 +203,13 @@ def cover_achieved(
     most = max(map(int.bit_count, rows))
     if most * k < n:
         return None  # k rows cannot reach n elements yet
-    for size in range(first, min(k, n) + 1):
+    top = min(k, n)
+    if top < first or not _cover_exists(rows, cols, fm, top, fm, most):
+        return None  # no cover of any size up to k: one decision says so
+    for size in range(first, top):
         if _cover_exists(rows, cols, fm, size, fm, most):
             return _first_cover(rows, cols, fm, size, 0, most)
-    return None
+    return _first_cover(rows, cols, fm, top, 0, most)
 
 
 def _members(spec: ModelSpec, rounds: Iterable[Graph]) -> Iterator[Graph]:

@@ -516,7 +516,8 @@ def test_check_helpers_clean_on_valid_trace():
 
 
 def plain_rounds_graph(trace, avoid):
-    """The rounds graph with each heard row read per round pair."""
+    """The rounds graph with each heard row read per round pair: the graph
+    built from its own heard sets, and the edge lists built on their own."""
     n = trace.n
     round_count = ceil_one_plus_sqrt2(n) + len(avoid)
     threshold = ceil_sqrt2(n) + len(avoid)
@@ -526,22 +527,42 @@ def plain_rounds_graph(trace, avoid):
         if not candidates:
             raise ValueError(f"round {t} has no root outside the avoided set")
         roots.append(min(candidates))
-    process_edges = []
+    heard, process_edges = [], []
     for t in range(1, round_count + 1):
-        heard = trace.prefix(t - 1)[roots[t - 1]]
-        for p in bits(heard):
-            if p not in avoid:
-                process_edges.append((p, t))
+        kept = [p for p in bits(trace.prefix(t - 1)[roots[t - 1]]) if p not in avoid]
+        heard.append(sum(1 << p for p in kept))
+        process_edges += [(p, t) for p in kept]
     round_edges = []
     for t in range(1, min(threshold, round_count + 1)):
         rt = roots[t - 1]
         for t2 in range(t + 1, round_count + 1):
             if trace.prefix(t2 - 1)[roots[t2 - 1]] >> rt & 1:
                 round_edges.append((t, t2))
-    return RoundsGraph(
-        n, frozenset(avoid), round_count, threshold, tuple(roots),
-        tuple(process_edges), tuple(round_edges),
-    )
+    rg = RoundsGraph(n, frozenset(avoid), round_count, threshold, tuple(roots), tuple(heard))
+    return rg, tuple(process_edges), tuple(round_edges)
+
+
+def check_rounds_graph(trace, avoid):
+    """``build_rounds_graph`` against ``plain_rounds_graph``: the same
+    outcome, the same edge lists, and degrees that count those edges. The
+    graph built, or None when both refuse the trace."""
+    got, want = _outcome(build_rounds_graph, trace, avoid), _outcome(plain_rounds_graph, trace, avoid)
+    if want[0] == "error":
+        assert got == want
+        return None
+    plain, process_edges, round_edges = want[1]
+    assert got == ("ok", plain)
+    rg = got[1]
+    assert (rg.process_edges, rg.round_edges) == (process_edges, round_edges)
+    out_degrees = [0] * rg.n
+    for p, _ in process_edges:
+        out_degrees[p] += 1
+    assert rg.process_out_degrees() == out_degrees
+    in_degrees = [0] * (rg.round_count + 1)
+    for _, t in process_edges + round_edges:
+        in_degrees[t] += 1
+    assert rg.round_in_degrees() == in_degrees
+    return rg
 
 
 def plain_strict_sets(trace, k, t_prime):
@@ -727,5 +748,10 @@ class TestCertificatesMatchPlainVersions:
             length = ceil_one_plus_sqrt2(n) + len(avoid) + rnd.randint(0, 5)
             seed = rnd.getrandbits(32)
             trace = ProductTrace(n, [random_graph(spec, seed + t) for t in range(length)])
-            assert _outcome(build_rounds_graph, trace, avoid) == \
-                _outcome(plain_rounds_graph, trace, avoid), (model, n, k, avoid)
+            check_rounds_graph(trace, avoid)
+
+    def test_rounds_graph_of_the_n64_schedule(self):
+        # 157 rounds: the out-degrees transpose two full blocks of 64 rounds
+        # and a partial one of 29
+        trace = build(Model.K_ROOTED, 64, 3).seq.trace()
+        assert check_rounds_graph(trace, frozenset({0, 1})).round_count == 157
