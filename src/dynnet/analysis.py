@@ -125,7 +125,7 @@ class RoundsGraphWitness:
     degree: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundsGraph:
     """Bipartite-ish certificate over process nodes and round nodes.
 
@@ -138,7 +138,8 @@ class RoundsGraph:
 
     The graph keeps each round's heard set, ``heard``, and nothing else of
     its edges: the processes' out-degrees are read from its transpose, and
-    ``process_edges`` and ``round_edges`` are listed on first read.
+    ``process_edges`` and ``round_edges`` are listed on first read. It is
+    frozen, so the lists once read stay those of its fields.
     """
 
     n: int
