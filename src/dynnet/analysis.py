@@ -570,7 +570,8 @@ def _strict_increment_spot_checks(
             if any(cur >> r & 1 for r in roots):
                 continue
             grown += 1
-            prev = trace.in_mask(t - 1, t_i, a_i)
+            # round t-1 composed onto rounds t..t_i
+            prev = cur | row_image(trace.rounds[t - 2].in_rows, cur)
             if prev.bit_count() <= cur.bit_count():
                 ok = False
         if grown < len(idx) - tr.k or not ok:

@@ -68,7 +68,9 @@ def reach_mask(g: Graph, x: int) -> int:
     """Bitmask of nodes reachable from x (including x), self-loops ignored."""
     seen = frontier = 1 << x
     rows = g.out_rows
-    while frontier:
+    full = full_mask(g.n)
+    # a full reach has no frontier left to grow
+    while frontier and seen != full:
         frontier = row_image(rows, frontier) & ~seen
         seen |= frontier
     return seen

@@ -43,6 +43,8 @@ class SearchResult:
     value: int
     optimal_sequence: RoundSequence
     states_visited: int
+    # hits of a memoized recursion that tries every move at every expanded
+    # state: expanded_states * moves - (states_visited - 1)
     memo_hits: int
     # expanded states, each orbit weighted by its size, and expanded orbits
     expanded_states: int
@@ -192,11 +194,11 @@ class _Search:
     Every family is closed under relabeling the nodes, and every objective
     is invariant under it (a broadcaster, k full rows and a cover of size k
     are all moved to ones of the same kind). The relabeled state's children
-    are the relabeled children, so a state's value, its terminal decision
-    and its number of distinct children are the same across its orbit.
+    are the relabeled children, so a state's value and its terminal
+    decision are the same across its orbit.
     Since the identity start is fixed by every relabeling, the states
-    reached from it form whole orbits. Children are gathered, sorted and
-    looked up only for the smallest key of each orbit, its representative;
+    reached from it form whole orbits. Children are gathered and looked up
+    only for the smallest key of each orbit, its representative;
     ``_relabel_tables`` relabels a key under all n! permutations by the same
     OR of one entry per row (``_lookup``), from tables of the same builder
     (``_row_tables``).
@@ -217,19 +219,19 @@ class _Search:
       and decided once against the objective (``_terminal``). A terminal
       orbit gets entry 1; otherwise the orbit gets REACHED and its
       representative is queued in its layer, to be expanded when the sweep
-      reaches it;
+      reaches it. A queued orbit is counted then: the kept row holds its
+      distinct members, so their number is its size;
     - descending: the same layers in reverse order, each representative
       gets 1 + the largest entry among its children, which are all valued
-      by then, and the entry is written to its whole orbit. The relabelings
-      that write it also count the orbit's size.
+      by then, and the entry is written to its whole orbit.
 
     So the value table is the one a sweep over every state would fill,
-    byte for byte, and the counts are those of every state, too: an
-    expanded representative stands for its orbit's size in
-    ``expanded_states`` (``expanded_orbits`` counts representatives), and
-    ``children`` sums the distinct children of every expanded state: the
-    descending sweep adds orbit size times distinct children for each
-    representative.
+    byte for byte, and the counts are those of every state, too: an orbit
+    is queued only when it is first reached and every queued
+    representative is expanded, so counting it when it is queued counts
+    it once, by its size in ``expanded_states`` (``expanded_orbits``
+    counts representatives). A stalled search raises before any count is
+    read.
 
     Before anything is allocated, the tables are charged against
     ``mem_cap_bytes``: the value table before any move is enumerated, then
@@ -282,7 +284,6 @@ class _Search:
         )
         self.succ = _successor_tables(self.moves, n)
         self.relabel = _relabel_tables(n)
-        self.perms = perms
         # (full row x for every compressed row, key shift of row x)
         compressed = np.arange(1 << self.width, dtype=np.int64)
         self.row_lookup = [(_insert_bit(compressed, x), x * self.width) for x in range(n)]
@@ -290,7 +291,6 @@ class _Search:
         self.values = np.zeros(table_bytes, dtype=np.uint8)
         # the representatives queued in each layer, by bit count
         self.layers: list[list[np.ndarray]] = []
-        self.children = 0
         self.expanded_states = 0
         self.expanded_orbits = 0
 
@@ -381,26 +381,26 @@ class _Search:
             kept[first] = True
             kept[:, 1:] &= orbits[:, 1:] != orbits[:, :-1]
             members = orbits[kept]
+            # a kept row holds its orbit's distinct members
+            sizes = np.count_nonzero(kept, axis=1)[first]
             # freed before the decisions allocate theirs
             del orbits, kept
             values[members] = np.where(self._terminal(members), 1, REACHED)
-            reps = reps[values.take(reps) == REACHED]
+            queued = values.take(reps) == REACHED
+            reps = reps[queued]
+            # every queued representative is expanded, so its orbit is
+            # counted here, once
+            self.expanded_states += int(sizes[queued].sum())
+            self.expanded_orbits += reps.size
             layers = np.bitwise_count(reps)
             for c in set(layers.tolist()):
                 self.layers[c].append(reps[layers == c])
 
-    def _spread(self, keys: np.ndarray) -> np.ndarray:
-        """Write the entry of each key to every relabeling of it, and return
-        each key's orbit size: n! over the relabelings that fix it."""
-        import numpy as np
-
+    def _spread(self, keys: np.ndarray) -> None:
+        """Write the entry of each key to every relabeling of it."""
         values = self.values
-        sizes = []
         for part in _parts(self.chunk, keys):
-            orbits = self._relabelings(part)
-            values[orbits] = values.take(part)[:, None]
-            sizes.append(self.perms // np.count_nonzero(orbits == part[:, None], axis=1))
-        return np.concatenate(sizes)
+            values[self._relabelings(part)] = values.take(part)[:, None]
 
     def value(self, key: int) -> int:
         self._solve(key)
@@ -432,14 +432,8 @@ class _Search:
             raise
         for keys in reversed(expanded):
             for batch in _parts(self.batch, keys):
-                kids = self._gather(batch)
-                values[batch] = values.take(kids).max(axis=1) + 1
-                kids.sort(axis=1)
-                distinct = 1 + np.count_nonzero(kids[:, 1:] != kids[:, :-1], axis=1)
-                sizes = self._spread(batch)
-                self.children += int(sizes @ distinct)
-                self.expanded_states += int(sizes.sum())
-                self.expanded_orbits += batch.size
+                values[batch] = values.take(self._gather(batch)).max(axis=1) + 1
+                self._spread(batch)
 
     def _expand(self, keys: np.ndarray) -> None:
         """Reach the fresh children of queued, non-terminal
@@ -484,13 +478,14 @@ def exact_worst_case(
     every relabeling, so the table is the one every state's expansion would
     fill. The counts are still of states: ``states_visited`` counts the
     solved states, ``expanded_states`` the expanded ones (each expanded
-    orbit counted by its size; ``expanded_orbits`` counts the orbits) and
-    ``memo_hits`` the distinct children of expanded states that were
-    already reached. It is computed once, as the sum of distinct children
-    over expanded states minus (``states_visited`` - 1), since every solved
-    state but the start was first reached as such a child; a depth-first
-    memoized recursion counts the same. The orbit sizes come from the
-    relabelings that write each entry in the descending sweep.
+    orbit counted by its size, the distinct members of its sorted
+    relabeling row; ``expanded_orbits`` counts the orbits) and
+    ``memo_hits`` the hits of a plain memoized recursion that tries every
+    move at every expanded state. That recursion makes
+    1 + ``expanded_states`` * moves calls, of which ``states_visited`` are
+    misses, so ``memo_hits`` = ``expanded_states`` * moves -
+    (``states_visited`` - 1). The counts depend on the reachable states,
+    the expanded states and the move count only, not on the engine.
 
     Raises ValueError, before anything else, when n exceeds ``SEARCH_GUARD``
     (5) in any family, then for k-rooted networks when the C(n, k) *
@@ -551,7 +546,7 @@ def exact_worst_case(
     seq = RoundSequence(spec, seq_rounds)
     states = int(np.count_nonzero(search.values))
     return SearchResult(
-        value, seq, states, search.children - (states - 1),
+        value, seq, states, search.expanded_states * len(search.moves) - (states - 1),
         search.expanded_states, search.expanded_orbits,
     )
 

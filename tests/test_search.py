@@ -83,21 +83,21 @@ class TestExactWorstCase:
     @pytest.mark.parametrize(
         "spec, objective, value, states, hits",
         [
-            (ModelSpec(Model.TREES, 4), Objective.broadcast(), 4, 2044, 10141),
-            (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2), 2, 805, 228),
-            (ModelSpec(Model.K_FORESTS, 5, 2), Objective.cover(2), 4, 558_511, 1_660_730),
-            (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2), 3, 1595, 24865),
+            (ModelSpec(Model.TREES, 4), Objective.broadcast(), 4, 2044, 37_189),
+            (ModelSpec(Model.K_FORESTS, 4, 2), Objective.cover(2), 2, 805, 396),
+            (ModelSpec(Model.K_FORESTS, 5, 2), Objective.cover(2), 4, 558_511, 3_911_990),
+            (ModelSpec(Model.K_ROOTED, 4, 2), Objective.k_broadcast(2), 3, 1595, 1_005_830),
             # the one search whose cover decisions reach size 3
-            (ModelSpec(Model.K_FORESTS, 5, 3), Objective.cover(3), 2, 6841, 1470),
+            (ModelSpec(Model.K_FORESTS, 5, 3), Objective.cover(3), 2, 6841, 2_310),
             # a cover of size 1 is a broadcast, and a 1-forest a tree
-            (ModelSpec(Model.K_FORESTS, 4, 1), Objective.cover(1), 4, 2044, 10141),
+            (ModelSpec(Model.K_FORESTS, 4, 1), Objective.cover(1), 4, 2044, 37_189),
         ],
         ids=["trees-broadcast", "forests-cover", "forests-cover-n5", "rooted-kbroadcast",
              "3-forests-cover-n5", "1-forests-cover"],
     )
     def test_pinned_counts(self, spec, objective, value, states, hits):
-        # the counts depend only on the reachable state space and the
-        # deduplicated successor sets, not on how the engine stores them
+        # the counts depend only on the reachable states, the expanded
+        # states and the move count, not on how the engine stores them
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = exact_worst_case(spec, objective)
@@ -756,36 +756,68 @@ class TestSweepsMatchRecursion:
         (ModelSpec(Model.K_ROOTED, 3, 2), Objective.k_broadcast(2)),
     ]
 
+    IDS = ["trees-broadcast", "forests-cover", "rooted-kbroadcast",
+           "trees-broadcast-n3", "forests-cover-n3", "rooted-kbroadcast-n3"]
+
     @staticmethod
     def recursion(spec, objective):
         """Value of every state reachable from the identity through states
-        the objective does not hold on, by plain memoized recursion."""
+        the objective does not hold on, by plain memoized recursion that
+        tries every move at every state it expands; with its memo hits and
+        its expanded (non-terminal) states."""
         moves = family_moves(spec)
         memo = {}
+        hits = expanded = 0
 
         def f(rows):
-            if rows not in memo:
-                if objective.witness(rows) is not None:
-                    memo[rows] = 0
-                else:
-                    memo[rows] = 1 + max(f(compose_rows(rows, mv)) for mv in moves)
+            nonlocal hits, expanded
+            if rows in memo:
+                hits += 1
+            elif objective.witness(rows) is not None:
+                memo[rows] = 0
+            else:
+                expanded += 1
+                memo[rows] = 1 + max(f(compose_rows(rows, mv)) for mv in moves)
             return memo[rows]
 
         f(identity(spec.n).out_rows)
-        return memo
+        return memo, hits, expanded
 
-    @pytest.mark.parametrize("spec, objective", CASES,
-                             ids=["trees-broadcast", "forests-cover", "rooted-kbroadcast",
-                                  "trees-broadcast-n3", "forests-cover-n3",
-                                  "rooted-kbroadcast-n3"])
+    @pytest.mark.parametrize("spec, objective", CASES, ids=IDS)
     def test_table_equals_recursion(self, spec, objective):
         # the solved keys are exactly the reachable states, each with its value
-        expected = self.recursion(spec, objective)
+        expected, _, _ = self.recursion(spec, objective)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             solved = search_module._Search(spec, objective, 2 << 30)
             solved.value(solved.pack(identity(spec.n).out_rows))
         assert solved.memo == {solved.pack(rows): v for rows, v in expected.items()}
+
+    @pytest.mark.parametrize("spec, objective", CASES, ids=IDS)
+    def test_counts_equal_recursion(self, spec, objective):
+        # memo_hits and expanded_states are the recursion's, and
+        # states_visited its misses
+        memo, hits, expanded = self.recursion(spec, objective)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = exact_worst_case(spec, objective)
+        assert (res.memo_hits, res.expanded_states, res.states_visited) == (
+            hits, expanded, len(memo)
+        )
+
+    @pytest.mark.parametrize(
+        "spec, objective, counts",
+        [
+            (ModelSpec(Model.TREES, 4), Objective.broadcast(), (37_189, 613, 2_044)),
+            # only the identity is expanded, and its six children are
+            # distinct and terminal
+            (ModelSpec(Model.K_FORESTS, 3, 2), Objective.cover(2), (0, 1, 7)),
+        ],
+        ids=["trees-broadcast", "forests-cover-n3"],
+    )
+    def test_recursion_counts(self, spec, objective, counts):
+        memo, hits, expanded = self.recursion(spec, objective)
+        assert (hits, expanded, len(memo)) == counts
 
     @pytest.mark.parametrize(
         "spec, objective, states",
