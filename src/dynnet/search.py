@@ -362,7 +362,8 @@ class _Search:
         """Mark the orbit of every unsolved key in ``fresh`` reached, decide
         each member once and queue the non-terminal representatives in
         their layers, a chunk of keys at a time. The members are read off
-        one sorted relabeling row per orbit."""
+        one sorted relabeling row per orbit, and their number is the size
+        each queued orbit adds to ``expanded_states``."""
         import numpy as np
 
         values = self.values
@@ -381,7 +382,6 @@ class _Search:
             kept[first] = True
             kept[:, 1:] &= orbits[:, 1:] != orbits[:, :-1]
             members = orbits[kept]
-            # a kept row holds its orbit's distinct members
             sizes = np.count_nonzero(kept, axis=1)[first]
             # freed before the decisions allocate theirs
             del orbits, kept
